@@ -10,10 +10,10 @@ arithmetic.
 from .boundary import (
     BoundaryReport,
     BoundarySlice,
+    MissingSlicesError,
     boundary,
     boundary_slice,
     cejz_boundary,
-    cejz_slice,
     laplacian_matrix,
     laplacian_slice,
     report_to_dict,

@@ -3,8 +3,9 @@
 The parsed argument namespace is the run configuration. Exit codes are a
 contract: 0 all checks passed, 1 a check failed (which means a bug, since
 everything checked is a theorem), 2 input or parameter error. All outputs
-are deterministic: repeating a command with the same arguments, at any
---threads value, produces byte-identical files.
+are deterministic: repeating a command with the same arguments produces
+byte-identical files. --threads is accepted for compatibility and ignored:
+every command runs in one thread.
 
 If the environment variable GRAPHBOUNDARY_OUTDIR is set, relative --out
 paths are written under that directory.
@@ -34,6 +35,7 @@ from .euclid import (
     sector_check,
 )
 from .generators import (
+    ENUM_NMAX,
     DomainSpec,
     GridGraph,
     complete,
@@ -270,6 +272,8 @@ def cmd_verify(args) -> int:
     if args.family == "enum":
         if args.input:
             raise _CliError("--in and --family enum are mutually exclusive")
+        if not 1 <= args.nmax <= ENUM_NMAX:
+            raise _CliError(f"--nmax must be between 1 and {ENUM_NMAX}, got {args.nmax}")
         checks = tuple(c for c in checks if c != "prop4")
         count = 0
         tallies = {c: 0 for c in checks}
@@ -443,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, out_help="output path (default: stdout)"):
         p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="parallelism degree; results are identical at any value")
+                       help="accepted and ignored (kept for compatibility); "
+                            "every command runs in one thread")
 
     def add_family(p):
         p.add_argument("--family", default=None,
@@ -474,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", default=None, help="edge-list input path")
     add_family(p)
     p.add_argument("--nmax", type=int, default=5,
-                   help="with --family enum: exhaustive bound (<= 6)")
+                   help=f"with --family enum: exhaustive bound (<= {ENUM_NMAX})")
     p.add_argument("--checks", default="all",
                    help="comma list of " + ",".join(ALL_CHECKS) + " or 'all'")
     add_common(p)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +40,13 @@ class SingleVertexError(GraphError):
 
 class EdgeListParseError(GraphError):
     """Malformed edge-list text."""
+
+
+class InvariantViolation(GraphError):
+    """A proven statement failed on concrete input: an implementation bug."""
+
+
+ROW_BLOCK = 32  # distance rows per block in bulk passes: scratch is O(ROW_BLOCK * (n + m))
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,18 @@ class DistanceField:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop distances, cached as a read-only n x n int64 array."""
+    """All-pairs hop distances as a read-only n x n array, row v from source v.
+
+    The dtype is :func:`distance_dtype` of n: int16 below 32768 vertices, else int32.
+    """
 
     n: int
     dist: np.ndarray
 
-    def row(self, v: int) -> DistanceField:
-        return DistanceField(source=v, dist=tuple(int(x) for x in self.dist[v]))
+    def rows(self) -> Iterator[list[int]]:
+        """Rows as lists of Python ints, converted ROW_BLOCK rows at a time."""
+        for start in range(0, self.n, ROW_BLOCK):
+            yield from self.dist[start:start + ROW_BLOCK].tolist()
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         return int(self.dist[pair])
@@ -161,20 +172,26 @@ def is_connected(g: Graph) -> bool:
     return True
 
 
-def distance_matrix(g: Graph, threads: int = 1) -> DistanceMatrix:
-    """All-pairs distances from one BFS per source.
+def distance_dtype(n: int) -> np.dtype:
+    """Narrowest signed dtype holding every hop distance (at most n - 1)."""
+    return np.dtype(np.int16 if n < 32768 else np.int32)
 
-    Rows are independent, so they may be computed in parallel; the result
-    is identical at any thread count.
+
+def distance_matrix(g: Graph, threads: int = 1) -> DistanceMatrix:
+    """All-pairs distances from one BFS per source, filled row by row.
+
+    Holds n^2 entries of :func:`distance_dtype`. ``threads`` is accepted and
+    ignored. Raises DisconnectedError on disconnected input.
     """
-    rows = parallel_map(lambda v: bfs_distances(g, v).dist, range(g.n), threads)
-    arr = np.array(rows, dtype=np.int64)
+    arr = np.empty((g.n, g.n), dtype=distance_dtype(g.n))
+    for v in range(g.n):
+        arr[v] = bfs_distances(g, v).dist
     arr.setflags(write=False)
     return DistanceMatrix(n=g.n, dist=arr)
 
 
 def diameter(g: Graph) -> int:
-    """Max over all pairs of d(u, v), by BFS from every vertex."""
+    """Max over all pairs of d(u, v), by BFS from every vertex (O(n) memory)."""
     best = 0
     for v in range(g.n):
         best = max(best, max(bfs_distances(g, v).dist))
@@ -187,20 +204,6 @@ def is_path_graph(g: Graph) -> bool:
         return True
     degs = sorted(g.degree_sequence())
     return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Order-preserving map, optionally fanned out over a thread pool.
-
-    Output is independent of ``threads``; callers rely on that for
-    byte-identical reports. Small batches run sequentially regardless,
-    since pool startup would dominate.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) < 64:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- canonical edge-list text format ---

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryReport, boundary
-from .core import DistanceMatrix, Graph, GraphError, distance_matrix
+from .boundary import BoundaryReport, boundary, require_slices
+from .core import DistanceMatrix, Graph, GraphError
 from .generators import GridGraph
 
 CASE_EQUAL_DISTANCE = "equal_distance_neighbor"
@@ -97,8 +97,7 @@ def _search(
 
 
 def _certifiers(report: BoundaryReport, u: int) -> list[int]:
-    assert report.slices is not None
-    return [sl.source for sl in report.slices if u in sl.members]
+    return [sl.source for sl in require_slices(report) if u in sl.members]
 
 
 def classify_prop4(
@@ -117,7 +116,7 @@ def classify_prop4(
     g = gg.graph
     if report is None:
         report = boundary(g, include_slices=True)
-    dm = distance_matrix(g)
+    dm = report.distances
     index = {c: vid for vid, c in enumerate(gg.coordinates)}
     full = 2 * gg.dimension
     out = []
@@ -154,7 +153,7 @@ def classify_cycle(
         raise ValueError("not a cycle graph")
     if report is None:
         report = boundary(g, include_slices=True)
-    dm = distance_matrix(g)
+    dm = report.distances
     out = []
     for u in report.boundary:
         nbrs = g.adjacency[u]

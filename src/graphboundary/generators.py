@@ -25,6 +25,7 @@ from typing import Iterator
 from .core import Graph, GraphError, is_connected, validate
 
 _MASK = (1 << 64) - 1
+ENUM_NMAX = 6  # largest n that enumerate_connected accepts
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -169,8 +170,9 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with one SplitMix64 draw per vertex pair.
 
     The pair (u, w), u < w, uses the draw at its lexicographic index, and
-    is included iff the draw falls below round(p * 2**64). Scaling a float
-    by 2**64 is exact, so the acceptance test is exact in integers.
+    is included iff the draw falls below int(p * 2**64), the product
+    truncated. Scaling a float by 2**64 is exact, so the acceptance test is
+    exact in integers.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -367,10 +369,10 @@ def enumerate_connected(n_max: int) -> Iterator[Graph]:
     """All connected labeled simple graphs on 1..n_max vertices.
 
     Enumeration is by edge-subset bitmask in a fixed order, so the stream
-    is deterministic. Capped at n_max <= 6 (32768 masks at n = 6).
+    is deterministic. Capped at n_max <= ENUM_NMAX (32768 masks at n = 6).
     """
-    if not 1 <= n_max <= 6:
-        raise ValueError("exhaustive enumeration is capped at n_max <= 6")
+    if not 1 <= n_max <= ENUM_NMAX:
+        raise ValueError(f"exhaustive enumeration is capped at n_max <= {ENUM_NMAX}")
     for n in range(1, n_max + 1):
         pairs = list(combinations(range(n), 2))
         full = (1 << n) - 1

@@ -17,15 +17,12 @@ values, never in a decision.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import BoundaryReport, boundary, boundary_slice
-from .core import Graph, GraphError, SingleVertexError, bfs_distances
-
-
-class InvariantViolation(GraphError):
-    """A proven statement failed on concrete input: an implementation bug."""
+from .boundary import BoundaryReport, boundary, boundary_slice, require_slices
+from .core import DistanceField, Graph, InvariantViolation, SingleVertexError, bfs_distances
 
 
 @dataclass(frozen=True)
@@ -84,22 +81,33 @@ class InequalityReport:
         return self.theorem1.passed and self.theorem2_min.passed and self.mps.passed
 
 
-def layer_decompose(g: Graph, v0: int) -> LayerDecomposition:
-    """Decompose the connected graph into distance layers from v0."""
-    df = bfs_distances(g, v0)
-    ell = max(df.dist)
+def layer_decompose(g: Graph, v0: int, dist: Sequence[int] | None = None,
+                    members: Iterable[int] | None = None) -> LayerDecomposition:
+    """Decompose the connected graph into distance layers from v0.
+
+    Pass ``dist`` (a distance row of v0) and ``members`` (v0's slice) to
+    skip the BFS and the slice evaluation; the result is the same.
+    """
+    if dist is None:
+        dist = bfs_distances(g, v0).dist
+    if members is None:
+        members = boundary_slice(g, DistanceField(source=v0, dist=tuple(dist))).members
+    ell = max(dist)
     layer_lists: list[list[int]] = [[] for _ in range(ell + 1)]
-    for u, d in enumerate(df.dist):
+    for u, d in enumerate(dist):
         layer_lists[d].append(u)
     cross = [0] * ell
-    for u, w in g.edges():
-        du, dw = df.dist[u], df.dist[w]
-        if du != dw:
-            cross[max(du, dw) - 1] += 1  # BFS layers differ by at most 1
-    members = boundary_slice(g, df).members
+    for nbrs, du in zip(g.adjacency, dist):
+        # BFS layers differ by at most 1: count each cross edge at its outer end
+        inner = 0
+        for w in nbrs:
+            if dist[w] < du:
+                inner += 1
+        if inner:
+            cross[du - 1] += inner
     per_layer = [0] * (ell + 1)
     for u in members:
-        per_layer[df.dist[u]] += 1
+        per_layer[dist[u]] += 1
     return LayerDecomposition(
         source=v0,
         ell=ell,
@@ -148,21 +156,18 @@ def _stats(g: Graph, report: BoundaryReport | None) -> BoundaryReport:
     return report
 
 
+def _size_entry(check: str, source: int | None, observed: int, bound: Fraction) -> BoundEntry:
+    return BoundEntry(check=check, source=source, observed=observed, bound=bound,
+                      margin=Fraction(observed) - bound, passed=observed >= bound)
+
+
 def check_theorem1(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
     """Global isoperimetric bound |boundary| >= |V| / (2 * Delta * diam)."""
     if g.n < 2:
         raise SingleVertexError("bound needs at least two vertices")
     report = _stats(g, report)
     bound = Fraction(g.n, 2 * g.max_degree * report.diameter)
-    observed = len(report.boundary)
-    return BoundEntry(
-        check="theorem1",
-        source=None,
-        observed=observed,
-        bound=bound,
-        margin=Fraction(observed) - bound,
-        passed=observed >= bound,
-    )
+    return _size_entry("theorem1", None, len(report.boundary), bound)
 
 
 def theorem2_bound(n: int, delta: int, diam: int) -> Fraction:
@@ -175,17 +180,8 @@ def check_theorem2(g: Graph, v: int, report: BoundaryReport | None = None) -> Bo
     if g.n < 2:
         raise SingleVertexError("bound needs at least two vertices")
     report = _stats(g, report)
-    assert report.slices is not None
-    observed = len(report.slices[v].members)
     bound = theorem2_bound(g.n, g.max_degree, report.diameter)
-    return BoundEntry(
-        check="theorem2",
-        source=v,
-        observed=observed,
-        bound=bound,
-        margin=Fraction(observed) - bound,
-        passed=observed >= bound,
-    )
+    return _size_entry("theorem2", v, len(require_slices(report)[v].members), bound)
 
 
 def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
@@ -206,8 +202,7 @@ def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
 def inequality_report(g: Graph, report: BoundaryReport | None = None) -> InequalityReport:
     """Assemble all three checks; theorem2 is reported at its weakest source."""
     report = _stats(g, report)
-    assert report.slices is not None
-    slice_sizes = [len(sl.members) for sl in report.slices]
+    slice_sizes = [len(sl.members) for sl in require_slices(report)]
     min_size = min(slice_sizes)
     weakest = slice_sizes.index(min_size)
     return InequalityReport(
@@ -231,9 +226,8 @@ def slice_overlap_stats(g: Graph, report: BoundaryReport | None = None) -> dict:
     Exploratory output only; no theorem fixes what these numbers should be.
     """
     report = _stats(g, report)
-    assert report.slices is not None
     counts = {u: 0 for u in report.boundary}
-    for sl in report.slices:
+    for sl in require_slices(report):
         for u in sl.members:
             counts[u] += 1
     values = sorted(counts.values())

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import (
-    BoundaryReport,
-    boundary,
-    laplacian_matrix,
-    laplacian_slice,
-)
-from .core import Graph, bfs_distances, distance_matrix, is_path_graph
+import numpy as np
+
+from .boundary import BoundaryReport, boundary, laplacian_matrix, require_slices
+from .core import Graph, is_path_graph
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph
 from .layers import (
@@ -53,12 +50,17 @@ def run_battery(
     gg: GridGraph | None = None,
     report: BoundaryReport | None = None,
 ) -> list[CheckOutcome]:
-    """Run the named checks; prop4 is skipped unless ``gg`` supplies coordinates."""
+    """Run the named checks; prop4 is skipped unless ``gg`` supplies coordinates.
+
+    Every check reads the distance matrix of ``report``. A given report must
+    carry slices, else MissingSlicesError is raised.
+    """
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
     if report is None:
         report = boundary(g, include_slices=True)
+    require_slices(report)
     out = []
     for name in checks:
         if name == "prop4" and gg is None:
@@ -135,19 +137,25 @@ def _check_mps(g, report, gg):
 
 
 def _check_laplacian(g, report, gg):
-    lap = laplacian_matrix(g)
-    for v in range(g.n):
-        df = bfs_distances(g, v)
-        if laplacian_slice(g, df, lap) != report.slices[v].members:
-            return _outcome("laplacian", False, f"mismatch at source {v}")
+    # column v of L @ D^T is L f_v; its positive entries must be the slice of v
+    positive = (laplacian_matrix(g) @ report.distances.dist.T.astype(np.int64)).T > 0
+    sources, members = [], []
+    for sl in report.slices:
+        sources.extend([sl.source] * len(sl.members))
+        members.extend(sl.members)
+    expected = np.zeros((g.n, g.n), dtype=bool)
+    expected[sources, members] = True
+    bad = np.nonzero((positive != expected).any(axis=1))[0]
+    if bad.size:
+        return _outcome("laplacian", False, f"mismatch at source {bad[0]}")
     return _outcome("laplacian", True, f"sources={g.n}")
 
 
 def _check_dichotomy(g, report, gg):
     delta = g.max_degree
-    for v in range(g.n):
+    for v, row in enumerate(report.distances.rows()):
         try:
-            check_dichotomy(layer_decompose(g, v), delta)
+            check_dichotomy(layer_decompose(g, v, row, report.slices[v].members), delta)
         except InvariantViolation as exc:
             return _outcome("dichotomy", False, str(exc))
     return _outcome("dichotomy", True, f"sources={g.n}")
@@ -158,8 +166,7 @@ def _check_prop4(g, report, gg):
         pairs = classify_prop4(gg, report)
     except WitnessNotFoundError as exc:
         return _outcome("prop4", False, str(exc))
-    dm = distance_matrix(g)
-    bad = [u for u, w in pairs if not verify_witness(w, dm)]
+    bad = [u for u, w in pairs if not verify_witness(w, report.distances)]
     if bad:
         return _outcome("prop4", False, f"unverifiable witnesses for {bad}")
     return _outcome("prop4", True, f"full_degree_boundary={len(pairs)}")

@@ -66,6 +66,16 @@ def slice_members(n, edges, v, dist=None):
             out.add(u)
     return out
 
+def slice_witnesses(n, edges, v, dist=None):
+    """{u: (S, D)} over the slice of v: S = sum of neighbor distances, D = deg(u) * d(u, v)."""
+    adj = adjacency(n, edges)
+    dist = dist if dist is not None else floyd_warshall(n, edges)
+    return {
+        u: (sum(dist[w][v] for w in adj[u]), len(adj[u]) * dist[u][v])
+        for u in slice_members(n, edges, v, dist)
+    }
+
+
 def boundary(n, edges):
     dist = floyd_warshall(n, edges)
     out = set()

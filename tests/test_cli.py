@@ -266,3 +266,11 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ratio"] == 2.0
+
+
+def test_verify_enum_nmax_out_of_range_exit2(capsys):
+    for nmax in (7, 0):
+        assert run("verify", "--family", "enum", "--nmax", nmax) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --nmax") and err.count("\n") == 1
+

@@ -116,7 +116,7 @@ def test_distance_matrix_symmetric_zero_diagonal():
 
 
 def test_distance_matrix_thread_count_invariant():
-    g = grid(9, 9).graph  # 81 sources, enough to engage the pool
+    g = grid(9, 9).graph
     a = distance_matrix(g, threads=1)
     b = distance_matrix(g, threads=4)
     assert (a.dist == b.dist).all()
