@@ -1,11 +1,14 @@
 """Command-line surface: gen, boundary, verify, sweep, prop4, sector.
 
 The parsed argument namespace is the run configuration. Exit codes are a
-contract: 0 all checks passed, 1 a check failed (which means a bug, since
-everything checked is a theorem), 2 input or parameter error. All outputs
-are deterministic: repeating a command with the same arguments produces
-byte-identical files. --threads is accepted for compatibility and ignored:
-every command runs in one thread.
+contract: 0 all checks passed; 1 a check failed or an InvariantViolation
+ended the run with a traceback (a bug either way, since everything checked
+is a theorem); 2 input or parameter error, printed as one ``error:`` line,
+which covers bad edge lists, coordinate sidecars that fail the check
+against their edge list, and out-of-range family, sweep or sector
+parameters. All outputs are deterministic: repeating a command with the
+same arguments produces byte-identical files. --threads is accepted for
+compatibility and ignored: every command runs in one thread.
 
 If the environment variable GRAPHBOUNDARY_OUTDIR is set, relative --out
 paths are written under that directory.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -25,7 +29,9 @@ from .boundary import boundary, report_to_dict
 from .core import (
     Graph,
     GraphError,
+    InvariantViolation,
     read_edge_list,
+    validate,
     write_edge_list,
 )
 from .euclid import (
@@ -49,6 +55,7 @@ from .generators import (
     path,
     random_tree,
     star,
+    unit_step_edges,
 )
 from .layers import SWEEP_COLUMNS, sweep_rows
 from .verify import ALL_CHECKS, run_battery
@@ -60,6 +67,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 _LATTICE_SHAPES = ("disk", "annulus", "rectangle", "l_shape", "slit_disk", "sector")
+_ONE_INT_FAMILIES = {"path": path, "cycle": cycle, "complete": complete, "star": star,
+                     "hypercube": hypercube}
+_SWEEP_FAMILIES = ("path", "cycle", "complete", "star", "hypercube", "grid", "tree", "er")
 
 
 class _CliError(Exception):
@@ -83,21 +93,9 @@ def _ints(text: str) -> list[int]:
 def build_family(family: str, params: str, seed: int, lam: float | None, offset: str | None):
     """Construct one graph family member; returns Graph or GridGraph."""
     try:
-        if family == "path":
+        if family in _ONE_INT_FAMILIES:
             (n,) = _ints(params)
-            return path(n)
-        if family == "cycle":
-            (n,) = _ints(params)
-            return cycle(n)
-        if family == "complete":
-            (n,) = _ints(params)
-            return complete(n)
-        if family == "star":
-            (k,) = _ints(params)
-            return star(k)
-        if family == "hypercube":
-            (d,) = _ints(params)
-            return hypercube(d)
+            return _ONE_INT_FAMILIES[family](n)
         if family == "grid":
             rows, cols = _ints(params)
             return grid(rows, cols)
@@ -162,23 +160,51 @@ def _sidecar_path(el_path: Path) -> Path:
     return Path(str(el_path) + ".coords.json")
 
 
-def _load_gridgraph(path_str: str) -> GridGraph | None:
-    """Rebuild a GridGraph from an edge list plus its coordinate sidecar."""
+def _load_input(path_str: str) -> Graph | GridGraph:
+    """The edge list, as a GridGraph when a coordinate sidecar sits beside it.
+
+    The sidecar must give each vertex a distinct point of ``dimension``
+    integers, and the edges must be exactly their unit-step relation.
+    """
     g = _load_graph(path_str)
     sidecar = _sidecar_path(Path(path_str))
     if not sidecar.exists():
-        return None
-    meta = json.loads(sidecar.read_text())
-    coords = tuple(tuple(int(x) for x in c) for c in meta["coordinates"])
+        return g
+    try:
+        meta = json.loads(sidecar.read_text())
+        coords = tuple(tuple(c) for c in meta["coordinates"])
+        gg = GridGraph(
+            graph=g,
+            coordinates=coords,
+            dimension=int(meta["dimension"]),
+            scale=meta.get("scale"),
+            offset=tuple(meta["offset"]) if meta.get("offset") else None,
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _CliError(f"bad coordinate sidecar {sidecar}: {exc!r}") from exc
     if len(coords) != g.n:
         raise _CliError(f"sidecar {sidecar} does not match {path_str}")
-    return GridGraph(
-        graph=g,
-        coordinates=coords,
-        dimension=int(meta["dimension"]),
-        scale=meta.get("scale"),
-        offset=tuple(meta["offset"]) if meta.get("offset") else None,
-    )
+    if any(len(c) != gg.dimension or any(type(x) is not int for x in c) for c in coords):
+        raise _CliError(f"sidecar {sidecar}: coordinates must be {gg.dimension} integers each")
+    if len(set(coords)) != g.n:
+        raise _CliError(f"sidecar {sidecar}: duplicate coordinates")
+    if validate(unit_step_edges(coords), g.n) != g:
+        raise _CliError(f"sidecar {sidecar}: edges of {path_str} are not the unit-step relation")
+    return gg
+
+
+def _split(built: Graph | GridGraph) -> tuple[Graph, GridGraph | None]:
+    return (built.graph, built) if isinstance(built, GridGraph) else (built, None)
+
+
+def _family_or_input(args) -> tuple[Graph, GridGraph | None, str]:
+    """The graph named by --family (which wins) or read from --in, with its label."""
+    if args.family:
+        built = build_family(args.family, args.params, args.seed, args.lam, args.offset)
+        return (*_split(built), f"family={args.family} params={args.params}")
+    if args.input:
+        return (*_split(_load_input(args.input)), f"in={args.input}")
+    raise _CliError(f"{args.command} needs --in or --family")
 
 
 # --- gen ---
@@ -187,9 +213,7 @@ def cmd_gen(args) -> int:
     dest = _resolve_out(args.out)  # path problems surface before any compute
     if dest is None:
         raise _CliError("gen requires --out")
-    built = build_family(args.family, args.params, args.seed, args.lam, args.offset)
-    gg = built if isinstance(built, GridGraph) else None
-    g = gg.graph if gg else built
+    g, gg = _split(build_family(args.family, args.params, args.seed, args.lam, args.offset))
     write_edge_list(dest, g)
     if gg is not None:
         sidecar = {
@@ -239,10 +263,7 @@ def _text_report(report, include_slices: bool) -> str:
 
 def cmd_boundary(args) -> int:
     g = _load_graph(args.input)
-    try:
-        report = boundary(g, include_slices=True, threads=args.threads)
-    except GraphError as exc:
-        raise _CliError(str(exc)) from exc
+    report = boundary(g, include_slices=True, threads=args.threads)
     if args.format == "json":
         text = _json_text(report_to_dict(report, include_slices=args.slices))
     elif args.format == "dot":
@@ -287,23 +308,10 @@ def cmd_verify(args) -> int:
         for c in checks:
             lines.append(f"check={c} graphs={count} failures={tallies[c]}")
     else:
-        if args.family:
-            built = build_family(args.family, args.params, args.seed, args.lam, args.offset)
-            gg = built if isinstance(built, GridGraph) else None
-            g = gg.graph if gg else built
-            label = f"family={args.family} params={args.params}"
-        elif args.input:
-            gg = _load_gridgraph(args.input)
-            g = gg.graph if gg else _load_graph(args.input)
-            label = f"in={args.input}"
-        else:
-            raise _CliError("verify needs --in or --family")
+        g, gg, label = _family_or_input(args)
         if prop4_required and gg is None:
             raise _CliError("prop4 needs lattice coordinates (grid family or coordinate sidecar)")
-        try:
-            outcomes = run_battery(g, checks, gg=gg)
-        except GraphError as exc:
-            raise _CliError(str(exc)) from exc
+        outcomes = run_battery(g, checks, gg=gg)
         lines.append(f"graph {label} n={g.n} m={g.m}")
         for oc in outcomes:
             lines.append(f"check={oc.check} pass={'true' if oc.passed else 'false'} {oc.detail}")
@@ -317,74 +325,39 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     sizes = _ints(args.sizes)
+    if args.family not in _SWEEP_FAMILIES:
+        raise _CliError(f"family {args.family!r} not sweepable")
     rows = []
     for n in sizes:
-        if args.family == "grid":
-            params = f"{n},{n}"
-            g = grid(n, n).graph
-        elif args.family == "er":
-            params = f"{n},{args.p}"
-            g = erdos_renyi(n, args.p, args.seed)
-        else:
-            params = str(n)
-            g = {
-                "path": path,
-                "cycle": cycle,
-                "complete": complete,
-                "star": star,
-                "hypercube": hypercube,
-                "tree": lambda k: random_tree(k, args.seed),
-            }.get(args.family, lambda k: None)(n)
-            if g is None:
-                raise _CliError(f"family {args.family!r} not sweepable")
+        params = {"grid": f"{n},{n}", "er": f"{n},{args.p}"}.get(args.family, str(n))
+        g, _ = _split(build_family(args.family, params, args.seed, None, None))
         try:
             rows.extend(sweep_rows(args.family, params, g))
+        except InvariantViolation:
+            raise
         except GraphError as exc:
             raise _CliError(f"{args.family} {params}: {exc}") from exc
-    dest = _resolve_out(args.out)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        row = dict(row)
-        row["pass"] = "true" if row["pass"] else "false"
-        writer.writerow(row)
-    if dest is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(dest, "w", newline="\n") as fh:
-            fh.write(buf.getvalue())
+    writer.writerows({**row, "pass": "true" if row["pass"] else "false"} for row in rows)
+    _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 
 # --- prop4 ---
 
 def cmd_prop4(args) -> int:
+    g, gg, _ = _family_or_input(args)
     if args.family == "cycle":
-        (n,) = _ints(args.params)
-        g = cycle(n)
-        try:
-            pairs = classify_cycle(g, all_witnesses=args.all_witnesses)
-        except GraphError as exc:
-            raise _CliError(str(exc)) from exc
-        coords = [[u] for u in range(n)]
+        pairs = classify_cycle(g, all_witnesses=args.all_witnesses)
+        coords = [[u] for u in range(g.n)]
         dimension = 1
+    elif gg is None:
+        raise _CliError(f"family {args.family} carries no lattice coordinates" if args.family
+                        else f"no coordinate sidecar found for {args.input}")
     else:
-        if args.family:
-            built = build_family(args.family, args.params, args.seed, args.lam, args.offset)
-            if not isinstance(built, GridGraph):
-                raise _CliError(f"family {args.family} carries no lattice coordinates")
-            gg = built
-        elif args.input:
-            gg = _load_gridgraph(args.input)
-            if gg is None:
-                raise _CliError(f"no coordinate sidecar found for {args.input}")
-        else:
-            raise _CliError("prop4 needs --in or --family")
-        try:
-            pairs = classify_prop4(gg, all_witnesses=args.all_witnesses)
-        except GraphError as exc:
-            raise _CliError(str(exc)) from exc
+        pairs = classify_prop4(gg, all_witnesses=args.all_witnesses)
         coords = [list(c) for c in gg.coordinates]
         dimension = gg.dimension
     payload = {
@@ -410,28 +383,18 @@ def cmd_prop4(args) -> int:
 
 def cmd_sector(args) -> int:
     try:
-        chk = sector_check(args.r, args.alpha, alpha_max=args.alpha_max)
-    except (GraphError, ValueError) as exc:
+        payload = dataclasses.asdict(sector_check(args.r, args.alpha, alpha_max=args.alpha_max))
+        if args.radial_step is not None:
+            samples = [(1.0, 0.0), (0.6, 0.8), (-0.5, 0.5)]
+            payload["radial_identity"] = {
+                "step": args.radial_step,
+                "sample_points": [list(p) for p in samples],
+                "max_relative_deviation": radial_laplacian_identity_check(
+                    2, samples, step=args.radial_step
+                ),
+            }
+    except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    payload = {
-        "dimension": chk.dimension,
-        "radius": chk.radius,
-        "alpha": chk.alpha,
-        "arc_length": chk.arc_length,
-        "area": chk.area,
-        "diameter": chk.diameter,
-        "bound": chk.bound,
-        "ratio": chk.ratio,
-    }
-    if args.radial_step is not None:
-        samples = [(1.0, 0.0), (0.6, 0.8), (-0.5, 0.5)]
-        payload["radial_identity"] = {
-            "step": args.radial_step,
-            "sample_points": [list(p) for p in samples],
-            "max_relative_deviation": radial_laplacian_identity_check(
-                2, samples, step=args.radial_step
-            ),
-        }
     _emit(_json_text(payload), args.out)
     return EXIT_OK
 
@@ -486,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="inequality CSV over a family size sweep")
-    p.add_argument("--family", required=True,
-                   help="path|cycle|complete|star|hypercube|grid|tree|er")
+    p.add_argument("--family", required=True, help="|".join(_SWEEP_FAMILIES))
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
     p.add_argument("--p", type=float, default=0.3, help="edge probability for er")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -507,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True, help="sector radius")
     p.add_argument("--alpha", type=float, required=True, help="opening fraction of a turn")
     p.add_argument("--alpha-max", type=float, default=0.1,
-                   help="reject wider openings (diameter formula needs diam = r)")
+                   help="reject wider openings (diameter formula needs diam = r, "
+                        "so the cap never exceeds 1/6)")
     p.add_argument("--radial-step", type=float, default=None,
                    help="also report the finite-difference radial identity deviation")
     add_common(p)
@@ -519,7 +482,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
+    except InvariantViolation:
+        raise  # a proven statement failed: a bug, never an input error
+    except (_CliError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

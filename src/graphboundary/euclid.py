@@ -24,14 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryReport, boundary, require_slices
-from .core import DistanceMatrix, Graph, GraphError
+from .core import DistanceMatrix, Graph, GraphError, InvariantViolation
 from .generators import GridGraph
 
 CASE_EQUAL_DISTANCE = "equal_distance_neighbor"
 CASE_ANTIPODAL_DESCENT = "antipodal_descent"
 
 
-class WitnessNotFoundError(GraphError):
+class WitnessNotFoundError(InvariantViolation):
     """Non-uniqueness witness missing for a full-degree boundary vertex: a bug."""
 
 
@@ -188,17 +188,23 @@ def sector_check(r: float, alpha: float, alpha_max: float = 0.1) -> SectorCheck:
 
     Requires 0 < alpha <= alpha_max (default 0.1) so the diameter is the
     radius rather than the far chord; wider openings raise
-    AlphaTooLargeError.
+    AlphaTooLargeError. The chord between the arc's ends is 2 r sin(pi
+    alpha), longer than r once alpha > 1/6, so no alpha_max lifts the cap
+    past 1/6. Non-finite input, or a sector whose area under- or overflows
+    a float, raises ValueError.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     if alpha <= 0:
         raise ValueError("opening fraction must be positive")
-    if alpha > alpha_max:
-        raise AlphaTooLargeError(f"alpha={alpha} exceeds {alpha_max}; diameter formula breaks")
+    cap = min(1 / 6, alpha_max)
+    if alpha > cap:
+        raise AlphaTooLargeError(f"alpha={alpha} exceeds {cap}; diameter formula breaks")
     base = math.pi * r * alpha  # shared factor keeps the float ratio exact
     arc = 2.0 * base
     area = r * base
+    if not (base > 0 and math.isfinite(area)):
+        raise ValueError(f"r={r}, alpha={alpha} give no finite nonzero sector")
     check = SectorCheck(
         dimension=2,
         radius=r,
@@ -210,7 +216,7 @@ def sector_check(r: float, alpha: float, alpha_max: float = 0.1) -> SectorCheck:
         ratio=arc / base,
     )
     if not (check.arc_length >= check.bound and check.ratio == 2.0):
-        raise AssertionError("sector closed form violated its own inequality")
+        raise InvariantViolation("sector closed form violated its own inequality")
     return check
 
 
@@ -224,10 +230,13 @@ def radial_laplacian_identity_check(
     The Laplacian of x -> |x| in R^d equals (d - 1) / |x| away from the
     origin. Each sample point is checked with a central second-order
     stencil of the given step; points must stay well clear of the origin
-    (|x| > 2 * step enforced).
+    (|x| > 2 * step enforced). The step must be positive with a finite,
+    nonzero square, else ValueError.
     """
     if d < 2:
         raise ValueError("identity needs d >= 2")
+    if not (step > 0 and 0 < step * step < math.inf):
+        raise ValueError(f"step {step} must be positive with a finite nonzero square")
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import Graph, GraphError, is_connected, validate
 
@@ -49,11 +49,12 @@ class DisconnectedDiscretizationWarning(UserWarning):
 class GridGraph:
     """A graph whose vertices carry integer lattice coordinates.
 
-    Adjacency is exactly the lattice-neighbor relation: two vertices are
-    joined iff their coordinates differ by one unit step along one axis,
-    so every degree is at most 2 * dimension. ``scale`` and ``offset``
-    record the real-space embedding for discretized domains
-    (point = offset + scale * coordinate), and are None for plain grids.
+    Adjacency is exactly the lattice-neighbor relation of
+    :func:`unit_step_edges`: two vertices are joined iff their coordinates
+    differ by one unit step along one axis, so every degree is at most
+    2 * dimension. ``scale`` and ``offset`` record the real-space embedding
+    for discretized domains (point = offset + scale * coordinate), and are
+    None for plain grids.
     """
 
     graph: Graph
@@ -70,6 +71,18 @@ class GridGraph:
             tuple(off[i] + self.scale * c[i] for i in range(self.dimension))
             for c in self.coordinates
         ]
+
+
+def unit_step_edges(coordinates: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Edges joining distinct integer coordinates one unit step apart along one axis."""
+    index = {c: vid for vid, c in enumerate(coordinates)}
+    edges = []
+    for vid, c in enumerate(coordinates):
+        for axis in range(len(c)):
+            nbr = index.get(c[:axis] + (c[axis] + 1,) + c[axis + 1:])
+            if nbr is not None:
+                edges.append((vid, nbr))
+    return edges
 
 
 def path(n: int) -> Graph:
@@ -123,12 +136,8 @@ def grid_d(dims: tuple[int, ...] | list[int]) -> GridGraph:
             c.append(rem // strides[i])
             rem %= strides[i]
         coords.append(tuple(c))
-    edges = []
-    for vid, c in enumerate(coords):
-        for i in range(k):
-            if c[i] + 1 < dims[i]:
-                edges.append((vid, vid + strides[i]))
-    return GridGraph(graph=validate(edges, n), coordinates=tuple(coords), dimension=k)
+    coords = tuple(coords)
+    return GridGraph(graph=validate(unit_step_edges(coords), n), coordinates=coords, dimension=k)
 
 
 def grid(rows: int, cols: int) -> GridGraph:
@@ -342,14 +351,8 @@ def lattice_discretize(spec: DomainSpec) -> GridGraph:
     ]
     if not points:
         raise EmptyDomainError(f"no lattice point of spacing {lam} inside {spec.shape}")
-    index = {pt: vid for vid, pt in enumerate(points)}
-    edges = []
-    for (i, j), vid in index.items():
-        for nbr in ((i + 1, j), (i, j + 1)):
-            if nbr in index:
-                edges.append((vid, index[nbr]))
     gg = GridGraph(
-        graph=validate(edges, len(points)),
+        graph=validate(unit_step_edges(points), len(points)),
         coordinates=tuple(points),
         dimension=2,
         scale=lam,

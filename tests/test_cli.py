@@ -274,3 +274,109 @@ def test_verify_enum_nmax_out_of_range_exit2(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: --nmax") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--family", "path", "--sizes", "0"),
+        ("sweep", "--family", "grid", "--sizes", "0"),
+        ("sweep", "--family", "er", "--sizes", "5", "--p", "2"),
+        ("sweep", "--family", "disk", "--sizes", "3"),
+        ("prop4", "--family", "cycle", "--params", "2"),
+        ("prop4", "--family", "cycle", "--params", "4,5"),
+        ("sector", "--r", "1", "--alpha", "nan"),
+        ("sector", "--r", "nan", "--alpha", "0.01"),
+        ("sector", "--r", "inf", "--alpha", "0.01"),
+        ("sector", "--r", "1e-200", "--alpha", "1e-200"),
+        ("sector", "--r", "1", "--alpha", "0.01", "--radial-step", "0"),
+        ("sector", "--r", "1", "--alpha", "0.01", "--radial-step", "nan"),
+        ("sector", "--r", "1", "--alpha", "0.01", "--radial-step", "5"),
+    ],
+)
+def test_bad_parameters_exit2_with_one_line(argv, capsys):
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _replace_coords(meta, changes):
+    coords = [changes.get(i, c) for i, c in enumerate(meta["coordinates"])]
+    return json.dumps({**meta, "coordinates": coords})
+
+
+# (grid params, corruption of its sidecar); vertex 4 of the 3x3 grid is the
+# center (1, 1). Some corruptions keep the unit-step edges intact, so only
+# their own check sees them: a stated dimension of 3, the float point
+# [1.0, 1], and, in the 1x3 grid, vertex 2 given the point of vertex 0.
+SIDECAR_CORRUPTIONS = {
+    "bad_json": ("3,3", lambda meta: "{bad"),
+    "missing_key": ("3,3", lambda meta: json.dumps({k: v for k, v in meta.items() if k != "dimension"})),
+    "not_an_object": ("3,3", lambda meta: "[]"),
+    "wrong_count": ("3,3", lambda meta: json.dumps({**meta, "coordinates": meta["coordinates"][:-1]})),
+    "wrong_dimension": ("3,3", lambda meta: json.dumps({**meta, "dimension": 3})),
+    "non_integer": ("3,3", lambda meta: _replace_coords(meta, {4: [1.0, 1]})),
+    "duplicate": ("1,3", lambda meta: _replace_coords(meta, {2: [0, 0]})),
+    "moved": ("3,3", lambda meta: _replace_coords(meta, {4: [9, 9]})),
+    "swapped": ("3,3", lambda meta: _replace_coords(meta, {0: [1, 1], 4: [0, 0]})),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(SIDECAR_CORRUPTIONS))
+@pytest.mark.parametrize("command", [("prop4",), ("verify", "--checks", "prop4")])
+def test_bad_sidecar_exit2_with_one_line(tmp_path, capsys, corruption, command):
+    params, corrupt = SIDECAR_CORRUPTIONS[corruption]
+    el = tmp_path / "g.el"
+    assert run("gen", "--family", "grid", "--params", params, "--out", el) == 0
+    sidecar = tmp_path / "g.el.coords.json"
+    sidecar.write_text(corrupt(json.loads(sidecar.read_text())))
+    assert run(*command, "--in", el) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family, params", [("path", "6"), ("grid", "4,4")])
+def test_verify_in_parses_the_edge_list_once(tmp_path, monkeypatch, family, params):
+    from graphboundary import cli
+
+    el = tmp_path / "g.el"
+    run("gen", "--family", family, "--params", params, "--out", el)
+    calls = []
+
+    def counting_read(path_str):
+        calls.append(path_str)
+        return read_edge_list(path_str)
+
+    monkeypatch.setattr(cli, "read_edge_list", counting_read)
+    assert run("verify", "--in", el, "--checks", "thm1") == 0
+    assert calls == [str(el)]
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("boundary", ("boundary", "--in", "{el}")),
+        ("run_battery", ("verify", "--in", "{el}")),
+        ("sweep_rows", ("sweep", "--family", "path", "--sizes", "4")),
+        ("classify_prop4", ("prop4", "--family", "grid", "--params", "4,4")),
+        ("classify_cycle", ("prop4", "--family", "cycle", "--params", "5")),
+        ("sector_check", ("sector", "--r", "1", "--alpha", "0.01")),
+    ],
+)
+def test_invariant_violation_is_not_an_input_error(tmp_path, monkeypatch, target, argv):
+    # a failed invariant is a bug: it must surface as a traceback (exit 1),
+    # never be reported as bad input (exit 2)
+    from graphboundary import cli
+    from graphboundary.euclid import WitnessNotFoundError
+
+    el = tmp_path / "p.el"
+    run("gen", "--family", "path", "--params", "4", "--out", el)
+
+    def broken(*args, **kwargs):
+        raise WitnessNotFoundError("forced")
+
+    monkeypatch.setattr(cli, target, broken)
+    with pytest.raises(WitnessNotFoundError, match="forced"):
+        run(*(a.format(el=el) for a in argv))

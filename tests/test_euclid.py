@@ -8,6 +8,7 @@ from graphboundary import (
     CASE_EQUAL_DISTANCE,
     AlphaTooLargeError,
     DomainSpec,
+    InvariantViolation,
     WitnessNotFoundError,
     boundary,
     classify_cycle,
@@ -78,6 +79,7 @@ def test_witness_search_failure_is_an_error():
     fake = dataclasses.replace(rep, boundary=(4,))
     with pytest.raises(WitnessNotFoundError):
         classify_prop4(gg, report=fake)
+    assert issubclass(WitnessNotFoundError, InvariantViolation)  # a bug, not bad input
 
 
 def test_sector_check_narrow():
@@ -101,6 +103,29 @@ def test_sector_alpha_too_large():
         sector_check(1.0, -0.1)
     with pytest.raises(ValueError):
         sector_check(0.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "r, alpha",
+    [(1.0, math.nan), (math.nan, 0.01), (math.inf, 0.01), (1e-200, 1e-200), (1e200, 0.05)],
+)
+def test_sector_rejects_non_finite_or_degenerate_sizes(r, alpha):
+    with pytest.raises(ValueError):
+        sector_check(r, alpha)
+
+
+@pytest.mark.parametrize("alpha_max", [0.5, math.nan])
+def test_sector_cap_stays_at_one_sixth(alpha_max):
+    # past alpha = 1/6 the chord between the arc ends is longer than r
+    with pytest.raises(AlphaTooLargeError):
+        sector_check(1.0, 0.2, alpha_max=alpha_max)
+    assert sector_check(1.0, 1 / 6, alpha_max=alpha_max).diameter == 1.0
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, 1e-200])
+def test_radial_identity_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="step"):
+        radial_laplacian_identity_check(2, [(1.0, 0.0)], step=step)
 
 
 def test_radial_identity_unit_circle():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +22,9 @@ from graphboundary import (
     random_tree,
     splitmix64,
     star,
+    validate,
 )
+from graphboundary.generators import unit_step_edges
 
 
 def test_path_edges():
@@ -133,6 +136,28 @@ def test_erdos_renyi_rejects_bad_p():
 
 
 # --- lattice discretization ---
+
+@pytest.mark.parametrize(
+    "gg",
+    [
+        grid(1, 1),
+        grid(4, 7),
+        grid_d((2, 3, 2)),
+        lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2)),
+        lattice_discretize(DomainSpec.l_shape(1.0, 1.0, 0.25)),
+        lattice_discretize(DomainSpec.slit_disk(1.0, 0.2, offset=(0.1, 0.0))),
+    ],
+    ids=["grid1x1", "grid4x7", "grid_d232", "annulus", "l_shape", "slit_disk"],
+)
+def test_unit_step_edges_rebuild_lattice_graphs(gg):
+    coords, n = gg.coordinates, gg.graph.n
+    pairwise = [
+        (u, w) for u, w in combinations(range(n), 2)
+        if sum(abs(a - b) for a, b in zip(coords[u], coords[w])) == 1
+    ]
+    assert validate(pairwise, n) == gg.graph
+    assert validate(unit_step_edges(coords), n) == gg.graph
+
 
 def test_rectangle_unit_quarter_mesh_is_grid():
     spec = DomainSpec.rectangle(1.0, 1.0, 0.25)  # default offset lam/2 = 1/8
