@@ -73,11 +73,17 @@ class BoundaryReport:
     distances: DistanceMatrix | None = field(default=None, compare=False, repr=False)
 
 
-def require_slices(report: BoundaryReport) -> tuple[BoundarySlice, ...]:
-    """The report's slices; raises MissingSlicesError if it was built without them."""
+def sliced(g: Graph, report: BoundaryReport | None = None) -> BoundaryReport:
+    """``report``, or a new report of ``g`` with slices when it is None.
+
+    Functions that read ``report.slices`` call this at entry; a given
+    report built without slices raises MissingSlicesError.
+    """
+    if report is None:
+        return boundary(g, include_slices=True)
     if report.slices is None:
         raise MissingSlicesError("report was built without slices (include_slices=False)")
-    return report.slices
+    return report
 
 
 def boundary_slice(g: Graph, df: DistanceField) -> BoundarySlice:

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -156,6 +157,10 @@ def _load_graph(path_str: str) -> Graph:
         raise _CliError(f"bad edge list {path_str}: {exc}") from exc
 
 
+def _finite(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)  # bool is not a number here
+
+
 def _sidecar_path(el_path: Path) -> Path:
     return Path(str(el_path) + ".coords.json")
 
@@ -165,6 +170,7 @@ def _load_input(path_str: str) -> Graph | GridGraph:
 
     The sidecar must give each vertex a distinct point of ``dimension``
     integers, and the edges must be exactly their unit-step relation.
+    ``scale`` is null or finite and positive, ``offset`` null or ``dimension`` finite numbers.
     """
     g = _load_graph(path_str)
     sidecar = _sidecar_path(Path(path_str))
@@ -178,7 +184,7 @@ def _load_input(path_str: str) -> Graph | GridGraph:
             coordinates=coords,
             dimension=int(meta["dimension"]),
             scale=meta.get("scale"),
-            offset=tuple(meta["offset"]) if meta.get("offset") else None,
+            offset=None if meta.get("offset") is None else tuple(meta["offset"]),
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _CliError(f"bad coordinate sidecar {sidecar}: {exc!r}") from exc
@@ -186,6 +192,10 @@ def _load_input(path_str: str) -> Graph | GridGraph:
         raise _CliError(f"sidecar {sidecar} does not match {path_str}")
     if any(len(c) != gg.dimension or any(type(x) is not int for x in c) for c in coords):
         raise _CliError(f"sidecar {sidecar}: coordinates must be {gg.dimension} integers each")
+    if not (gg.scale is None or _finite(gg.scale) and gg.scale > 0):
+        raise _CliError(f"sidecar {sidecar}: scale must be null or a finite positive number")
+    if not (gg.offset is None or len(gg.offset) == gg.dimension and all(map(_finite, gg.offset))):
+        raise _CliError(f"sidecar {sidecar}: offset must be null or {gg.dimension} finite numbers")
     if len(set(coords)) != g.n:
         raise _CliError(f"sidecar {sidecar}: duplicate coordinates")
     if validate(unit_step_edges(coords), g.n) != g:
@@ -198,7 +208,7 @@ def _split(built: Graph | GridGraph) -> tuple[Graph, GridGraph | None]:
 
 
 def _family_or_input(args) -> tuple[Graph, GridGraph | None, str]:
-    """The graph named by --family (which wins) or read from --in, with its label."""
+    """The graph named by --family or read from --in, with its label."""
     if args.family:
         built = build_family(args.family, args.params, args.seed, args.lam, args.offset)
         return (*_split(built), f"family={args.family} params={args.params}")
@@ -263,7 +273,7 @@ def _text_report(report, include_slices: bool) -> str:
 
 def cmd_boundary(args) -> int:
     g = _load_graph(args.input)
-    report = boundary(g, include_slices=True, threads=args.threads)
+    report = boundary(g, include_slices=args.slices, threads=args.threads)
     if args.format == "json":
         text = _json_text(report_to_dict(report, include_slices=args.slices))
     elif args.format == "dot":
@@ -291,8 +301,6 @@ def cmd_verify(args) -> int:
     lines = []
     failures = 0
     if args.family == "enum":
-        if args.input:
-            raise _CliError("--in and --family enum are mutually exclusive")
         if not 1 <= args.nmax <= ENUM_NMAX:
             raise _CliError(f"--nmax must be between 1 and {ENUM_NMAX}, got {args.nmax}")
         checks = tuple(c for c in checks if c != "prop4")
@@ -481,6 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "family", None) and getattr(args, "input", None):
+            raise _CliError(f"--in and --family {args.family} are mutually exclusive")
         return args.fn(args)
     except InvariantViolation:
         raise  # a proven statement failed: a bug, never an input error

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryReport, boundary, require_slices
+from .boundary import BoundaryReport, sliced
 from .core import DistanceMatrix, Graph, GraphError, InvariantViolation
 from .generators import GridGraph
 
@@ -97,7 +97,7 @@ def _search(
 
 
 def _certifiers(report: BoundaryReport, u: int) -> list[int]:
-    return [sl.source for sl in require_slices(report) if u in sl.members]
+    return [sl.source for sl in report.slices if u in sl.members]
 
 
 def classify_prop4(
@@ -114,8 +114,7 @@ def classify_prop4(
     which would mean the classifier or the boundary computation is broken.
     """
     g = gg.graph
-    if report is None:
-        report = boundary(g, include_slices=True)
+    report = sliced(g, report)
     dm = report.distances
     index = {c: vid for vid, c in enumerate(gg.coordinates)}
     full = 2 * gg.dimension
@@ -151,8 +150,7 @@ def classify_cycle(
     """
     if g.n < 3 or any(len(a) != 2 for a in g.adjacency):
         raise ValueError("not a cycle graph")
-    if report is None:
-        report = boundary(g, include_slices=True)
+    report = sliced(g, report)
     dm = report.distances
     out = []
     for u in report.boundary:

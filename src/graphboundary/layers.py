@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import BoundaryReport, boundary, boundary_slice, require_slices
+from .boundary import BoundaryReport, boundary, boundary_slice, sliced
 from .core import DistanceField, Graph, InvariantViolation, SingleVertexError, bfs_distances
 
 
@@ -111,7 +111,7 @@ def layer_decompose(g: Graph, v0: int, dist: Sequence[int] | None = None,
     return LayerDecomposition(
         source=v0,
         ell=ell,
-        layers=tuple(tuple(sorted(layer)) for layer in layer_lists),
+        layers=tuple(map(tuple, layer_lists)),  # filled in increasing vertex id
         cross_edges=tuple(cross),
         slice_per_layer=tuple(per_layer),
     )
@@ -150,22 +150,16 @@ def check_dichotomy(ld: LayerDecomposition, delta: int) -> list[bool]:
     return passes
 
 
-def _stats(g: Graph, report: BoundaryReport | None) -> BoundaryReport:
-    if report is None:
-        report = boundary(g, include_slices=True)
-    return report
-
-
 def _size_entry(check: str, source: int | None, observed: int, bound: Fraction) -> BoundEntry:
     return BoundEntry(check=check, source=source, observed=observed, bound=bound,
                       margin=Fraction(observed) - bound, passed=observed >= bound)
 
 
 def check_theorem1(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
-    """Global isoperimetric bound |boundary| >= |V| / (2 * Delta * diam)."""
+    """Global isoperimetric bound |boundary| >= |V| / (2 * Delta * diam); needs no slices."""
     if g.n < 2:
         raise SingleVertexError("bound needs at least two vertices")
-    report = _stats(g, report)
+    report = report or boundary(g)
     bound = Fraction(g.n, 2 * g.max_degree * report.diameter)
     return _size_entry("theorem1", None, len(report.boundary), bound)
 
@@ -179,14 +173,14 @@ def check_theorem2(g: Graph, v: int, report: BoundaryReport | None = None) -> Bo
     """Per-source refined bound |slice of v| >= (|V|-1) / (2*Delta*(diam-1)+1)."""
     if g.n < 2:
         raise SingleVertexError("bound needs at least two vertices")
-    report = _stats(g, report)
+    report = sliced(g, report)
     bound = theorem2_bound(g.n, g.max_degree, report.diameter)
-    return _size_entry("theorem2", v, len(require_slices(report)[v].members), bound)
+    return _size_entry("theorem2", v, len(report.slices[v].members), bound)
 
 
 def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
-    """Cited bound |CEJZ boundary| >= log2(Delta + 2), decided in integers."""
-    report = _stats(g, report)
+    """Cited bound |CEJZ boundary| >= log2(Delta + 2), in integers; needs no slices."""
+    report = report or boundary(g)
     observed = len(report.cejz_boundary)
     target = g.max_degree + 2
     return BoundEntry(
@@ -201,10 +195,8 @@ def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
 
 def inequality_report(g: Graph, report: BoundaryReport | None = None) -> InequalityReport:
     """Assemble all three checks; theorem2 is reported at its weakest source."""
-    report = _stats(g, report)
-    slice_sizes = [len(sl.members) for sl in require_slices(report)]
-    min_size = min(slice_sizes)
-    weakest = slice_sizes.index(min_size)
+    report = sliced(g, report)
+    weakest = min(report.slices, key=lambda sl: len(sl.members))  # lowest source among ties
     return InequalityReport(
         n=g.n,
         m=g.m,
@@ -212,9 +204,9 @@ def inequality_report(g: Graph, report: BoundaryReport | None = None) -> Inequal
         diam=report.diameter,
         boundary_size=len(report.boundary),
         cejz_size=len(report.cejz_boundary),
-        min_slice_size=min_size,
+        min_slice_size=len(weakest.members),
         theorem1=check_theorem1(g, report),
-        theorem2_min=check_theorem2(g, weakest, report),
+        theorem2_min=check_theorem2(g, weakest.source, report),
         mps=check_mps(g, report),
         mps_bound_log2=math.log2(g.max_degree + 2),
     )
@@ -225,9 +217,9 @@ def slice_overlap_stats(g: Graph, report: BoundaryReport | None = None) -> dict:
 
     Exploratory output only; no theorem fixes what these numbers should be.
     """
-    report = _stats(g, report)
+    report = sliced(g, report)
     counts = {u: 0 for u in report.boundary}
-    for sl in require_slices(report):
+    for sl in report.slices:
         for u in sl.members:
             counts[u] += 1
     values = sorted(counts.values())

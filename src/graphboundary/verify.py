@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryReport, boundary, laplacian_matrix, require_slices
+from .boundary import BoundaryReport, laplacian_matrix, sliced
 from .core import Graph, is_path_graph
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph
@@ -20,7 +20,7 @@ from .layers import (
     check_dichotomy,
     check_mps,
     check_theorem1,
-    check_theorem2,
+    inequality_report,
     layer_decompose,
 )
 
@@ -58,9 +58,7 @@ def run_battery(
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
-    if report is None:
-        report = boundary(g, include_slices=True)
-    require_slices(report)
+    report = sliced(g, report)
     out = []
     for name in checks:
         if name == "prop4" and gg is None:
@@ -116,17 +114,11 @@ def _check_thm1(g, report, gg):
 def _check_thm2(g, report, gg):
     if g.n < 2:
         return _outcome("thm2", True, "skipped: single vertex")
-    worst = None
-    for v in range(g.n):
-        entry = check_theorem2(g, v, report)
-        if worst is None or entry.margin < worst.margin:
-            worst = entry
-        if not entry.passed:
-            return _outcome(
-                "thm2", False,
-                f"source={v} observed={entry.observed} bound={_rat(entry.bound)}",
-            )
-    return _outcome("thm2", True, f"sources={g.n} min_margin={_rat(worst.margin)}")
+    # the bound is the same at every source, so it holds iff it holds at the weakest
+    entry = inequality_report(g, report).theorem2_min
+    detail = (f"sources={g.n} min_margin={_rat(entry.margin)}" if entry.passed
+              else f"source={entry.source} observed={entry.observed} bound={_rat(entry.bound)}")
+    return _outcome("thm2", entry.passed, detail)
 
 
 def _check_mps(g, report, gg):

@@ -292,6 +292,10 @@ def test_verify_enum_nmax_out_of_range_exit2(capsys):
         ("sector", "--r", "1", "--alpha", "0.01", "--radial-step", "0"),
         ("sector", "--r", "1", "--alpha", "0.01", "--radial-step", "nan"),
         ("sector", "--r", "1", "--alpha", "0.01", "--radial-step", "5"),
+        # --in with --family is an error, so the input path is never opened
+        ("verify", "--family", "path", "--params", "3", "--in", "missing.el"),
+        ("prop4", "--family", "grid", "--params", "3,3", "--in", "missing.el"),
+        ("verify", "--family", "enum", "--nmax", "3", "--in", "missing.el"),
     ],
 )
 def test_bad_parameters_exit2_with_one_line(argv, capsys):
@@ -320,6 +324,16 @@ SIDECAR_CORRUPTIONS = {
     "duplicate": ("1,3", lambda meta: _replace_coords(meta, {2: [0, 0]})),
     "moved": ("3,3", lambda meta: _replace_coords(meta, {4: [9, 9]})),
     "swapped": ("3,3", lambda meta: _replace_coords(meta, {0: [1, 1], 4: [0, 0]})),
+    "scale_string": ("3,3", lambda meta: json.dumps({**meta, "scale": "abc"})),
+    "scale_bool": ("3,3", lambda meta: json.dumps({**meta, "scale": True})),
+    "scale_zero": ("3,3", lambda meta: json.dumps({**meta, "scale": 0})),
+    "scale_inf": ("3,3", lambda meta: json.dumps({**meta, "scale": float("inf")})),
+    "offset_string": ("3,3", lambda meta: json.dumps({**meta, "offset": [1, "x"]})),
+    "offset_bool": ("3,3", lambda meta: json.dumps({**meta, "offset": [0.5, False]})),
+    "offset_nan": ("3,3", lambda meta: json.dumps({**meta, "offset": [0.5, float("nan")]})),
+    "offset_short": ("3,3", lambda meta: json.dumps({**meta, "offset": [0.5]})),
+    "offset_empty": ("3,3", lambda meta: json.dumps({**meta, "offset": []})),
+    "offset_number": ("3,3", lambda meta: json.dumps({**meta, "offset": 0})),
 }
 
 
@@ -335,6 +349,16 @@ def test_bad_sidecar_exit2_with_one_line(tmp_path, capsys, corruption, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sidecar_integer_scale_and_offset_accepted(tmp_path, capsys):
+    el = tmp_path / "g.el"
+    assert run("gen", "--family", "grid", "--params", "3,3", "--out", el) == 0
+    sidecar = tmp_path / "g.el.coords.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "scale": 2, "offset": [0, -1]}))
+    assert run("prop4", "--in", el) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
 
 
 @pytest.mark.parametrize("family, params", [("path", "6"), ("grid", "4,4")])

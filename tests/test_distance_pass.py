@@ -1,8 +1,9 @@
 """The shared distance pass: block-evaluated reports against the oracle,
-reuse of one distance matrix across the battery, and typed errors for
-reports that lack slices."""
+reuse of one distance matrix across the battery, slices built only where
+they are read, and typed errors for reports that lack slices."""
 
 import dataclasses
+import sys
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -17,10 +18,13 @@ from graphboundary import (
     DomainSpec,
     GraphError,
     InvariantViolation,
+    BoundarySlice,
     MissingSlicesError,
     boundary,
     DistanceField,
     boundary_slice,
+    check_mps,
+    check_theorem1,
     check_theorem2,
     classify_prop4,
     distance_matrix,
@@ -34,6 +38,7 @@ from graphboundary import (
 )
 from graphboundary import core, layers
 from graphboundary.boundary import _check_report
+from graphboundary.cli import main
 from graphboundary.core import distance_dtype
 from graphboundary.generators import cycle, grid, path, star
 
@@ -163,6 +168,68 @@ def test_prop4_rejects_report_without_slices():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2))
     with pytest.raises(MissingSlicesError):
         classify_prop4(gg, boundary(gg.graph))
+
+
+@pytest.fixture
+def slice_blocks(monkeypatch):
+    """Records the first source of every block of slices that gets built."""
+    boundary_module = sys.modules["graphboundary.boundary"]
+    real = boundary_module._block_slices
+    starts = []
+
+    def counting(*args):
+        starts.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(boundary_module, "_block_slices", counting)
+    return starts
+
+
+def test_theorem1_and_mps_build_no_slices(slice_blocks):
+    g = grid(4, 5).graph
+    rep = boundary(g, include_slices=True)
+    slice_blocks.clear()
+    assert check_theorem1(g) == check_theorem1(g, rep)
+    assert check_mps(g) == check_mps(g, rep)
+    assert slice_blocks == []
+    inequality_report(g)
+    assert slice_blocks == [0]
+
+
+def test_boundary_cli_builds_slices_only_with_the_flag(tmp_path, slice_blocks):
+    el = str(tmp_path / "g.el")
+    assert main(["gen", "--family", "star", "--params", "6", "--out", el]) == 0
+    for fmt in ("text", "json", "dot"):
+        assert main(["boundary", "--in", el, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    assert slice_blocks == []
+    assert main(["boundary", "--in", el, "--slices", "--out", str(tmp_path / "s.txt")]) == 0
+    assert slice_blocks == [0]
+
+
+def test_thm2_checks_the_weakest_source_once(monkeypatch):
+    g = grid(4, 4).graph
+    rep = boundary(g, include_slices=True)
+    calls = []
+    real = layers.check_theorem2
+
+    def counting(g, v, report=None):
+        calls.append(v)
+        return real(g, v, report)
+
+    monkeypatch.setattr(layers, "check_theorem2", counting)
+    (outcome,) = run_battery(g, ("thm2",), report=rep)
+    assert outcome.passed and outcome.detail == "sources=16 min_margin=190/41 (4.63415)"
+    assert len(calls) == 1
+
+
+def test_thm2_failure_names_the_emptied_source():
+    g = grid(4, 4).graph
+    rep = boundary(g, include_slices=True)
+    slices = list(rep.slices)
+    slices[5] = BoundarySlice(source=5, members=frozenset(), witnesses={})
+    (outcome,) = run_battery(g, ("thm2",), report=dataclasses.replace(rep, slices=tuple(slices)))
+    assert not outcome.passed
+    assert outcome.detail == "source=5 observed=0 bound=15/41 (0.365854)"
 
 
 def test_report_check_raises_typed_error():

@@ -48,6 +48,7 @@ def test_layers_partition_and_origin():
         ld = layer_decompose(g, v)
         assert ld.layers[0] == (v,)
         assert sorted(u for layer in ld.layers for u in layer) == list(range(g.n))
+        assert all(a < b for layer in ld.layers for a, b in zip(layer, layer[1:]))
 
 
 def test_cross_edges_at_least_layer_size():
