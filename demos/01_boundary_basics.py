@@ -30,9 +30,12 @@ for name, g in families.items():
 
 # a single source already sees part of the boundary: here the far rim of a
 # grid as judged from the corner
-rep = boundary(grid(5, 5).graph, include_slices=True)
+g = grid(5, 5).graph
+rep = boundary(g, include_slices=True)
 corner_view = sorted(rep.slices[0].members)
 print("\ngrid(5,5) boundary seen from corner 0:", corner_view)
 print("each member u comes with its witness pair (S, D), S < D strict:")
+dist = rep.distances.dist[0].tolist()
 for u in corner_view[:4]:
-    print(f"  u={u}: S,D = {rep.slices[0].witnesses[u]}")
+    nbrs = g.adjacency[u]
+    print(f"  u={u}: S,D = {(sum(dist[w] for w in nbrs), len(nbrs) * dist[u])}")

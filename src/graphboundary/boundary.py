@@ -37,19 +37,19 @@ class MissingSlicesError(GraphError):
     """A report built without per-source slices reached code that needs them."""
 
 
+_NO_SLICES = "report was built without slices (include_slices=False)"
+
+
 @dataclass(frozen=True)
 class BoundarySlice:
     """Boundary members identified from a single source vertex.
 
-    ``witnesses`` maps each member u to the integer pair (S, D) with
-    S = sum of neighbor distances to the source and D = deg(u) * d(u, source);
-    membership means S < D strictly. The source never certifies itself:
-    d(v, v) = 0 forces D = 0 while S >= 0.
+    The source is never a member of its own slice: d(v, v) = 0 makes
+    deg(v) * d(v, v) = 0, and no sum of distances is negative.
     """
 
     source: int
     members: frozenset[int]
-    witnesses: dict[int, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def sliced(g: Graph, report: BoundaryReport | None = None) -> BoundaryReport:
     if report is None:
         return boundary(g, include_slices=True)
     if report.slices is None:
-        raise MissingSlicesError("report was built without slices (include_slices=False)")
+        raise MissingSlicesError(_NO_SLICES)
     return report
 
 
@@ -90,7 +90,6 @@ def boundary_slice(g: Graph, df: DistanceField) -> BoundarySlice:
     """Members u with  sum_{w ~ u} d(w, v) < deg(u) * d(u, v)  for v = source."""
     dist = df.dist
     members = []
-    witnesses = {}
     for u, nbrs in enumerate(g.adjacency):
         s = 0
         for w in nbrs:
@@ -98,8 +97,7 @@ def boundary_slice(g: Graph, df: DistanceField) -> BoundarySlice:
         d = len(nbrs) * dist[u]
         if s < d:
             members.append(u)
-            witnesses[u] = (s, d)
-    return BoundarySlice(source=df.source, members=frozenset(members), witnesses=witnesses)
+    return BoundarySlice(source=df.source, members=frozenset(members))
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
@@ -138,20 +136,12 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, indices, deg
 
 
-def _block_slices(start: int, member: np.ndarray, s: np.ndarray, d: np.ndarray) -> list[BoundarySlice]:
+def _block_slices(start: int, member: np.ndarray) -> list[BoundarySlice]:
     """One BoundarySlice per row of a block of sources beginning at ``start``."""
-    us = np.nonzero(member)[1].tolist()  # row-major, so grouped by source
-    ss = s[member].tolist()
-    ds = d[member].tolist()
-    out = []
-    pos = 0
-    for i, count in enumerate(np.count_nonzero(member, axis=1).tolist()):
-        end = pos + count
-        mem = us[pos:end]
-        witnesses = dict(zip(mem, zip(ss[pos:end], ds[pos:end])))
-        out.append(BoundarySlice(source=start + i, members=frozenset(mem), witnesses=witnesses))
-        pos = end
-    return out
+    return [
+        BoundarySlice(source=start + i, members=frozenset(np.flatnonzero(row).tolist()))
+        for i, row in enumerate(member)
+    ]
 
 
 def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> BoundaryReport:
@@ -174,7 +164,7 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
     first = np.full(g.n, -1, dtype=np.int64)  # smallest certifying source per vertex
     in_cejz = np.zeros(g.n, dtype=bool)
     # K_1 has one empty slice and no neighbor list, which reduceat cannot take
-    slices = [BoundarySlice(source=0, members=frozenset(), witnesses={})] if g.m == 0 else []
+    slices = [BoundarySlice(source=0, members=frozenset())] if g.m == 0 else []
     for start in range(0, g.n if g.m else 0, core.ROW_BLOCK):
         blk = dm.dist[start:start + core.ROW_BLOCK]
         nb = blk[:, indices]
@@ -185,7 +175,7 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
         new = member.any(axis=0) & (first < 0)
         first[new] = start + member[:, new].argmax(axis=0)
         if include_slices:
-            slices.extend(_block_slices(start, member, s, d))
+            slices.extend(_block_slices(start, member))
 
     hit = first >= 0
     members = np.nonzero(hit)[0].tolist()
@@ -230,6 +220,6 @@ def report_to_dict(report: BoundaryReport, include_slices: bool = False) -> dict
     }
     if include_slices:
         if report.slices is None:
-            raise ValueError("report was built without slices")
+            raise MissingSlicesError(_NO_SLICES)
         out["slices"] = {str(sl.source): sorted(sl.members) for sl in report.slices}
     return out

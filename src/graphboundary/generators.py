@@ -325,6 +325,7 @@ _SHAPES = {
         lambda p, x, y: 0 < x * x + y * y < p[0] * p[0]
         and 0 < (math.atan2(y, x) % (2 * math.pi)) < 2 * math.pi * p[1],
         lambda p: (-p[0], p[0], -p[0], p[0]),
+        _sector_check,
     ),
 }
 

@@ -5,6 +5,7 @@ import pytest
 import oracle
 from graphboundary import (
     DisconnectedError,
+    MissingSlicesError,
     bfs_distances,
     boundary,
     boundary_slice,
@@ -23,11 +24,14 @@ def members(g, source):
 
 def test_slice_path3_from_endpoint():
     g = path(3)
-    sl = boundary_slice(g, bfs_distances(g, 0))
+    df = bfs_distances(g, 0)
+    sl = boundary_slice(g, df)
     assert sl.members == {2}
     # the middle vertex ties exactly: S = 0 + 2 = 2 = deg * dist
+    assert (df.dist[0] + df.dist[2], 2 * df.dist[1]) == (2, 2)
     assert 1 not in sl.members
-    assert sl.witnesses[2] == (1, 2)
+    # the far end is strict: S = 1 < 2 = deg * dist
+    assert (df.dist[1], 1 * df.dist[2]) == (1, 2)
 
 
 def test_slice_star_from_leaf():
@@ -155,7 +159,7 @@ def test_report_json_schema():
 
 def test_report_without_slices_rejects_slice_dump():
     rep = boundary(path(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingSlicesError, match="without slices"):
         report_to_dict(rep, include_slices=True)
 
 

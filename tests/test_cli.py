@@ -296,6 +296,8 @@ def test_verify_enum_nmax_out_of_range_exit2(capsys):
         ("verify", "--family", "path", "--params", "3", "--in", "missing.el"),
         ("prop4", "--family", "grid", "--params", "3,3", "--in", "missing.el"),
         ("verify", "--family", "enum", "--nmax", "3", "--in", "missing.el"),
+        # a sector's opening fraction must be below one full turn
+        ("verify", "--family", "sector", "--params", "1.0,1.5", "--lam", "0.2", "--checks", "thm1"),
     ],
 )
 def test_bad_parameters_exit2_with_one_line(argv, capsys):

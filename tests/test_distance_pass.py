@@ -48,10 +48,9 @@ def assert_matches_oracle(g):
     rep = boundary(g, include_slices=True)
     witness = {}
     for v, sl in enumerate(rep.slices):
-        expected = oracle.slice_witnesses(g.n, edges, v, dist)
+        expected = oracle.slice_members(g.n, edges, v, dist)
         assert sl.source == v
-        assert sl.members == set(expected)
-        assert sl.witnesses == expected
+        assert sl.members == expected
         for u in sorted(expected):
             witness.setdefault(u, v)
     assert rep.witness == witness
@@ -90,7 +89,7 @@ def test_multi_block_report_equals_per_source_route():
     rep = boundary(g, include_slices=True)
     for v, row in enumerate(rep.distances.rows()):
         ref = boundary_slice(g, DistanceField(source=v, dist=tuple(row)))
-        assert (rep.slices[v].members, rep.slices[v].witnesses) == (ref.members, ref.witnesses)
+        assert rep.slices[v].members == ref.members
     assert rep.boundary == rep.cejz_boundary == (0, g.n - 1)
     assert rep.witness == {0: 1, g.n - 1: 0}
 
@@ -226,7 +225,7 @@ def test_thm2_failure_names_the_emptied_source():
     g = grid(4, 4).graph
     rep = boundary(g, include_slices=True)
     slices = list(rep.slices)
-    slices[5] = BoundarySlice(source=5, members=frozenset(), witnesses={})
+    slices[5] = BoundarySlice(source=5, members=frozenset())
     (outcome,) = run_battery(g, ("thm2",), report=dataclasses.replace(rep, slices=tuple(slices)))
     assert not outcome.passed
     assert outcome.detail == "source=5 observed=0 bound=15/41 (0.365854)"

@@ -233,6 +233,8 @@ def test_domain_spec_validation():
         DomainSpec("blob", (1.0,), 0.1)
     with pytest.raises(ValueError):
         DomainSpec.disk(1.0, 0.0)
+    with pytest.raises(ValueError, match="opening fraction"):
+        DomainSpec.sector(1.0, 1.0, 0.2)
 
 
 # --- exhaustive enumeration ---

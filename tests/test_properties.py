@@ -115,8 +115,11 @@ def test_source_never_in_its_own_slice(g):
     rep = boundary(g, include_slices=True)
     for sl in rep.slices:
         assert sl.source not in sl.members
-        for u, (s, d) in sl.witnesses.items():
-            assert s < d
+        dist = rep.distances.dist[sl.source].tolist()
+        for u, nbrs in enumerate(g.adjacency):
+            s = sum(dist[w] for w in nbrs)
+            d = len(nbrs) * dist[u]
+            assert (s < d) == (u in sl.members)
 
 
 @given(connected_graphs())
