@@ -35,7 +35,7 @@ rep = boundary(g, include_slices=True)
 corner_view = sorted(rep.slices[0].members)
 print("\ngrid(5,5) boundary seen from corner 0:", corner_view)
 print("each member u comes with its witness pair (S, D), S < D strict:")
-dist = rep.distances.dist[0].tolist()
+dist = rep.distances[0].tolist()
 for u in corner_view[:4]:
     nbrs = g.adjacency[u]
     print(f"  u={u}: S,D = {(sum(dist[w] for w in nbrs), len(nbrs) * dist[u])}")

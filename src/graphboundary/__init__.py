@@ -21,7 +21,6 @@ from .boundary import (
 from .core import (
     DisconnectedError,
     DistanceField,
-    DistanceMatrix,
     DuplicateEdgeError,
     EdgeListParseError,
     Graph,

@@ -18,19 +18,13 @@ a time, as row reductions of the gathered neighbor distances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from . import core
-from .core import (
-    DistanceField,
-    DistanceMatrix,
-    Graph,
-    GraphError,
-    InvariantViolation,
-    distance_matrix,
-)
+from .core import DistanceField, Graph, GraphError, InvariantViolation, distance_matrix
 
 
 class MissingSlicesError(GraphError):
@@ -57,9 +51,12 @@ class BoundaryReport:
     """Full boundary description of one connected graph.
 
     ``witness`` maps each boundary member to the smallest source id that
-    certifies it, for reproducibility. ``slices`` is indexed by source id.
-    ``distances`` is the matrix the report was computed from, kept so that
-    later checks on the same graph need no further BFS.
+    certifies it, for reproducibility. ``distances`` is the read-only
+    distance matrix the report was computed from, kept so that later checks
+    on the same graph need no further BFS. ``in_slice`` is the read-only
+    n x n boolean matrix of the slices, one byte per vertex pair:
+    ``in_slice[v, u]`` is true iff u is in the slice of source v. It is
+    None for a report built without slices.
     """
 
     n: int
@@ -69,19 +66,27 @@ class BoundaryReport:
     boundary: tuple[int, ...]
     cejz_boundary: tuple[int, ...]
     witness: dict[int, int]
-    slices: tuple[BoundarySlice, ...] | None = None
-    distances: DistanceMatrix | None = field(default=None, compare=False, repr=False)
+    distances: np.ndarray | None = field(default=None, compare=False, repr=False)
+    in_slice: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def slices(self) -> tuple[BoundarySlice, ...] | None:
+        """The rows of ``in_slice`` as BoundarySlices indexed by source, built on first access."""
+        if self.in_slice is None:
+            return None
+        return tuple(BoundarySlice(source=v, members=frozenset(np.flatnonzero(row).tolist()))
+                     for v, row in enumerate(self.in_slice))
 
 
 def sliced(g: Graph, report: BoundaryReport | None = None) -> BoundaryReport:
     """``report``, or a new report of ``g`` with slices when it is None.
 
-    Functions that read ``report.slices`` call this at entry; a given
+    Functions that read ``report.in_slice`` call this at entry; a given
     report built without slices raises MissingSlicesError.
     """
     if report is None:
         return boundary(g, include_slices=True)
-    if report.slices is None:
+    if report.in_slice is None:
         raise MissingSlicesError(_NO_SLICES)
     return report
 
@@ -136,14 +141,6 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, indices, deg
 
 
-def _block_slices(start: int, member: np.ndarray) -> list[BoundarySlice]:
-    """One BoundarySlice per row of a block of sources beginning at ``start``."""
-    return [
-        BoundarySlice(source=start + i, members=frozenset(np.flatnonzero(row).tolist()))
-        for i, row in enumerate(member)
-    ]
-
-
 def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> BoundaryReport:
     """Compute the full boundary report from one distance pass, O(n(n+m)) time.
 
@@ -152,8 +149,9 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
     d(u, v), and the neighbor maximum for CEJZ, all in int64. The matrix is
     kept on the report, so memory is Theta(n^2) for as long as the report
     lives: 2 bytes per vertex pair below 32768 vertices, 4 bytes from there
-    (a path of 10 000 vertices holds 200 MB). ``threads`` is accepted and
-    ignored.
+    (a path of 10 000 vertices holds 200 MB). ``include_slices`` keeps the
+    member matrix ``in_slice`` too, one more byte per vertex pair.
+    ``threads`` is accepted and ignored.
 
     Raises DisconnectedError on disconnected input (boundaries of
     disconnected graphs are deliberately not defined here).
@@ -163,10 +161,10 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
     starts = indptr[:-1]
     first = np.full(g.n, -1, dtype=np.int64)  # smallest certifying source per vertex
     in_cejz = np.zeros(g.n, dtype=bool)
-    # K_1 has one empty slice and no neighbor list, which reduceat cannot take
-    slices = [BoundarySlice(source=0, members=frozenset())] if g.m == 0 else []
+    in_slice = np.zeros((g.n, g.n), dtype=bool) if include_slices else None
+    # K_1 has no neighbor list, which reduceat cannot take; its one slice is empty
     for start in range(0, g.n if g.m else 0, core.ROW_BLOCK):
-        blk = dm.dist[start:start + core.ROW_BLOCK]
+        blk = dm[start:start + core.ROW_BLOCK]
         nb = blk[:, indices]
         s = np.add.reduceat(nb, starts, axis=1, dtype=np.int64)
         d = blk * deg
@@ -175,7 +173,9 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
         new = member.any(axis=0) & (first < 0)
         first[new] = start + member[:, new].argmax(axis=0)
         if include_slices:
-            slices.extend(_block_slices(start, member))
+            in_slice[start:start + core.ROW_BLOCK] = member
+    if include_slices:
+        in_slice.setflags(write=False)
 
     hit = first >= 0
     members = np.nonzero(hit)[0].tolist()
@@ -183,12 +183,12 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
         n=g.n,
         m=g.m,
         max_degree=g.max_degree,
-        diameter=int(dm.dist.max()),
+        diameter=int(dm.max()),
         boundary=tuple(members),
         cejz_boundary=tuple(np.nonzero(in_cejz)[0].tolist()),
         witness=dict(zip(members, first[hit].tolist())),
-        slices=tuple(slices) if include_slices else None,
         distances=dm,
+        in_slice=in_slice,
     )
     _check_report(report)
     return report
@@ -219,7 +219,8 @@ def report_to_dict(report: BoundaryReport, include_slices: bool = False) -> dict
         "witness": {str(u): v for u, v in sorted(report.witness.items())},
     }
     if include_slices:
-        if report.slices is None:
+        if report.in_slice is None:
             raise MissingSlicesError(_NO_SLICES)
-        out["slices"] = {str(sl.source): sorted(sl.members) for sl in report.slices}
+        rows = enumerate(report.in_slice)
+        out["slices"] = {str(v): np.flatnonzero(row).tolist() for v, row in rows}
     return out

@@ -26,6 +26,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .boundary import boundary, report_to_dict
 from .core import (
     Graph,
@@ -79,9 +81,12 @@ class _CliError(Exception):
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x != ""]
+        vals = [float(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
         raise _CliError(f"bad numeric list {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise _CliError(f"non-finite number in {text!r}")
+    return vals
 
 
 def _ints(text: str) -> list[int]:
@@ -266,8 +271,8 @@ def _text_report(report, include_slices: bool) -> str:
         "cejz_boundary: " + " ".join(str(u) for u in report.cejz_boundary),
     ]
     if include_slices:
-        for sl in report.slices:
-            lines.append(f"slice {sl.source}: " + " ".join(str(u) for u in sorted(sl.members)))
+        for v, row in enumerate(report.in_slice):
+            lines.append(f"slice {v}: " + " ".join(str(u) for u in np.flatnonzero(row).tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -89,25 +89,6 @@ class DistanceField:
     dist: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances as a read-only n x n array, row v from source v.
-
-    The dtype is :func:`distance_dtype` of n: int16 below 32768 vertices, else int32.
-    """
-
-    n: int
-    dist: np.ndarray
-
-    def rows(self) -> Iterator[list[int]]:
-        """Rows as lists of Python ints, converted ROW_BLOCK rows at a time."""
-        for start in range(0, self.n, ROW_BLOCK):
-            yield from self.dist[start:start + ROW_BLOCK].tolist()
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        return int(self.dist[pair])
-
-
 def validate(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """Build a Graph from an edge list, rejecting invalid input.
 
@@ -177,17 +158,17 @@ def distance_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16 if n < 32768 else np.int32)
 
 
-def distance_matrix(g: Graph, threads: int = 1) -> DistanceMatrix:
-    """All-pairs distances from one BFS per source, filled row by row.
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs hop distances as a read-only n x n array, row v from source v.
 
-    Holds n^2 entries of :func:`distance_dtype`. ``threads`` is accepted and
-    ignored. Raises DisconnectedError on disconnected input.
+    One BFS per source fills the rows; the dtype is :func:`distance_dtype`
+    of n. Raises DisconnectedError on disconnected input.
     """
     arr = np.empty((g.n, g.n), dtype=distance_dtype(g.n))
     for v in range(g.n):
         arr[v] = bfs_distances(g, v).dist
     arr.setflags(write=False)
-    return DistanceMatrix(n=g.n, dist=arr)
+    return arr
 
 
 def diameter(g: Graph) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryReport, sliced
-from .core import DistanceMatrix, Graph, GraphError, InvariantViolation
+from .core import Graph, GraphError, InvariantViolation
 from .generators import GridGraph
 
 CASE_EQUAL_DISTANCE = "equal_distance_neighbor"
@@ -55,11 +55,11 @@ class NonUniquenessWitness:
     axis: int | None = None
 
 
-def verify_witness(w: NonUniquenessWitness, dm: DistanceMatrix) -> bool:
-    """Re-check the witness's defining distance equalities against ``dm``."""
+def verify_witness(w: NonUniquenessWitness, dm: np.ndarray) -> bool:
+    """Re-check the witness's defining distance equalities against the matrix ``dm``."""
     du = dm[w.vertex, w.witness]
     if w.case == CASE_EQUAL_DISTANCE:
-        return len(w.neighbors) == 1 and dm[w.neighbors[0], w.witness] == du
+        return len(w.neighbors) == 1 and bool(dm[w.neighbors[0], w.witness] == du)
     if w.case == CASE_ANTIPODAL_DESCENT:
         return len(w.neighbors) == 2 and all(
             dm[x, w.witness] == du - 1 for x in w.neighbors
@@ -72,7 +72,7 @@ def _search(
     certifiers: list[int],
     axis_pairs: list[tuple[int, int]],
     nbrs: tuple[int, ...],
-    dm: DistanceMatrix,
+    dm: np.ndarray,
     collect_all: bool,
 ) -> list[NonUniquenessWitness]:
     """Antipodal-descent witnesses first, equal-distance ties second."""
@@ -97,7 +97,7 @@ def _search(
 
 
 def _certifiers(report: BoundaryReport, u: int) -> list[int]:
-    return [sl.source for sl in report.slices if u in sl.members]
+    return np.flatnonzero(report.in_slice[:, u]).tolist()
 
 
 def classify_prop4(

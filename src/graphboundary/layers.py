@@ -175,7 +175,7 @@ def check_theorem2(g: Graph, v: int, report: BoundaryReport | None = None) -> Bo
         raise SingleVertexError("bound needs at least two vertices")
     report = sliced(g, report)
     bound = theorem2_bound(g.n, g.max_degree, report.diameter)
-    return _size_entry("theorem2", v, len(report.slices[v].members), bound)
+    return _size_entry("theorem2", v, int(report.in_slice[v].sum()), bound)
 
 
 def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
@@ -196,7 +196,8 @@ def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
 def inequality_report(g: Graph, report: BoundaryReport | None = None) -> InequalityReport:
     """Assemble all three checks; theorem2 is reported at its weakest source."""
     report = sliced(g, report)
-    weakest = min(report.slices, key=lambda sl: len(sl.members))  # lowest source among ties
+    sizes = report.in_slice.sum(axis=1)
+    weakest = int(sizes.argmin())  # lowest source among ties
     return InequalityReport(
         n=g.n,
         m=g.m,
@@ -204,9 +205,9 @@ def inequality_report(g: Graph, report: BoundaryReport | None = None) -> Inequal
         diam=report.diameter,
         boundary_size=len(report.boundary),
         cejz_size=len(report.cejz_boundary),
-        min_slice_size=len(weakest.members),
+        min_slice_size=int(sizes[weakest]),
         theorem1=check_theorem1(g, report),
-        theorem2_min=check_theorem2(g, weakest.source, report),
+        theorem2_min=check_theorem2(g, weakest, report),
         mps=check_mps(g, report),
         mps_bound_log2=math.log2(g.max_degree + 2),
     )
@@ -218,10 +219,8 @@ def slice_overlap_stats(g: Graph, report: BoundaryReport | None = None) -> dict:
     Exploratory output only; no theorem fixes what these numbers should be.
     """
     report = sliced(g, report)
-    counts = {u: 0 for u in report.boundary}
-    for sl in report.slices:
-        for u in sl.members:
-            counts[u] += 1
+    certifiers = report.in_slice.sum(axis=0)
+    counts = {u: int(certifiers[u]) for u in report.boundary}
     values = sorted(counts.values())
     return {
         "boundary_size": len(values),

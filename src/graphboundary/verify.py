@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .boundary import BoundaryReport, laplacian_matrix, sliced
 from .core import Graph, is_path_graph
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
@@ -130,14 +131,8 @@ def _check_mps(g, report, gg):
 
 def _check_laplacian(g, report, gg):
     # column v of L @ D^T is L f_v; its positive entries must be the slice of v
-    positive = (laplacian_matrix(g) @ report.distances.dist.T.astype(np.int64)).T > 0
-    sources, members = [], []
-    for sl in report.slices:
-        sources.extend([sl.source] * len(sl.members))
-        members.extend(sl.members)
-    expected = np.zeros((g.n, g.n), dtype=bool)
-    expected[sources, members] = True
-    bad = np.nonzero((positive != expected).any(axis=1))[0]
+    positive = (laplacian_matrix(g) @ report.distances.T.astype(np.int64)).T > 0
+    bad = np.nonzero((positive != report.in_slice).any(axis=1))[0]
     if bad.size:
         return _outcome("laplacian", False, f"mismatch at source {bad[0]}")
     return _outcome("laplacian", True, f"sources={g.n}")
@@ -145,11 +140,15 @@ def _check_laplacian(g, report, gg):
 
 def _check_dichotomy(g, report, gg):
     delta = g.max_degree
-    for v, row in enumerate(report.distances.rows()):
-        try:
-            check_dichotomy(layer_decompose(g, v, row, report.slices[v].members), delta)
-        except InvariantViolation as exc:
-            return _outcome("dichotomy", False, str(exc))
+    # Python-int rows for layer_decompose, one block at a time, never n^2 ints at once
+    for start in range(0, g.n, core.ROW_BLOCK):
+        rows = report.distances[start:start + core.ROW_BLOCK].tolist()
+        for v, row in enumerate(rows, start):
+            members = np.flatnonzero(report.in_slice[v]).tolist()
+            try:
+                check_dichotomy(layer_decompose(g, v, row, members), delta)
+            except InvariantViolation as exc:
+                return _outcome("dichotomy", False, str(exc))
     return _outcome("dichotomy", True, f"sources={g.n}")
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import oracle
@@ -168,3 +169,5 @@ def test_boundary_thread_count_invariant():
     a = boundary(g, include_slices=True, threads=1)
     b = boundary(g, include_slices=True, threads=4)
     assert a == b
+    assert np.array_equal(a.in_slice, b.in_slice)
+    assert a.slices == b.slices

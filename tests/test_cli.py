@@ -298,6 +298,16 @@ def test_verify_enum_nmax_out_of_range_exit2(capsys):
         ("verify", "--family", "enum", "--nmax", "3", "--in", "missing.el"),
         # a sector's opening fraction must be below one full turn
         ("verify", "--family", "sector", "--params", "1.0,1.5", "--lam", "0.2", "--checks", "thm1"),
+        # non-finite family numbers; the error comes before any file is written
+        ("gen", "--family", "path", "--params", "1e400", "--out", "x.el"),
+        ("sweep", "--family", "path", "--sizes", "nan"),
+        ("sweep", "--family", "path", "--sizes", "1e400"),
+        ("verify", "--family", "path", "--params", "1e400"),
+        ("gen", "--family", "grid", "--params", "3,inf", "--out", "x.el"),
+        ("gen", "--family", "er", "--params", "1e400,0.5", "--out", "x.el"),
+        ("gen", "--family", "disk", "--params", "inf", "--lam", "0.1", "--out", "x.el"),
+        ("gen", "--family", "disk", "--params", "1", "--lam", "0.1", "--offset", "inf,0",
+         "--out", "x.el"),
     ],
 )
 def test_bad_parameters_exit2_with_one_line(argv, capsys):

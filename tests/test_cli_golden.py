@@ -1,0 +1,99 @@
+"""Pinned output bytes of a fixed CLI corpus.
+
+Each command runs through ``main()`` with ``--out`` in a fresh directory
+and must exit 0, print nothing, and write a file whose sha256 equals the
+digest pinned here. The input files come from the ``gen`` commands, whose
+own outputs are pinned too. A change that alters any output byte fails
+here; re-pin a digest only for an intended output change, and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from graphboundary.cli import main
+
+# input name -> gen arguments; grid and annulus also write a coordinate sidecar
+GEN = {
+    "tree": ("--family", "tree", "--params", "200"),
+    "star": ("--family", "star", "--params", "300"),
+    "grid": ("--family", "grid", "--params", "6,6"),
+    "k1": ("--family", "complete", "--params", "1"),
+    "annulus": ("--family", "annulus", "--params", "0.4,1.0", "--lam", "0.2"),
+}
+
+FILE_DIGESTS = {
+    "tree.el": "ef81a2bc1eab5812cd5e18a23aa8e8077300f43d7194c8a36da3a932e8a6fee4",
+    "star.el": "2a50a1a6f9b726be590066e234b70ffc5b6afb2c532fdbcd230ae82600fd0a63",
+    "grid.el": "387957d75c9a7632283d0731a884818a7516c3519871fe925c6279d50a486606",
+    "grid.el.coords.json": "adee9cf217cd3f36be66c2fbe6176abffeccccc7a8771baa33d3df08311a981d",
+    "k1.el": "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    "annulus.el": "1c74e02a0e8ff06814edab5f9dab5531447affc5f97f6561b47a2b10d9ee6fab",
+    "annulus.el.coords.json": "d6d07529e8a2f02c4dc6c4c6311ff87ff5d7b88e0f61bfefeea5a2061c61d569",
+}
+
+# run inside the input folder: "<name>.el" is the generated input of that
+# name, and verify's header line shows the path as given
+COMMANDS = {
+    "boundary_tree_text": (("boundary", "--in", "tree.el"),
+        "75e9488ff2be3b0aa137fbaa60df29526519c81e869b1d69602923cafd6bc664"),
+    "boundary_tree_text_slices": (("boundary", "--in", "tree.el", "--slices"),
+        "81965f8ee2aaec87306b6b08b0f6fa8d82f7c2a6144283a4a45639681c86a989"),
+    "boundary_tree_json": (("boundary", "--in", "tree.el", "--format", "json"),
+        "09c54cbb173c63a278721126dd05a0bd7ab049e3a0a9e2131e23e33f3509d756"),
+    "boundary_tree_json_slices": (("boundary", "--in", "tree.el", "--format", "json", "--slices"),
+        "49baf297eaff85ea7d74f556986611923ae55ba7c733677b308a8c8e2e5db875"),
+    "boundary_tree_dot": (("boundary", "--in", "tree.el", "--format", "dot"),
+        "f90948e459177dc4d2975ea6f8e93a032811308f3ab3bc0c15bb1978844cf740"),
+    "boundary_tree_dot_slices": (("boundary", "--in", "tree.el", "--format", "dot", "--slices"),
+        "f90948e459177dc4d2975ea6f8e93a032811308f3ab3bc0c15bb1978844cf740"),
+    "boundary_star_json_slices": (("boundary", "--in", "star.el", "--format", "json", "--slices"),
+        "efaeaef271e8747e8851b36d40e26b9b2cdb03253d7e226659e2e84a4ee45b08"),
+    "boundary_k1_text_slices": (("boundary", "--in", "k1.el", "--slices"),
+        "9ea912a381f2e34ff6e3c499a91ea3aa09045bd530bf3f9a62f2e97da171c21b"),
+    "boundary_k1_json_slices": (("boundary", "--in", "k1.el", "--format", "json", "--slices"),
+        "be62d2a89b168db1b513f0e25eb09b413bcfbf0b045f76a207d0a2d2bdfdcddd"),
+    "boundary_grid_dot_cejz": (("boundary", "--in", "grid.el", "--format", "dot", "--overlay-cejz"),
+        "626f421934e45a1e746578bed9d8248bc2a8234ab91e83b5fab729b02aa7c4dd"),
+    "verify_grid_all": (("verify", "--in", "grid.el", "--checks", "all"),
+        "2e4c9f02a256abbdec218bccf82710e95b4172e8772ca7ab356e38d420ce42a9"),
+    "verify_annulus_all": (("verify", "--in", "annulus.el", "--checks", "all"),
+        "555c364433195958e16add2ad694f3bb8c0ef2c196af813358742799b7b0b9ec"),
+    "verify_enum_4": (("verify", "--family", "enum", "--nmax", "4"),
+        "96065ff6b31bccd7a0037084176774eebe93a703f1996baab81e9477a6781889"),
+    "sweep_grid": (("sweep", "--family", "grid", "--sizes", "3,5"),
+        "fac69a4eb8ecda008c3ca3278332ad831d34327ffc300df2f5e98d46ca045211"),
+    "sweep_tree": (("sweep", "--family", "tree", "--sizes", "10,20"),
+        "33cd593b9099ffba6c5f2efcfa1d5d6b1ae45ef6cd895234657b171bbfac5fee"),
+    "prop4_cycle_all": (("prop4", "--family", "cycle", "--params", "7", "--all-witnesses"),
+        "694d675206424e1e40e54e74e44b19140cc86c590e5f1c48c63ba490d52ffb98"),
+    "prop4_annulus": (("prop4", "--in", "annulus.el"),
+        "1516a16a62f63f4d7b7ddc450a57d9a82f1769f53d17d9b4279064b47d9f6e5d"),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
+    for name, argv in GEN.items():
+        assert main(["gen", *argv, "--out", str(folder / f"{name}.el")]) == 0
+    return folder
+
+
+@pytest.mark.parametrize("name", FILE_DIGESTS)
+def test_gen_output_bytes(inputs, name):
+    assert _sha256(inputs / name) == FILE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_output_bytes(inputs, tmp_path, monkeypatch, capsys, name):
+    argv, digest = COMMANDS[name]
+    out = tmp_path / "out"
+    monkeypatch.chdir(inputs)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert _sha256(out) == digest

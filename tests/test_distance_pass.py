@@ -36,7 +36,7 @@ from graphboundary import (
     run_battery,
     slice_overlap_stats,
 )
-from graphboundary import core, layers
+from graphboundary import cli, core, layers
 from graphboundary.boundary import _check_report
 from graphboundary.cli import main
 from graphboundary.core import distance_dtype
@@ -46,13 +46,15 @@ def assert_matches_oracle(g):
     edges = list(g.edges())
     dist = oracle.floyd_warshall(g.n, edges)
     rep = boundary(g, include_slices=True)
+    assert rep.in_slice.shape == (g.n, g.n)
     witness = {}
-    for v, sl in enumerate(rep.slices):
+    for v, row in enumerate(rep.in_slice):
         expected = oracle.slice_members(g.n, edges, v, dist)
-        assert sl.source == v
-        assert sl.members == expected
+        assert set(np.flatnonzero(row).tolist()) == expected
+        assert rep.slices[v] == BoundarySlice(source=v, members=frozenset(expected))
         for u in sorted(expected):
             witness.setdefault(u, v)
+    assert len(rep.slices) == g.n
     assert rep.witness == witness
     assert rep.boundary == tuple(sorted(witness))
     assert set(rep.cejz_boundary) == oracle.cejz(g.n, edges)
@@ -87,7 +89,7 @@ def test_block_report_equals_oracle_at_any_block_size(g, block):
 def test_multi_block_report_equals_per_source_route():
     g = path(2 * core.ROW_BLOCK + 5)
     rep = boundary(g, include_slices=True)
-    for v, row in enumerate(rep.distances.rows()):
+    for v, row in enumerate(rep.distances.tolist()):
         ref = boundary_slice(g, DistanceField(source=v, dist=tuple(row)))
         assert rep.slices[v].members == ref.members
     assert rep.boundary == rep.cejz_boundary == (0, g.n - 1)
@@ -96,10 +98,15 @@ def test_multi_block_report_equals_per_source_route():
 
 def test_distance_matrix_int16_and_read_only():
     dm = distance_matrix(grid(4, 5).graph)
-    assert dm.dist.dtype == np.int16
-    assert not dm.dist.flags.writeable
+    assert dm.dtype == np.int16
+    assert not dm.flags.writeable
     with pytest.raises(ValueError):
-        dm.dist[0, 1] = 7
+        dm[0, 1] = 7
+    in_slice = boundary(grid(4, 5).graph, include_slices=True).in_slice
+    assert in_slice.dtype == bool and in_slice.shape == (20, 20)
+    assert not in_slice.flags.writeable
+    with pytest.raises(ValueError):
+        in_slice[0, 1] = True
 
 
 def test_distance_dtype_rule():
@@ -111,18 +118,27 @@ def test_distance_dtype_rule():
 
 
 def test_rows_match_matrix_across_blocks():
-    g = grid(5, 7).graph
-    dm = distance_matrix(g)
-    with mock.patch.object(core, "ROW_BLOCK", 4):
-        rows = list(dm.rows())
-    assert rows == dm.dist.tolist()
-    assert all(type(x) is int for x in rows[3])
+    # dichotomy converts distance rows a block at a time; the last source's
+    # doctored slice must be found at every block size
+    g = path(2 * core.ROW_BLOCK + 5)
+    rep = boundary(g, include_slices=True)
+    in_slice = rep.in_slice.copy()
+    in_slice[g.n - 1, 0] = False
+    bad = dataclasses.replace(rep, in_slice=in_slice)
+    expected = [(True, f"sources={g.n}"),
+                (False, f"outermost layer not fully in the slice (source {g.n - 1})")]
+    for block in range(1, 9):
+        with mock.patch.object(core, "ROW_BLOCK", block):
+            outcomes = [run_battery(g, ("dichotomy",), report=r)[0] for r in (rep, bad)]
+        assert [(oc.passed, oc.detail) for oc in outcomes] == expected
 
 
 def test_layer_decompose_with_precomputed_row_and_members():
     g = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2)).graph
     rep = boundary(g, include_slices=True)
-    for v, row in enumerate(rep.distances.rows()):
+    for v, row in enumerate(rep.distances.tolist()):
+        members = np.flatnonzero(rep.in_slice[v]).tolist()
+        assert layer_decompose(g, v) == layer_decompose(g, v, row, members)
         assert layer_decompose(g, v) == layer_decompose(g, v, row, rep.slices[v].members)
         assert layer_decompose(g, v) == layer_decompose(g, v, row)
 
@@ -170,39 +186,40 @@ def test_prop4_rejects_report_without_slices():
 
 
 @pytest.fixture
-def slice_blocks(monkeypatch):
-    """Records the first source of every block of slices that gets built."""
+def slice_builds(monkeypatch):
+    """Records ``include_slices`` of every boundary() call the package makes."""
     boundary_module = sys.modules["graphboundary.boundary"]
-    real = boundary_module._block_slices
-    starts = []
+    real = boundary_module.boundary
+    calls = []
 
-    def counting(*args):
-        starts.append(args[0])
-        return real(*args)
+    def recording(g, include_slices=False, threads=1):
+        calls.append(include_slices)
+        return real(g, include_slices, threads)
 
-    monkeypatch.setattr(boundary_module, "_block_slices", counting)
-    return starts
+    for module in (boundary_module, layers, cli):
+        monkeypatch.setattr(module, "boundary", recording)
+    return calls
 
 
-def test_theorem1_and_mps_build_no_slices(slice_blocks):
+def test_theorem1_and_mps_build_no_slices(slice_builds):
     g = grid(4, 5).graph
     rep = boundary(g, include_slices=True)
-    slice_blocks.clear()
+    slice_builds.clear()
     assert check_theorem1(g) == check_theorem1(g, rep)
     assert check_mps(g) == check_mps(g, rep)
-    assert slice_blocks == []
+    assert slice_builds == [False, False]
     inequality_report(g)
-    assert slice_blocks == [0]
+    assert slice_builds == [False, False, True]
 
 
-def test_boundary_cli_builds_slices_only_with_the_flag(tmp_path, slice_blocks):
+def test_boundary_cli_builds_slices_only_with_the_flag(tmp_path, slice_builds):
     el = str(tmp_path / "g.el")
     assert main(["gen", "--family", "star", "--params", "6", "--out", el]) == 0
     for fmt in ("text", "json", "dot"):
         assert main(["boundary", "--in", el, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
-    assert slice_blocks == []
+    assert slice_builds == [False] * 3
     assert main(["boundary", "--in", el, "--slices", "--out", str(tmp_path / "s.txt")]) == 0
-    assert slice_blocks == [0]
+    assert slice_builds == [False] * 3 + [True]
 
 
 def test_thm2_checks_the_weakest_source_once(monkeypatch):
@@ -224,11 +241,27 @@ def test_thm2_checks_the_weakest_source_once(monkeypatch):
 def test_thm2_failure_names_the_emptied_source():
     g = grid(4, 4).graph
     rep = boundary(g, include_slices=True)
-    slices = list(rep.slices)
-    slices[5] = BoundarySlice(source=5, members=frozenset())
-    (outcome,) = run_battery(g, ("thm2",), report=dataclasses.replace(rep, slices=tuple(slices)))
+    in_slice = rep.in_slice.copy()
+    in_slice[5] = False
+    (outcome,) = run_battery(g, ("thm2",), report=dataclasses.replace(rep, in_slice=in_slice))
     assert not outcome.passed
     assert outcome.detail == "source=5 observed=0 bound=15/41 (0.365854)"
+
+
+@pytest.mark.parametrize("check, detail", [
+    ("laplacian", "mismatch at source 7"),
+    ("dichotomy", "outermost layer not fully in the slice (source 7)"),
+])
+def test_cross_checks_fail_on_a_bad_slice(check, detail):
+    g = grid(5, 5).graph
+    rep = boundary(g, include_slices=True)
+    v = 7
+    u = int(rep.distances[v].argmax())  # a farthest vertex is always in the slice
+    assert rep.in_slice[v, u]
+    in_slice = rep.in_slice.copy()
+    in_slice[v, u] = False
+    (outcome,) = run_battery(g, (check,), report=dataclasses.replace(rep, in_slice=in_slice))
+    assert (outcome.passed, outcome.detail) == (False, detail)
 
 
 def test_report_check_raises_typed_error():

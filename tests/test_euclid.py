@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from graphboundary import (
@@ -69,6 +70,19 @@ def test_annulus_all_witnesses_include_axis_info():
         else:
             assert w.axis is None
             assert len(w.neighbors) == 1
+
+
+def test_all_witnesses_come_from_every_certifying_source():
+    # at a degree-4 lattice vertex u, every source v whose slice holds u
+    # gives a witness: a neighbor at d(u, v), or else at least three of the
+    # four at d(u, v) - 1, two of them on one axis
+    gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.15))
+    rep = boundary(gg.graph, include_slices=True)
+    pairs = classify_prop4(gg, rep, all_witnesses=True)
+    full = [u for u in rep.boundary if gg.graph.degree(u) == 4]
+    certified = {(u, v) for u in full for v in np.flatnonzero(rep.in_slice[:, u]).tolist()}
+    assert {(u, w.witness) for u, w in pairs} == certified
+    assert len(certified) > len(full) > 0
 
 
 def test_witness_search_failure_is_an_error():
