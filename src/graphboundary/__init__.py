@@ -20,7 +20,6 @@ from .boundary import (
 )
 from .core import (
     DisconnectedError,
-    DistanceField,
     DuplicateEdgeError,
     EdgeListParseError,
     Graph,

@@ -17,6 +17,7 @@ a time, as row reductions of the gathered neighbor distances.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -24,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from . import core
-from .core import DistanceField, Graph, GraphError, InvariantViolation, distance_matrix
+from .core import Graph, GraphError, InvariantViolation, distance_matrix
 
 
 class MissingSlicesError(GraphError):
@@ -36,7 +37,7 @@ _NO_SLICES = "report was built without slices (include_slices=False)"
 
 @dataclass(frozen=True)
 class BoundarySlice:
-    """Boundary members identified from a single source vertex.
+    """The slice of one source vertex: one element of ``BoundaryReport.slices``.
 
     The source is never a member of its own slice: d(v, v) = 0 makes
     deg(v) * d(v, v) = 0, and no sum of distances is negative.
@@ -91,9 +92,9 @@ def sliced(g: Graph, report: BoundaryReport | None = None) -> BoundaryReport:
     return report
 
 
-def boundary_slice(g: Graph, df: DistanceField) -> BoundarySlice:
-    """Members u with  sum_{w ~ u} d(w, v) < deg(u) * d(u, v)  for v = source."""
-    dist = df.dist
+def boundary_slice(g: Graph, dist: Sequence[int]) -> frozenset[int]:
+    """Members u with  sum_{w ~ u} d(w, v) < deg(u) * d(u, v)  for the distance row of v."""
+    dist = [int(x) for x in dist]  # Python ints: sums over a numpy row would wrap in its dtype
     members = []
     for u, nbrs in enumerate(g.adjacency):
         s = 0
@@ -102,7 +103,7 @@ def boundary_slice(g: Graph, df: DistanceField) -> BoundarySlice:
         d = len(nbrs) * dist[u]
         if s < d:
             members.append(u)
-    return BoundarySlice(source=df.source, members=frozenset(members))
+    return frozenset(members)
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
@@ -114,7 +115,7 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def laplacian_slice(g: Graph, df: DistanceField, lap: np.ndarray | None = None) -> frozenset[int]:
+def laplacian_slice(g: Graph, dist: Sequence[int], lap: np.ndarray | None = None) -> frozenset[int]:
     """{u : (L f_v)(u) > 0} computed literally through the matrix route.
 
     Cross-check oracle for :func:`boundary_slice`: the two must agree on
@@ -123,7 +124,7 @@ def laplacian_slice(g: Graph, df: DistanceField, lap: np.ndarray | None = None) 
     """
     if lap is None:
         lap = laplacian_matrix(g)
-    f = np.asarray(df.dist, dtype=np.int64)
+    f = np.asarray(dist, dtype=np.int64)
     return frozenset(int(u) for u in np.nonzero(lap @ f > 0)[0])
 
 

@@ -295,6 +295,8 @@ def _battery_args(args) -> tuple[tuple[str, ...], bool]:
     if args.checks == "all":
         return ALL_CHECKS, False
     names = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    if not names:
+        raise _CliError(f"--checks {args.checks!r} names no check")
     bad = [c for c in names if c not in ALL_CHECKS]
     if bad:
         raise _CliError(f"unknown checks {bad}; known: {', '.join(ALL_CHECKS)}")
@@ -303,11 +305,15 @@ def _battery_args(args) -> tuple[tuple[str, ...], bool]:
 
 def cmd_verify(args) -> int:
     checks, prop4_required = _battery_args(args)
+    enum = args.family == "enum"
+    if enum and not 1 <= args.nmax <= ENUM_NMAX:
+        raise _CliError(f"--nmax must be between 1 and {ENUM_NMAX}, got {args.nmax}")
+    g, gg, label = (None, None, None) if enum else _family_or_input(args)
+    if prop4_required and gg is None:  # enum graphs carry no coordinates
+        raise _CliError("prop4 needs lattice coordinates (grid family or coordinate sidecar)")
     lines = []
     failures = 0
-    if args.family == "enum":
-        if not 1 <= args.nmax <= ENUM_NMAX:
-            raise _CliError(f"--nmax must be between 1 and {ENUM_NMAX}, got {args.nmax}")
+    if enum:
         checks = tuple(c for c in checks if c != "prop4")
         count = 0
         tallies = {c: 0 for c in checks}
@@ -321,9 +327,6 @@ def cmd_verify(args) -> int:
         for c in checks:
             lines.append(f"check={c} graphs={count} failures={tallies[c]}")
     else:
-        g, gg, label = _family_or_input(args)
-        if prop4_required and gg is None:
-            raise _CliError("prop4 needs lattice coordinates (grid family or coordinate sidecar)")
         outcomes = run_battery(g, checks, gg=gg)
         lines.append(f"graph {label} n={g.n} m={g.m}")
         for oc in outcomes:

@@ -81,14 +81,6 @@ class Graph:
         return tuple(len(a) for a in self.adjacency)
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    """Hop distances from one source vertex; dist[source] == 0."""
-
-    source: int
-    dist: tuple[int, ...]
-
-
 def validate(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """Build a Graph from an edge list, rejecting invalid input.
 
@@ -115,9 +107,10 @@ def validate(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj), m=len(seen))
 
 
-def bfs_distances(g: Graph, source: int) -> DistanceField:
+def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
     """Exact hop distances from ``source`` via breadth-first search.
 
+    The tuple is row ``source`` of :func:`distance_matrix` as Python ints.
     Raises DisconnectedError if any vertex is unreachable and
     VertexOutOfRangeError for an invalid source.
     """
@@ -141,7 +134,7 @@ def bfs_distances(g: Graph, source: int) -> DistanceField:
             f"graph is disconnected: {g.n - reached} of {g.n} vertices "
             f"unreachable from {source}"
         )
-    return DistanceField(source=source, dist=tuple(dist))
+    return tuple(dist)
 
 
 def is_connected(g: Graph) -> bool:
@@ -166,7 +159,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     """
     arr = np.empty((g.n, g.n), dtype=distance_dtype(g.n))
     for v in range(g.n):
-        arr[v] = bfs_distances(g, v).dist
+        arr[v] = bfs_distances(g, v)
     arr.setflags(write=False)
     return arr
 
@@ -175,7 +168,7 @@ def diameter(g: Graph) -> int:
     """Max over all pairs of d(u, v), by BFS from every vertex (O(n) memory)."""
     best = 0
     for v in range(g.n):
-        best = max(best, max(bfs_distances(g, v).dist))
+        best = max(best, max(bfs_distances(g, v)))
     return best
 
 

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .core import Graph, GraphError, is_connected, validate
@@ -124,20 +124,9 @@ def grid_d(dims: tuple[int, ...] | list[int]) -> GridGraph:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError("grid dims must all be >= 1")
-    k = len(dims)
-    strides = [1] * k
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    n = strides[0] * dims[0]
-    coords = []
-    for vid in range(n):
-        rem, c = vid, []
-        for i in range(k):
-            c.append(rem // strides[i])
-            rem %= strides[i]
-        coords.append(tuple(c))
-    coords = tuple(coords)
-    return GridGraph(graph=validate(unit_step_edges(coords), n), coordinates=coords, dimension=k)
+    coords = tuple(product(*map(range, dims)))
+    graph = validate(unit_step_edges(coords), len(coords))
+    return GridGraph(graph=graph, coordinates=coords, dimension=len(dims))
 
 
 def grid(rows: int, cols: int) -> GridGraph:
@@ -155,8 +144,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise ValueError("tree needs n >= 1")
     if n == 1:
         return validate([], 1)
-    if n == 2:
-        return validate([(0, 1)], 2)
     seq = [splitmix64(seed, k) % n for k in range(n - 2)]
     degree = [1] * n
     for x in seq:
@@ -218,10 +205,14 @@ class DomainSpec:
     offset: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lattice scale must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lattice scale must be positive and finite, got lam={self.lam}")
         if any(p <= 0 for p in self.params):
             raise ValueError(f"{self.shape} parameters must be positive")
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.shape} parameters must be finite, got {self.params}")
+        if self.offset is not None and not all(map(math.isfinite, self.offset)):
+            raise ValueError(f"lattice offset must be finite, got {self.offset}")
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
         _SHAPES[self.shape].check(self.params)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boundary import BoundaryReport, boundary, boundary_slice, sliced
-from .core import DistanceField, Graph, InvariantViolation, SingleVertexError, bfs_distances
+from .core import Graph, InvariantViolation, SingleVertexError, bfs_distances
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def layer_decompose(g: Graph, v0: int, dist: Sequence[int] | None = None,
     skip the BFS and the slice evaluation; the result is the same.
     """
     if dist is None:
-        dist = bfs_distances(g, v0).dist
+        dist = bfs_distances(g, v0)
     if members is None:
-        members = boundary_slice(g, DistanceField(source=v0, dist=tuple(dist))).members
+        members = boundary_slice(g, dist)
     ell = max(dist)
     layer_lists: list[list[int]] = [[] for _ in range(ell + 1)]
     for u, d in enumerate(dist):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .boundary import BoundaryReport, laplacian_matrix, sliced
 from .core import Graph, is_path_graph
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
@@ -25,51 +24,12 @@ from .layers import (
     layer_decompose,
 )
 
-ALL_CHECKS = (
-    "prop1",
-    "prop2",
-    "prop3",
-    "thm1",
-    "thm2",
-    "mps",
-    "laplacian",
-    "dichotomy",
-    "prop4",
-)
-
 
 @dataclass(frozen=True)
 class CheckOutcome:
     check: str
     passed: bool
     detail: str
-
-
-def run_battery(
-    g: Graph,
-    checks: tuple[str, ...] = ALL_CHECKS,
-    gg: GridGraph | None = None,
-    report: BoundaryReport | None = None,
-) -> list[CheckOutcome]:
-    """Run the named checks; prop4 is skipped unless ``gg`` supplies coordinates.
-
-    Every check reads the distance matrix of ``report``. A given report must
-    carry slices, else MissingSlicesError is raised.
-    """
-    unknown = [c for c in checks if c not in ALL_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
-    report = sliced(g, report)
-    out = []
-    for name in checks:
-        if name == "prop4" and gg is None:
-            continue
-        out.append(_RUNNERS[name](g, report, gg))
-    return out
-
-
-def _outcome(name: str, passed: bool, detail: str) -> CheckOutcome:
-    return CheckOutcome(check=name, passed=passed, detail=detail)
 
 
 def _rat(value) -> str:
@@ -79,7 +39,7 @@ def _rat(value) -> str:
 
 def _check_prop1(g, report, gg):
     ok = set(report.cejz_boundary) <= set(report.boundary)
-    return _outcome(
+    return CheckOutcome(
         "prop1", ok, f"cejz={len(report.cejz_boundary)} boundary={len(report.boundary)}"
     )
 
@@ -92,41 +52,35 @@ def _check_prop2(g, report, gg):
     if g.m == g.n - 1 and g.n >= 2:  # tree: boundary is exactly the leaf set
         ok = ok and bset == leaves
         detail += " tree=yes"
-    return _outcome("prop2", ok, detail)
+    return CheckOutcome("prop2", ok, detail)
 
 
 def _check_prop3(g, report, gg):
     size = len(report.boundary)
     if g.n < 2:
-        return _outcome("prop3", size == 0, "single vertex")
+        return CheckOutcome("prop3", size == 0, "single vertex")
     ok = size >= 2 and (size != 2 or is_path_graph(g))
-    return _outcome("prop3", ok, f"boundary={size}")
+    return CheckOutcome("prop3", ok, f"boundary={size}")
 
 
 def _check_thm1(g, report, gg):
-    if g.n < 2:  # the bound is stated for graphs with at least two vertices
-        return _outcome("thm1", True, "skipped: single vertex")
     entry = check_theorem1(g, report)
-    return _outcome(
+    return CheckOutcome(
         "thm1", entry.passed, f"observed={entry.observed} bound={_rat(entry.bound)}"
     )
 
 
 def _check_thm2(g, report, gg):
-    if g.n < 2:
-        return _outcome("thm2", True, "skipped: single vertex")
     # the bound is the same at every source, so it holds iff it holds at the weakest
     entry = inequality_report(g, report).theorem2_min
     detail = (f"sources={g.n} min_margin={_rat(entry.margin)}" if entry.passed
               else f"source={entry.source} observed={entry.observed} bound={_rat(entry.bound)}")
-    return _outcome("thm2", entry.passed, detail)
+    return CheckOutcome("thm2", entry.passed, detail)
 
 
 def _check_mps(g, report, gg):
-    if g.n < 2:
-        return _outcome("mps", True, "skipped: single vertex")
     entry = check_mps(g, report)
-    return _outcome("mps", entry.passed, f"cejz={entry.observed} delta+2={entry.bound}")
+    return CheckOutcome("mps", entry.passed, f"cejz={entry.observed} delta+2={entry.bound}")
 
 
 def _check_laplacian(g, report, gg):
@@ -134,33 +88,30 @@ def _check_laplacian(g, report, gg):
     positive = (laplacian_matrix(g) @ report.distances.T.astype(np.int64)).T > 0
     bad = np.nonzero((positive != report.in_slice).any(axis=1))[0]
     if bad.size:
-        return _outcome("laplacian", False, f"mismatch at source {bad[0]}")
-    return _outcome("laplacian", True, f"sources={g.n}")
+        return CheckOutcome("laplacian", False, f"mismatch at source {bad[0]}")
+    return CheckOutcome("laplacian", True, f"sources={g.n}")
 
 
 def _check_dichotomy(g, report, gg):
     delta = g.max_degree
-    # Python-int rows for layer_decompose, one block at a time, never n^2 ints at once
-    for start in range(0, g.n, core.ROW_BLOCK):
-        rows = report.distances[start:start + core.ROW_BLOCK].tolist()
-        for v, row in enumerate(rows, start):
-            members = np.flatnonzero(report.in_slice[v]).tolist()
-            try:
-                check_dichotomy(layer_decompose(g, v, row, members), delta)
-            except InvariantViolation as exc:
-                return _outcome("dichotomy", False, str(exc))
-    return _outcome("dichotomy", True, f"sources={g.n}")
+    for v, row in enumerate(report.distances):
+        members = np.flatnonzero(report.in_slice[v]).tolist()
+        try:
+            check_dichotomy(layer_decompose(g, v, row.tolist(), members), delta)
+        except InvariantViolation as exc:
+            return CheckOutcome("dichotomy", False, str(exc))
+    return CheckOutcome("dichotomy", True, f"sources={g.n}")
 
 
 def _check_prop4(g, report, gg):
     try:
         pairs = classify_prop4(gg, report)
     except WitnessNotFoundError as exc:
-        return _outcome("prop4", False, str(exc))
+        return CheckOutcome("prop4", False, str(exc))
     bad = [u for u, w in pairs if not verify_witness(w, report.distances)]
     if bad:
-        return _outcome("prop4", False, f"unverifiable witnesses for {bad}")
-    return _outcome("prop4", True, f"full_degree_boundary={len(pairs)}")
+        return CheckOutcome("prop4", False, f"unverifiable witnesses for {bad}")
+    return CheckOutcome("prop4", True, f"full_degree_boundary={len(pairs)}")
 
 
 _RUNNERS = {
@@ -174,3 +125,32 @@ _RUNNERS = {
     "dichotomy": _check_dichotomy,
     "prop4": _check_prop4,
 }
+ALL_CHECKS = tuple(_RUNNERS)
+_BOUNDS = {"thm1", "thm2", "mps"}  # stated for graphs with at least two vertices
+
+
+def run_battery(
+    g: Graph,
+    checks: tuple[str, ...] = ALL_CHECKS,
+    gg: GridGraph | None = None,
+    report: BoundaryReport | None = None,
+) -> list[CheckOutcome]:
+    """Run the named checks; prop4 is skipped unless ``gg`` supplies coordinates.
+
+    Every check reads the distance matrix of ``report``. A given report must
+    carry slices, else MissingSlicesError is raised. On a single vertex the
+    bounds thm1, thm2 and mps pass as skipped.
+    """
+    unknown = [c for c in checks if c not in ALL_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks: {unknown}")
+    report = sliced(g, report)
+    out = []
+    for name in checks:
+        if name == "prop4" and gg is None:
+            continue
+        if g.n < 2 and name in _BOUNDS:
+            out.append(CheckOutcome(name, True, "skipped: single vertex"))
+        else:
+            out.append(_RUNNERS[name](g, report, gg))
+    return out

@@ -20,19 +20,30 @@ from graphboundary.generators import complete, cycle, grid, path, random_tree, s
 
 
 def members(g, source):
-    return boundary_slice(g, bfs_distances(g, source)).members
+    return boundary_slice(g, bfs_distances(g, source))
 
 
 def test_slice_path3_from_endpoint():
     g = path(3)
-    df = bfs_distances(g, 0)
-    sl = boundary_slice(g, df)
-    assert sl.members == {2}
+    dist = bfs_distances(g, 0)
+    sl = boundary_slice(g, dist)
+    assert sl == {2}
     # the middle vertex ties exactly: S = 0 + 2 = 2 = deg * dist
-    assert (df.dist[0] + df.dist[2], 2 * df.dist[1]) == (2, 2)
-    assert 1 not in sl.members
+    assert (dist[0] + dist[2], 2 * dist[1]) == (2, 2)
+    assert 1 not in sl
     # the far end is strict: S = 1 < 2 = deg * dist
-    assert (df.dist[1], 1 * df.dist[2]) == (1, 2)
+    assert (dist[1], 1 * dist[2]) == (1, 2)
+
+
+def test_slice_of_a_distance_matrix_row_is_exact():
+    # a path of 163 edges ending in a hub with 199 leaves: seen from vertex 0 the hub
+    # has S = 162 + 199 * 164 = 32798 > D = 200 * 163 = 32600, past the int16 range
+    g = validate([(i, i + 1) for i in range(163)] + [(163, 164 + j) for j in range(199)], 363)
+    rep = boundary(g, include_slices=True)
+    assert rep.distances.dtype == np.int16
+    got = boundary_slice(g, rep.distances[0])
+    assert got == boundary_slice(g, bfs_distances(g, 0)) == rep.slices[0].members
+    assert 163 not in got
 
 
 def test_slice_star_from_leaf():
@@ -141,8 +152,8 @@ def test_laplacian_matrix_row_sums_vanish():
 def test_laplacian_slice_equals_boundary_slice(g):
     lap = laplacian_matrix(g)
     for v in range(g.n):
-        df = bfs_distances(g, v)
-        assert laplacian_slice(g, df, lap) == boundary_slice(g, df).members
+        dist = bfs_distances(g, v)
+        assert laplacian_slice(g, dist, lap) == boundary_slice(g, dist)
 
 
 def test_report_json_schema():

@@ -308,6 +308,10 @@ def test_verify_enum_nmax_out_of_range_exit2(capsys):
         ("gen", "--family", "disk", "--params", "inf", "--lam", "0.1", "--out", "x.el"),
         ("gen", "--family", "disk", "--params", "1", "--lam", "0.1", "--offset", "inf,0",
          "--out", "x.el"),
+        # a run must check something: no empty check list, no named prop4 without coordinates
+        ("verify", "--family", "path", "--params", "3", "--checks", ","),
+        ("verify", "--family", "enum", "--nmax", "3", "--checks", "prop4"),
+        ("verify", "--family", "enum", "--nmax", "3", "--checks", "thm1,prop4"),
     ],
 )
 def test_bad_parameters_exit2_with_one_line(argv, capsys):
@@ -315,6 +319,15 @@ def test_bad_parameters_exit2_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_lam_names_the_lattice_scale(lam, tmp_path, capsys):
+    out = tmp_path / "x.el"
+    assert run("gen", "--family", "disk", "--params", "1", "--lam", lam, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "lattice scale must be positive" in err and f"lam={lam}" in err
+    assert not out.exists()
 
 
 def _replace_coords(meta, changes):

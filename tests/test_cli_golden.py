@@ -13,13 +13,15 @@ import pytest
 
 from graphboundary.cli import main
 
-# input name -> gen arguments; grid and annulus also write a coordinate sidecar
+# input name -> gen arguments; grid, annulus and grid_d also write a coordinate sidecar
 GEN = {
     "tree": ("--family", "tree", "--params", "200"),
     "star": ("--family", "star", "--params", "300"),
     "grid": ("--family", "grid", "--params", "6,6"),
     "k1": ("--family", "complete", "--params", "1"),
     "annulus": ("--family", "annulus", "--params", "0.4,1.0", "--lam", "0.2"),
+    "grid_d": ("--family", "grid_d", "--params", "3,2,4"),
+    "tree2": ("--family", "tree", "--params", "2"),
 }
 
 FILE_DIGESTS = {
@@ -30,6 +32,9 @@ FILE_DIGESTS = {
     "k1.el": "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
     "annulus.el": "1c74e02a0e8ff06814edab5f9dab5531447affc5f97f6561b47a2b10d9ee6fab",
     "annulus.el.coords.json": "d6d07529e8a2f02c4dc6c4c6311ff87ff5d7b88e0f61bfefeea5a2061c61d569",
+    "grid_d.el": "8706b432b9ab3a9b999329da63cca9ea9dd856b24949a3c2e1e8ec2a855f7c8f",
+    "grid_d.el.coords.json": "4c0836b076d305570db00f215e84e33c1cba18ecce78cbc40237d50366bd213a",
+    "tree2.el": "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834",
 }
 
 # run inside the input folder: "<name>.el" is the generated input of that
@@ -59,6 +64,10 @@ COMMANDS = {
         "2e4c9f02a256abbdec218bccf82710e95b4172e8772ca7ab356e38d420ce42a9"),
     "verify_annulus_all": (("verify", "--in", "annulus.el", "--checks", "all"),
         "555c364433195958e16add2ad694f3bb8c0ef2c196af813358742799b7b0b9ec"),
+    "verify_k1_all": (("verify", "--in", "k1.el", "--checks", "all"),
+        "7ddd1c28c63790eec6f8a9bc66e67f471ba020e452df39ff4007ad75aa4b2b5c"),
+    "verify_complete2_all": (("verify", "--family", "complete", "--params", "2", "--checks", "all"),
+        "554bd9fabd06ce073ced427c3633a5da77e1a8929b75f86a32e4db7b7a6546ff"),
     "verify_enum_4": (("verify", "--family", "enum", "--nmax", "4"),
         "96065ff6b31bccd7a0037084176774eebe93a703f1996baab81e9477a6781889"),
     "sweep_grid": (("sweep", "--family", "grid", "--sizes", "3,5"),

@@ -43,19 +43,19 @@ def test_validate_rejects_out_of_range():
 
 
 def test_bfs_path_distances():
-    assert bfs_distances(path(3), 0).dist == (0, 1, 2)
+    assert bfs_distances(path(3), 0) == (0, 1, 2)
 
 
 def test_bfs_cycle_distances():
-    assert bfs_distances(cycle(4), 0).dist == (0, 1, 2, 1)
+    assert bfs_distances(cycle(4), 0) == (0, 1, 2, 1)
 
 
 def test_bfs_grid_corner_matches_floyd_warshall():
     gg = grid(3, 3)
-    df = bfs_distances(gg.graph, 0)
-    assert max(df.dist) == 4
+    dist = bfs_distances(gg.graph, 0)
+    assert max(dist) == 4
     fw = oracle.floyd_warshall(gg.graph.n, list(gg.graph.edges()))
-    assert df.dist == tuple(fw[0])
+    assert dist == tuple(fw[0])
 
 
 def test_bfs_raises_on_disconnected():

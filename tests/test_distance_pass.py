@@ -21,7 +21,6 @@ from graphboundary import (
     BoundarySlice,
     MissingSlicesError,
     boundary,
-    DistanceField,
     boundary_slice,
     check_mps,
     check_theorem1,
@@ -90,8 +89,7 @@ def test_multi_block_report_equals_per_source_route():
     g = path(2 * core.ROW_BLOCK + 5)
     rep = boundary(g, include_slices=True)
     for v, row in enumerate(rep.distances.tolist()):
-        ref = boundary_slice(g, DistanceField(source=v, dist=tuple(row)))
-        assert rep.slices[v].members == ref.members
+        assert rep.slices[v].members == boundary_slice(g, row)
     assert rep.boundary == rep.cejz_boundary == (0, g.n - 1)
     assert rep.witness == {0: 1, g.n - 1: 0}
 

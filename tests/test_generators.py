@@ -235,6 +235,12 @@ def test_domain_spec_validation():
         DomainSpec.disk(1.0, 0.0)
     with pytest.raises(ValueError, match="opening fraction"):
         DomainSpec.sector(1.0, 1.0, 0.2)
+    with pytest.raises(ValueError, match="disk parameters must be finite"):
+        DomainSpec.disk(math.inf, 0.1)
+    with pytest.raises(ValueError, match="lattice scale must be positive"):
+        DomainSpec.disk(1.0, math.nan)
+    with pytest.raises(ValueError, match="lattice offset must be finite"):
+        DomainSpec.disk(1.0, 0.1, offset=(math.inf, 0.0))
 
 
 # --- exhaustive enumeration ---

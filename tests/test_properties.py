@@ -40,20 +40,20 @@ def connected_graphs(draw, min_n=2, max_n=9):
 @given(connected_graphs())
 def test_distance_field_invariants(g):
     for v in range(g.n):
-        df = bfs_distances(g, v)
-        assert df.dist[v] == 0
+        dist = bfs_distances(g, v)
+        assert dist[v] == 0
         for u, w in g.edges():
-            assert abs(df.dist[u] - df.dist[w]) <= 1
+            assert abs(dist[u] - dist[w]) <= 1
         for u in range(g.n):
             if u != v:
-                assert any(df.dist[w] == df.dist[u] - 1 for w in g.adjacency[u])
+                assert any(dist[w] == dist[u] - 1 for w in g.adjacency[u])
 
 
 @given(connected_graphs(max_n=7))
 def test_bfs_agrees_with_floyd_warshall(g):
     fw = oracle.floyd_warshall(g.n, list(g.edges()))
     for v in range(g.n):
-        assert bfs_distances(g, v).dist == tuple(fw[v])
+        assert bfs_distances(g, v) == tuple(fw[v])
 
 
 @settings(max_examples=150)
@@ -61,8 +61,8 @@ def test_bfs_agrees_with_floyd_warshall(g):
 def test_laplacian_route_equals_sum_route(g):
     lap = laplacian_matrix(g)
     for v in range(g.n):
-        df = bfs_distances(g, v)
-        assert laplacian_slice(g, df, lap) == boundary_slice(g, df).members
+        dist = bfs_distances(g, v)
+        assert laplacian_slice(g, dist, lap) == boundary_slice(g, dist)
 
 
 @settings(max_examples=150)
@@ -136,18 +136,18 @@ def test_boundary_is_union_of_slices(g):
 def test_layer_invariants(g):
     for v0 in range(g.n):
         ld = layer_decompose(g, v0)
-        df = bfs_distances(g, v0)
-        members = boundary_slice(g, df).members
+        dist = bfs_distances(g, v0)
+        members = boundary_slice(g, dist)
         assert ld.layers[0] == (v0,)
         assert sorted(u for layer in ld.layers for u in layer) == list(range(g.n))
         for i in range(1, ld.ell + 1):
             layer = ld.layers[i]
             assert ld.cross_edges[i - 1] >= len(layer)
             for u in layer:
-                assert any(df.dist[w] == i - 1 for w in g.adjacency[u])
+                assert any(dist[w] == i - 1 for w in g.adjacency[u])
         # no neighbor deeper: forced into the slice (outermost layer included)
         for u in range(g.n):
-            if all(df.dist[w] <= df.dist[u] for w in g.adjacency[u]):
+            if all(dist[w] <= dist[u] for w in g.adjacency[u]):
                 assert u in members
         assert set(ld.layers[ld.ell]) <= members
 

@@ -1,8 +1,10 @@
-"""Rules the package source keeps: runtime invariants raise typed errors.
+"""Rules the package source keeps: typed errors, and no dead imports.
 
 ``python -O`` strips ``assert`` statements, so an invariant written as one
 silently stops being checked. The package raises InvariantViolation (or
-another GraphError) instead; this test keeps it that way.
+another GraphError) instead; this test keeps it that way. Every module
+except ``__init__.py``, whose imports are the public re-exports, reads
+every name it imports.
 """
 
 import ast
@@ -21,6 +23,18 @@ def _assert_uses(tree: ast.AST) -> list[int]:
     )
 
 
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names bound by import statements that the module never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
 def test_package_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "boundary.py", "cli.py", "core.py"}
 
@@ -33,3 +47,17 @@ def test_no_assert_in_package_sources():
 def test_rule_sees_assert_and_assertion_error():
     tree = ast.parse("assert x\nraise AssertionError('y')\nraise builtins.AssertionError\n")
     assert _assert_uses(tree) == [1, 2, 3]
+
+
+def test_no_unused_import_in_package_modules():
+    found = {p.name: _unused_imports(ast.parse(p.read_text(), filename=str(p)))
+             for p in SOURCES if p.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_rule_sees_unused_imports():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os, sys\nimport x.y\nfrom . import core\n"
+                     "from a import b as c, d\n"
+                     "def f(v: d) -> None:\n    return sys.argv, x.y.z, core.K\n")
+    assert _unused_imports(tree) == ["c", "os"]
