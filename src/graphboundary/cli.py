@@ -300,6 +300,9 @@ def _battery_args(args) -> tuple[tuple[str, ...], bool]:
     bad = [c for c in names if c not in ALL_CHECKS]
     if bad:
         raise _CliError(f"unknown checks {bad}; known: {', '.join(ALL_CHECKS)}")
+    twice = sorted({c for c in names if names.count(c) > 1})
+    if twice:
+        raise _CliError(f"--checks names {', '.join(twice)} more than once")
     return names, "prop4" in names
 
 

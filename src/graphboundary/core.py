@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ class Graph:
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 

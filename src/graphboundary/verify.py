@@ -8,10 +8,12 @@ because every checked statement is a theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .boundary import BoundaryReport, laplacian_matrix, sliced
+from . import core
+from .boundary import BoundaryReport, sliced
 from .core import Graph, is_path_graph
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph
@@ -83,23 +85,81 @@ def _check_mps(g, report, gg):
     return CheckOutcome("mps", entry.passed, f"cejz={entry.observed} delta+2={entry.bound}")
 
 
+def _edge_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Flat keys r * n + u of both ends of edge e, at entry r * m + e, for block rows r."""
+    ends = np.fromiter(chain.from_iterable(g.edges()), dtype=np.intp, count=2 * g.m)
+    rows = np.arange(min(core.ROW_BLOCK, g.n))[:, None] * g.n
+    return (rows + ends[0::2]).ravel(), (rows + ends[1::2]).ravel()
+
+
 def _check_laplacian(g, report, gg):
-    # column v of L @ D^T is L f_v; its positive entries must be the slice of v
-    positive = (laplacian_matrix(g) @ report.distances.T.astype(np.int64)).T > 0
-    bad = np.nonzero((positive != report.in_slice).any(axis=1))[0]
-    if bad.size:
-        return CheckOutcome("laplacian", False, f"mismatch at source {bad[0]}")
+    # incidence route L = B B^T: edge (u, w) adds f(u) - f(w) to (L f)(u) and subtracts it
+    # at w; the positive entries of L f_v must be the slice of v
+    tail_keys, head_keys = _edge_keys(g)
+    for start in range(0, g.n, core.ROW_BLOCK):
+        b = min(core.ROW_BLOCK, g.n - start)
+        f = report.distances[start:start + b].astype(np.int64).ravel()
+        tail, head = tail_keys[:b * g.m], head_keys[:b * g.m]
+        diff = f[tail] - f[head]
+        lf = np.zeros_like(f)
+        np.add.at(lf, tail, diff)
+        np.subtract.at(lf, head, diff)
+        bad = np.flatnonzero((lf > 0) != report.in_slice[start:start + b].ravel())
+        if bad.size:
+            return CheckOutcome("laplacian", False, f"mismatch at source {start + bad[0] // g.n}")
     return CheckOutcome("laplacian", True, f"sources={g.n}")
 
 
+def _cross_keys(keys: np.ndarray, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The key of each edge that joins two layers, taken at its outer end."""
+    k_tail, k_head = keys[tail], keys[head]
+    return np.maximum(k_tail, k_head)[k_tail != k_head]
+
+
+def _dichotomy_flags(dist, in_slice, tail, head, delta) -> np.ndarray:
+    """Rows of a block of sources whose layers break the dichotomy, in increasing order.
+
+    For each row r, column j of the counts is layer j's cross edges (those joining
+    A_{j-1} and A_j, counted at their outer end as layer_decompose does), size and
+    slice members: one integer bincount each over the keys r * width + j.
+    """
+    b = len(dist)
+    ell = dist.max(axis=1)
+    width = int(ell.max()) + 1
+    keys = (np.arange(b)[:, None] * width + dist).ravel()
+    cross = np.bincount(_cross_keys(keys, tail, head), minlength=b * width)
+    size = np.bincount(keys, minlength=b * width)
+    members = np.bincount(keys[in_slice.ravel()], minlength=b * width)
+    last = np.arange(b) * width + ell
+    last_bad = (ell >= 1) & ((members[last] != size[last]) | (cross[last] > delta * size[last]))
+    # mid-layer test |E(A_{j-1}, A_j)| <= |E(A_j, A_{j+1})| + delta |slice ∩ A_j| on every
+    # column: it cannot fail at j = 0, which has no cross edges, nor past ell, where all
+    # is empty, and at j = ell it fails only where last_bad holds; so it flags the same
+    # rows as the test on layers 1..ell-1
+    cross = cross.reshape(b, width)
+    slack = delta * members.reshape(b, width)
+    slack[:, :-1] += cross[:, 1:]
+    return np.flatnonzero((cross > slack).any(axis=1) | last_bad)
+
+
 def _check_dichotomy(g, report, gg):
+    tail_keys, head_keys = _edge_keys(g)
     delta = g.max_degree
-    for v, row in enumerate(report.distances):
-        members = np.flatnonzero(report.in_slice[v]).tolist()
-        try:
-            check_dichotomy(layer_decompose(g, v, row.tolist(), members), delta)
-        except InvariantViolation as exc:
-            return CheckOutcome("dichotomy", False, str(exc))
+    for start in range(0, g.n, core.ROW_BLOCK):
+        b = min(core.ROW_BLOCK, g.n - start)
+        rows = slice(start, start + b)
+        flagged = _dichotomy_flags(report.distances[rows], report.in_slice[rows],
+                                   tail_keys[:b * g.m], head_keys[:b * g.m], delta)
+        if flagged.size:  # the per-source reference writes the detail of the first one
+            v = start + int(flagged[0])
+            members = np.flatnonzero(report.in_slice[v]).tolist()
+            try:
+                check_dichotomy(layer_decompose(g, v, report.distances[v].tolist(), members), delta)
+            except InvariantViolation as exc:
+                return CheckOutcome("dichotomy", False, str(exc))
+            raise InvariantViolation(
+                f"dichotomy: the block count flags source {v}, the per-source count passes it"
+            )
     return CheckOutcome("dichotomy", True, f"sources={g.n}")
 
 

@@ -1,0 +1,127 @@
+"""The battery's laplacian and dichotomy checks, evaluated a block of sources
+at a time, against their per-source references: ``laplacian_slice`` through
+the literal matrix, and ``layer_decompose`` plus ``check_dichotomy``. Slices
+are flipped at random so that failing outcomes, detail strings included,
+are compared too."""
+
+import dataclasses
+import tracemalloc
+from unittest import mock
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given
+
+from test_distance_pass import graphs_and_long_paths
+from graphboundary import (
+    InvariantViolation,
+    boundary,
+    check_dichotomy,
+    enumerate_connected,
+    laplacian_matrix,
+    laplacian_slice,
+    layer_decompose,
+    run_battery,
+)
+from graphboundary import core, verify
+from graphboundary.generators import grid, path
+from graphboundary.verify import CheckOutcome
+
+CHECKS = ("laplacian", "dichotomy")
+
+
+def laplacian_reference(g, rep):
+    lap = laplacian_matrix(g)
+    for v, row in enumerate(rep.distances.tolist()):
+        if laplacian_slice(g, row, lap) != set(np.flatnonzero(rep.in_slice[v]).tolist()):
+            return CheckOutcome("laplacian", False, f"mismatch at source {v}")
+    return CheckOutcome("laplacian", True, f"sources={g.n}")
+
+
+def dichotomy_reference(g, rep):
+    for v, row in enumerate(rep.distances.tolist()):
+        members = np.flatnonzero(rep.in_slice[v]).tolist()
+        try:
+            check_dichotomy(layer_decompose(g, v, row, members), g.max_degree)
+        except InvariantViolation as exc:
+            return CheckOutcome("dichotomy", False, str(exc))
+    return CheckOutcome("dichotomy", True, f"sources={g.n}")
+
+
+def flipped(rep, rng, flips):
+    in_slice = rep.in_slice.copy()
+    for v, u in rng.integers(rep.n, size=(flips, 2)):
+        in_slice[v, u] = not in_slice[v, u]
+    return dataclasses.replace(rep, in_slice=in_slice)
+
+
+def block_outcomes(g, rep, block):
+    with mock.patch.object(core, "ROW_BLOCK", block):
+        got = run_battery(g, CHECKS, report=rep)
+    assert got == [laplacian_reference(g, rep), dichotomy_reference(g, rep)]
+    return got
+
+
+def test_block_checks_equal_references_on_all_small_graphs():
+    rng = np.random.default_rng(2201)
+    details = set()
+    count = 0
+    for g in enumerate_connected(5):
+        rep = boundary(g, include_slices=True)
+        block = 1 + count % 8
+        assert all(oc.passed for oc in block_outcomes(g, rep, block))
+        for flips in (1, 2, 3):
+            details.add(block_outcomes(g, flipped(rep, rng, flips), block)[1].detail)
+        count += 1
+    assert count == 772
+    # both slice-dependent messages of check_dichotomy are reached, the mid-layer one
+    # included; "too many edges into the outermost layer" depends on the distances alone
+    kinds = {d.split(" (source")[0].split(" at layer")[0] for d in details}
+    assert kinds == {f"sources={n}" for n in range(1, 6)} | {
+        "dichotomy failed",
+        "outermost layer not fully in the slice",
+    }
+
+
+@given(graphs_and_long_paths, st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_checks_equal_references_at_any_block_size(g, block, flips, seed):
+    rep = boundary(g, include_slices=True)
+    block_outcomes(g, flipped(rep, np.random.default_rng(seed), flips), block)
+
+
+def test_dichotomy_mid_layer_failure_names_the_layer():
+    # from the corner of a 5 x 5 grid, 8 edges enter layer 5 and 6 leave it, so the
+    # inequality at layer 5 rests on the layer's two slice members
+    g = grid(5, 5).graph
+    rep = boundary(g, include_slices=True)
+    in_slice = rep.in_slice.copy()
+    in_slice[0, rep.distances[0] == 5] = False
+    bad = dataclasses.replace(rep, in_slice=in_slice)
+    (outcome,) = run_battery(g, ("dichotomy",), report=bad)
+    assert outcome == dichotomy_reference(g, bad)
+    assert outcome.detail == "dichotomy failed at layer 5 (source 0)"
+
+
+def test_dichotomy_routes_that_disagree_raise(monkeypatch):
+    g = grid(5, 5).graph
+    rep = boundary(g, include_slices=True)
+    in_slice = rep.in_slice.copy()
+    in_slice[7] = False
+    monkeypatch.setattr(verify, "check_dichotomy", lambda ld, delta: [])
+    with pytest.raises(InvariantViolation, match="flags source 7"):
+        run_battery(g, ("dichotomy",), report=dataclasses.replace(rep, in_slice=in_slice))
+
+
+def test_block_checks_hold_no_n_by_n_int64_array():
+    g = path(1200)
+    rep = boundary(g, include_slices=True)
+    tracemalloc.start()
+    try:
+        outcomes = run_battery(g, CHECKS, report=rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(oc.passed for oc in outcomes)
+    assert peak < g.n ** 2 * 8 // 4

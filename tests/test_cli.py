@@ -312,6 +312,8 @@ def test_verify_enum_nmax_out_of_range_exit2(capsys):
         ("verify", "--family", "path", "--params", "3", "--checks", ","),
         ("verify", "--family", "enum", "--nmax", "3", "--checks", "prop4"),
         ("verify", "--family", "enum", "--nmax", "3", "--checks", "thm1,prop4"),
+        # each check runs once: a check named twice would print twice and count twice
+        ("verify", "--family", "path", "--params", "3", "--checks", "thm1,thm1"),
     ],
 )
 def test_bad_parameters_exit2_with_one_line(argv, capsys):

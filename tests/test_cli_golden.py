@@ -64,6 +64,10 @@ COMMANDS = {
         "2e4c9f02a256abbdec218bccf82710e95b4172e8772ca7ab356e38d420ce42a9"),
     "verify_annulus_all": (("verify", "--in", "annulus.el", "--checks", "all"),
         "555c364433195958e16add2ad694f3bb8c0ef2c196af813358742799b7b0b9ec"),
+    "verify_tree_all": (("verify", "--in", "tree.el", "--checks", "all"),
+        "48a76104873b96d8f30f10e9449a7ad8dbef84a65ddbf3c834647bb3fb22f7b1"),
+    "verify_star_all": (("verify", "--in", "star.el", "--checks", "all"),
+        "b324091018898d0dc1ae5dac10aebbf2fac93fafb9730c4ca6d4a621fbe5305e"),
     "verify_k1_all": (("verify", "--in", "k1.el", "--checks", "all"),
         "7ddd1c28c63790eec6f8a9bc66e67f471ba020e452df39ff4007ad75aa4b2b5c"),
     "verify_complete2_all": (("verify", "--family", "complete", "--params", "2", "--checks", "all"),

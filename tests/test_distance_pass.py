@@ -116,7 +116,7 @@ def test_distance_dtype_rule():
 
 
 def test_rows_match_matrix_across_blocks():
-    # dichotomy converts distance rows a block at a time; the last source's
+    # dichotomy reduces distance rows a block at a time; the last source's
     # doctored slice must be found at every block size
     g = path(2 * core.ROW_BLOCK + 5)
     rep = boundary(g, include_slices=True)
