@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .boundary import boundary, report_to_dict
 from .core import (
     Graph,
@@ -96,9 +97,29 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in vals]
 
 
+def _check_size(family: str, params: str) -> None:
+    """Reject a family member of more than core.MAX_VERTICES vertices before it is built.
+
+    Parameters that the family's builder rejects anyway (a missing or
+    negative size) pass here, so that the builder's own message stays the
+    same. Lattice shapes are checked on their mesh box in build_family.
+    """
+    if family in ("grid", "grid_d"):
+        count = math.prod(max(x, 0.0) for x in _floats(params))
+    elif family in _ONE_INT_FAMILIES or family in ("tree", "er"):
+        n = max(_floats(params)[:1] + [0.0])  # the size is the first number
+        count = 2 ** min(n, 64) if family == "hypercube" else n + (family == "star")
+    else:
+        return
+    if count > core.MAX_VERTICES:
+        raise _CliError(f"family {family} params={params} has more than "
+                        f"{core.MAX_VERTICES} vertices")
+
+
 def build_family(family: str, params: str, seed: int, lam: float | None, offset: str | None):
     """Construct one graph family member; returns Graph or GridGraph."""
     try:
+        _check_size(family, params)
         if family in _ONE_INT_FAMILIES:
             (n,) = _ints(params)
             return _ONE_INT_FAMILIES[family](n)
@@ -123,6 +144,10 @@ def build_family(family: str, params: str, seed: int, lam: float | None, offset:
                 ox, oy = _floats(offset)
                 off = (ox, oy)
             spec = DomainSpec(family, tuple(_floats(params)), lam, off)
+            ilo, ihi, jlo, jhi = spec.mesh_box()
+            if (ihi - ilo + 1) * (jhi - jlo + 1) > core.MAX_VERTICES:
+                raise _CliError(f"family {family} params={params} at --lam {lam} tests more "
+                                f"than {core.MAX_VERTICES} mesh points")
             return lattice_discretize(spec)
     except (ValueError, GraphError) as exc:
         raise _CliError(f"cannot build family {family} params={params}: {exc}") from exc
@@ -346,9 +371,11 @@ def cmd_sweep(args) -> int:
     sizes = _ints(args.sizes)
     if args.family not in _SWEEP_FAMILIES:
         raise _CliError(f"family {args.family!r} not sweepable")
+    members = [{"grid": f"{n},{n}", "er": f"{n},{args.p}"}.get(args.family, str(n)) for n in sizes]
+    for params in members:  # every size, before the first graph is built
+        _check_size(args.family, params)
     rows = []
-    for n in sizes:
-        params = {"grid": f"{n},{n}", "er": f"{n},{args.p}"}.get(args.family, str(n))
+    for params in members:
         g, _ = _split(build_family(args.family, params, args.seed, None, None))
         try:
             rows.extend(sweep_rows(args.family, params, g))

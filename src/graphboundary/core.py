@@ -10,6 +10,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,8 @@ class InvariantViolation(GraphError):
 
 
 ROW_BLOCK = 32  # distance rows per block in bulk passes: scratch is O(ROW_BLOCK * (n + m))
+MAX_VERTICES = 32767  # largest n whose distance matrix fits int16: n * n * 2 bytes, about 2 GiB
+BIT_ROUTE_RATIO = 2  # distance_matrix goes bit-parallel when ecc(0) * ceil(n / 64) <= this * (n + m)
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,14 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
                 reached += 1
                 queue.append(w)
     if reached != g.n:
-        raise DisconnectedError(
-            f"graph is disconnected: {g.n - reached} of {g.n} vertices "
-            f"unreachable from {source}"
-        )
+        raise _disconnected(g.n, g.n - reached, source)
     return tuple(dist)
+
+
+def _disconnected(n: int, unreachable: int, source: int) -> DisconnectedError:
+    return DisconnectedError(
+        f"graph is disconnected: {unreachable} of {n} vertices unreachable from {source}"
+    )
 
 
 def is_connected(g: Graph) -> bool:
@@ -155,14 +161,118 @@ def distance_dtype(n: int) -> np.dtype:
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances as a read-only n x n array, row v from source v.
 
-    One BFS per source fills the rows; the dtype is :func:`distance_dtype`
-    of n. Raises DisconnectedError on disconnected input.
+    One Python BFS from vertex 0 checks connectivity (DisconnectedError
+    otherwise) and gives ecc(0), which brackets the diameter within a factor
+    of 2. :func:`takes_bit_route` then picks the route: the bit-parallel BFS
+    of :func:`_bit_distances`, or one Python BFS per source, with the probe
+    reused as row 0. The dtype is :func:`distance_dtype` of n.
     """
-    arr = np.empty((g.n, g.n), dtype=distance_dtype(g.n))
-    for v in range(g.n):
-        arr[v] = bfs_distances(g, v)
+    row0 = bfs_distances(g, 0)
+    if takes_bit_route(g, max(row0)):
+        arr = _bit_distances(g)
+    else:
+        arr = np.empty((g.n, g.n), dtype=distance_dtype(g.n))
+        arr[0] = row0
+        for v in range(1, g.n):
+            arr[v] = bfs_distances(g, v)
     arr.setflags(write=False)
     return arr
+
+
+def takes_bit_route(g: Graph, ecc0: int) -> bool:
+    """True iff :func:`distance_matrix` runs the bit-parallel BFS on g, where ecc(0) = ecc0.
+
+    A level of the bit route costs about ceil(n / 64) words per vertex and
+    edge, and it runs diam <= 2 ecc(0) levels; a Python BFS costs n + m per
+    source. So low-diameter graphs go to bits, and long paths stay in
+    Python. Below one full word (n < 64) the per-level numpy calls cost
+    more than the whole Python pass. BIT_ROUTE_RATIO was fitted on grids
+    (square and long thin), G(n, p), trees, stars, complete graphs, cycles
+    and paths of 64 to 3630 vertices: bits lost from a ratio of about 3.4
+    at n = 3600 (grid 6x600) and won at 2 or below, by 1.2x to 240x, with
+    paths near n = 64 within 10% either way.
+    """
+    return g.n >= 64 and ecc0 * -(-g.n // 64) <= BIT_ROUTE_RATIO * (g.n + g.m)
+
+
+def _bit_distances(g: Graph) -> np.ndarray:
+    """The writable distance matrix, unpacked from :func:`_distance_planes`.
+
+    Distances are symmetric, so row u of the planes is row u of the matrix.
+    The BFS scratch is freed before the matrix is allocated, so the route
+    peaks at the matrix, the planes and one block of unpacked rows.
+    """
+    planes = _distance_planes(g)
+    out = np.zeros((g.n, g.n), dtype=distance_dtype(g.n))
+    for start in range(0, g.n, ROW_BLOCK):
+        blk = out[start:start + ROW_BLOCK]
+        for k, plane in enumerate(planes):
+            bytes_ = plane[start:start + ROW_BLOCK].astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(bytes_, axis=1, count=g.n, bitorder="little")
+            blk |= np.left_shift(bits, k, dtype=blk.dtype)
+    return out
+
+
+def _distance_planes(g: Graph) -> list[np.ndarray]:
+    """Bit k of d(s, u) as bit s of row u of plane k, by one BFS from all n sources at once.
+
+    Each vertex u owns a bit row of ceil(n / 64) uint64 words, bit s of the
+    row standing for source s. One level ORs each vertex's neighbor rows of
+    the frontier together, ``np.bitwise_or.reduceat(F[indices], indptr)``,
+    and keeps the bits of sources that had not reached u yet. A bit first
+    set at level l is the distance d(s, u) = l, so it is ORed into plane k
+    for each set bit k of l: the planes are bit-sliced counters,
+    bit_length(diam) of them, each n x ceil(n / 64) words.
+
+    The gather runs over vertex ranges whose neighbor rows take at most
+    n * n / 2 bytes, a quarter of the int16 matrix, even on K_n. An
+    isolated vertex reads the all-zero row n. Raises DisconnectedError
+    with the text of ``bfs_distances(g, 0)`` when some source cannot reach
+    every vertex.
+    """
+    n = g.n
+    words = -(-n // 64)
+    ptr = [0]
+    for a in g.adjacency:
+        ptr.append(ptr[-1] + (len(a) or 1))
+    nbrs = np.fromiter(chain.from_iterable(a or (n,) for a in g.adjacency), dtype=np.intp,
+                       count=ptr[-1])
+    cap = max(1, n * n // (16 * words))  # gathered neighbor rows per vertex range
+    cuts = [0]
+    for v in range(1, n):
+        if ptr[v + 1] - ptr[cuts[-1]] > cap:
+            cuts.append(v)
+    cuts.append(n)
+    ranges = [(a, b, nbrs[ptr[a]:ptr[b]], np.array(ptr[a:b]) - ptr[a])
+              for a, b in zip(cuts, cuts[1:])]
+    gathered = np.empty((max(len(idx) for _, _, idx, _ in ranges), words), dtype=np.uint64)
+
+    ids = np.arange(n)
+    frontier = np.zeros((n + 1, words), dtype=np.uint64)
+    frontier[ids, ids >> 6] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+    unseen = ~frontier[:n]
+    if n % 64:
+        unseen[:, -1] &= np.uint64((1 << n % 64) - 1)  # padding bits stand for no source
+    new = np.zeros_like(frontier)
+    planes: list[np.ndarray] = []
+    level = 0
+    while unseen.any():
+        level += 1
+        for a, b, idx, offsets in ranges:
+            rows = np.take(frontier, idx, axis=0, out=gathered[:len(idx)], mode="clip")
+            np.bitwise_or.reduceat(rows, offsets, axis=0, out=new[a:b])
+        reached = new[:n]
+        reached &= unseen
+        if not reached.any():
+            raise _disconnected(n, int(np.count_nonzero(unseen[:, 0] & np.uint64(1))), 0)
+        unseen ^= reached
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros((n, words), dtype=np.uint64))
+        for k in range(level.bit_length()):
+            if level >> k & 1:
+                planes[k] |= reached
+        frontier, new = new, frontier
+    return planes
 
 
 def diameter(g: Graph) -> int:
@@ -197,6 +307,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise EdgeListParseError(f"non-integer header {lines[0]!r}") from exc
+    if n > MAX_VERTICES:
+        raise EdgeListParseError(f"header declares {n} vertices, more than {MAX_VERTICES}")
     body = lines[1:]
     if len(body) != m:
         raise EdgeListParseError(f"header declares {m} edges, found {len(body)}")

@@ -257,6 +257,19 @@ class DomainSpec:
     def bounding_box(self) -> tuple[float, float, float, float]:
         return _SHAPES[self.shape].box(self.params)
 
+    def mesh_box(self) -> tuple[int, int, int, int]:
+        """(ilo, ihi, jlo, jhi): the inclusive index ranges of the mesh points tested.
+
+        Raises ValueError when lam is so fine that an index overflows a float.
+        """
+        ox, oy = self.lattice_offset()
+        xmin, xmax, ymin, ymax = self.bounding_box()
+        try:
+            return (math.floor((xmin - ox) / self.lam) - 1, math.ceil((xmax - ox) / self.lam) + 1,
+                    math.floor((ymin - oy) / self.lam) - 1, math.ceil((ymax - oy) / self.lam) + 1)
+        except OverflowError as exc:
+            raise ValueError(f"lattice spacing {self.lam} is too fine for {self.shape}") from exc
+
 
 class _Shape:
     def __init__(self, arity, inside, box, check=None):
@@ -332,9 +345,7 @@ def lattice_discretize(spec: DomainSpec) -> GridGraph:
     """
     lam = spec.lam
     ox, oy = spec.lattice_offset()
-    xmin, xmax, ymin, ymax = spec.bounding_box()
-    ilo, ihi = math.floor((xmin - ox) / lam) - 1, math.ceil((xmax - ox) / lam) + 1
-    jlo, jhi = math.floor((ymin - oy) / lam) - 1, math.ceil((ymax - oy) / lam) + 1
+    ilo, ihi, jlo, jhi = spec.mesh_box()
     points = [
         (i, j)
         for i in range(ilo, ihi + 1)

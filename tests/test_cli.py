@@ -431,3 +431,90 @@ def test_invariant_violation_is_not_an_input_error(tmp_path, monkeypatch, target
     monkeypatch.setattr(cli, target, broken)
     with pytest.raises(WitnessNotFoundError, match="forced"):
         run(*(a.format(el=el) for a in argv))
+
+
+# --- input caps: tested with core.MAX_VERTICES patched down, so that a
+# missing check could only ever build a small graph ---
+
+SMALL_CAP = 50
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    """Cap inputs at SMALL_CAP vertices and make any graph construction fail loudly."""
+    from graphboundary import core, generators
+
+    def built(*_):
+        raise AssertionError("a graph was built past the size check")
+
+    monkeypatch.setattr(core, "MAX_VERTICES", SMALL_CAP)
+    monkeypatch.setattr(generators, "validate", built)
+    monkeypatch.setattr(core, "validate", built)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "path", "--params", "51"),
+        ("verify", "--family", "cycle", "--params", "51"),
+        ("verify", "--family", "complete", "--params", "51"),
+        ("verify", "--family", "star", "--params", "50"),  # 51 vertices with the center
+        ("verify", "--family", "hypercube", "--params", "6"),  # 2^6 = 64
+        ("verify", "--family", "grid", "--params", "8,7"),
+        ("gen", "--family", "grid_d", "--params", "2,2,13", "--out", "x.el"),
+        ("verify", "--family", "tree", "--params", "51"),
+        ("verify", "--family", "er", "--params", "51,0.2"),
+        ("sweep", "--family", "path", "--sizes", "10,51"),
+        ("sweep", "--family", "grid", "--sizes", "3,8"),
+        ("sweep", "--family", "hypercube", "--sizes", "2,6"),
+        ("sweep", "--family", "er", "--sizes", "5,60", "--p", "0.5"),
+        ("verify", "--family", "disk", "--params", "1", "--lam", "0.3"),  # 10 x 10 mesh box
+        ("prop4", "--family", "annulus", "--params", "0.4,1", "--lam", "0.2"),
+    ],
+)
+def test_oversized_requests_exit2_before_building(argv, small_cap, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"more than {SMALL_CAP} " in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_edge_list_header_over_the_cap_exit2(small_cap, tmp_path, capsys):
+    el = tmp_path / "big.el"
+    el.write_text(f"{SMALL_CAP + 1} 1\n0 1\n")
+    assert run("boundary", "--in", el) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad edge list {el}: header declares {SMALL_CAP + 1} vertices, " \
+                  f"more than {SMALL_CAP}\n"
+
+
+def test_sizes_at_the_cap_still_run(monkeypatch, tmp_path):
+    from graphboundary import core
+
+    monkeypatch.setattr(core, "MAX_VERTICES", SMALL_CAP)
+    for argv in (("--family", "path", "--params", SMALL_CAP),
+                 ("--family", "star", "--params", SMALL_CAP - 1),
+                 ("--family", "hypercube", "--params", 5),
+                 ("--family", "grid", "--params", "5,10"),
+                 ("--family", "disk", "--params", "1", "--lam", "1")):  # 6 x 6 mesh box
+        assert run("gen", *argv, "--out", tmp_path / "g.el") == 0
+        assert run("boundary", "--in", tmp_path / "g.el", "--out", tmp_path / "r.txt") == 0
+
+
+def test_mesh_finer_than_a_float_exit2(capsys):
+    # (x - offset) / lam overflows to inf: rejected before any mesh point is tested
+    assert run("verify", "--family", "disk", "--params", "1", "--lam", "1e-320") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too fine" in err and err.count("\n") == 1
+
+
+def test_vertex_cap_is_the_int16_distance_limit():
+    import numpy as np
+
+    from graphboundary import core
+
+    assert core.MAX_VERTICES == np.iinfo(np.int16).max
+    assert core.distance_dtype(core.MAX_VERTICES) == np.int16

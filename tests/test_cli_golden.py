@@ -22,6 +22,9 @@ GEN = {
     "annulus": ("--family", "annulus", "--params", "0.4,1.0", "--lam", "0.2"),
     "grid_d": ("--family", "grid_d", "--params", "3,2,4"),
     "tree2": ("--family", "tree", "--params", "2"),
+    # n >= 64 and low diameter: distance_matrix takes the bit-parallel route
+    "grid8": ("--family", "grid", "--params", "8,8"),
+    "cycle65": ("--family", "cycle", "--params", "65"),
 }
 
 FILE_DIGESTS = {
@@ -35,6 +38,9 @@ FILE_DIGESTS = {
     "grid_d.el": "8706b432b9ab3a9b999329da63cca9ea9dd856b24949a3c2e1e8ec2a855f7c8f",
     "grid_d.el.coords.json": "4c0836b076d305570db00f215e84e33c1cba18ecce78cbc40237d50366bd213a",
     "tree2.el": "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834",
+    "grid8.el": "e23fa58c0b06e41a6190472a0ea5308123e40e854b589709f3cc4632432cdc62",
+    "grid8.el.coords.json": "3e0645bc2a8885455d484486e962e003f5b435dfacb0e2c247d5b62da95ffb00",
+    "cycle65.el": "467f3e423e53f4477dabb535ce969c4dbe43b656ecca6ca42576d2df7a6f952c",
 }
 
 # run inside the input folder: "<name>.el" is the generated input of that
@@ -82,6 +88,12 @@ COMMANDS = {
         "694d675206424e1e40e54e74e44b19140cc86c590e5f1c48c63ba490d52ffb98"),
     "prop4_annulus": (("prop4", "--in", "annulus.el"),
         "1516a16a62f63f4d7b7ddc450a57d9a82f1769f53d17d9b4279064b47d9f6e5d"),
+    "boundary_grid8_json_slices": (("boundary", "--in", "grid8.el", "--format", "json", "--slices"),
+        "ef8f984cd08886014603e570b8ffff88f49f30f11bcab6ec963a5980995893e3"),
+    "boundary_cycle65_json_slices": (("boundary", "--in", "cycle65.el", "--format", "json", "--slices"),
+        "48fe65e2fa9e56cad016bc887a7932a8f03707ace1fe72bcff494c23cf326bbf"),
+    "verify_er130_all": (("verify", "--family", "er", "--params", "130,0.05", "--checks", "all"),
+        "a5a8b521278301bdf66d7acd82fdd0dd73f14339a05226164cb4ca7cdac82e28"),
 }
 
 

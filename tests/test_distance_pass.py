@@ -143,6 +143,32 @@ def test_layer_decompose_with_precomputed_row_and_members():
 
 def test_battery_runs_one_distance_pass():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2))
+    assert core.takes_bit_route(gg.graph, max(core.bfs_distances(gg.graph, 0)))
+    boundary_module = sys.modules["graphboundary.boundary"]
+    calls, sources = [], []
+    real = core.bfs_distances
+
+    def counting(g):
+        calls.append(g)
+        return distance_matrix(g)
+
+    def counting_bfs(g, source):
+        sources.append(source)
+        return real(g, source)
+
+    with mock.patch.object(boundary_module, "distance_matrix", counting), \
+            mock.patch.object(core, "bfs_distances", counting_bfs), \
+            mock.patch.object(layers, "bfs_distances", counting_bfs):
+        outcomes = run_battery(gg.graph, ALL_CHECKS, gg=gg)
+    assert [oc.check for oc in outcomes] == list(ALL_CHECKS)
+    assert all(oc.passed for oc in outcomes)
+    assert calls == [gg.graph]
+    assert sources == [0]  # the bit route's connectivity probe, and no other BFS
+
+
+def test_python_route_runs_one_bfs_per_source():
+    gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.25))
+    assert not core.takes_bit_route(gg.graph, max(core.bfs_distances(gg.graph, 0)))
     calls = []
     real = core.bfs_distances
 
@@ -155,6 +181,7 @@ def test_battery_runs_one_distance_pass():
         outcomes = run_battery(gg.graph, ALL_CHECKS, gg=gg)
     assert [oc.check for oc in outcomes] == list(ALL_CHECKS)
     assert all(oc.passed for oc in outcomes)
+    # the connectivity probe from vertex 0 is reused as row 0
     assert sorted(calls) == list(range(gg.graph.n))
 
 
