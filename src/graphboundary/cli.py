@@ -5,10 +5,11 @@ contract: 0 all checks passed; 1 a check failed or an InvariantViolation
 ended the run with a traceback (a bug either way, since everything checked
 is a theorem); 2 input or parameter error, printed as one ``error:`` line,
 which covers bad edge lists, coordinate sidecars that fail the check
-against their edge list, and out-of-range family, sweep or sector
-parameters. All outputs are deterministic: repeating a command with the
-same arguments produces byte-identical files. --threads is accepted for
-compatibility and ignored: every command runs in one thread.
+against their edge list, out-of-range family, sweep or sector parameters,
+and an --out path that cannot be written. All outputs are deterministic:
+repeating a command with the same arguments produces byte-identical files.
+--threads is accepted for compatibility and ignored: every command runs in
+one thread.
 
 If the environment variable GRAPHBOUNDARY_OUTDIR is set, relative --out
 paths are written under that directory.
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +36,9 @@ from .core import (
     Graph,
     GraphError,
     InvariantViolation,
+    format_edge_list,
     read_edge_list,
     validate,
-    write_edge_list,
 )
 from .euclid import (
     classify_cycle,
@@ -98,22 +100,37 @@ def _ints(text: str) -> list[int]:
 
 
 def _check_size(family: str, params: str) -> None:
-    """Reject a family member of more than core.MAX_VERTICES vertices before it is built.
+    """Reject a family member over core.MAX_VERTICES or core.MAX_EDGES before it is built.
 
+    Edges are counted on the dense families: n(n-1)/2 for complete,
+    d * 2^(d-1) for hypercube, and the expected p * n(n-1)/2 for er.
     Parameters that the family's builder rejects anyway (a missing or
-    negative size) pass here, so that the builder's own message stays the
-    same. Lattice shapes are checked on their mesh box in build_family.
+    negative size, an er p outside [0, 1]) pass here, so that the builder's
+    own message stays the same. Lattice shapes are checked on their mesh
+    box in build_family.
     """
+    nums = _floats(params)
+    edges = 0.0
     if family in ("grid", "grid_d"):
-        count = math.prod(max(x, 0.0) for x in _floats(params))
+        count = math.prod(max(x, 0.0) for x in nums)
+    elif family == "hypercube":
+        d = min(max(nums[:1] + [0.0]), 64.0)
+        count, edges = 2 ** d, d * 2 ** (d - 1)
     elif family in _ONE_INT_FAMILIES or family in ("tree", "er"):
-        n = max(_floats(params)[:1] + [0.0])  # the size is the first number
-        count = 2 ** min(n, 64) if family == "hypercube" else n + (family == "star")
+        n = max(nums[:1] + [0.0])  # the size is the first number
+        count = n + (family == "star")
+        if family == "complete":
+            edges = n * (n - 1) / 2
+        elif family == "er" and len(nums) == 2 and 0.0 <= nums[1] <= 1.0:
+            edges = nums[1] * n * (n - 1) / 2
     else:
         return
     if count > core.MAX_VERTICES:
         raise _CliError(f"family {family} params={params} has more than "
                         f"{core.MAX_VERTICES} vertices")
+    if edges > core.MAX_EDGES:
+        raise _CliError(f"family {family} params={params} has more than "
+                        f"{core.MAX_EDGES} edges")
 
 
 def build_family(family: str, params: str, seed: int, lam: float | None, offset: str | None):
@@ -161,17 +178,34 @@ def _resolve_out(out: str | None) -> Path | None:
     outdir = os.environ.get("GRAPHBOUNDARY_OUTDIR")
     if outdir and not p.is_absolute():
         p = Path(outdir) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CliError(f"cannot create the folder of {p}: {exc}") from exc
     return p
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write(dest: Path, chunks: Iterable[str]) -> None:
+    try:
+        with open(dest, "w", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise _CliError(f"cannot write {dest}: {exc}") from exc
+
+
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to the --out file, or to stdout without one."""
     dest = _resolve_out(out)
     if dest is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (``| head``): drop the rest, including
+            # what the interpreter would flush at exit, and keep the exit code
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        with open(dest, "w", newline="\n") as fh:
-            fh.write(text)
+        _write(dest, chunks)
 
 
 def _json_text(obj) -> str:
@@ -254,7 +288,7 @@ def cmd_gen(args) -> int:
     if dest is None:
         raise _CliError("gen requires --out")
     g, gg = _split(build_family(args.family, args.params, args.seed, args.lam, args.offset))
-    write_edge_list(dest, g)
+    _write(dest, [format_edge_list(g)])
     if gg is not None:
         sidecar = {
             "dimension": gg.dimension,
@@ -262,8 +296,7 @@ def cmd_gen(args) -> int:
             "offset": list(gg.offset) if gg.offset else None,
             "coordinates": [list(c) for c in gg.coordinates],
         }
-        with open(_sidecar_path(dest), "w", newline="\n") as fh:
-            fh.write(_json_text(sidecar))
+        _write(_sidecar_path(dest), [_json_text(sidecar)])
     return EXIT_OK
 
 
@@ -286,31 +319,54 @@ def _dot_report(g: Graph, report, overlay_cejz: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_report(report, include_slices: bool) -> str:
-    lines = [
+def _labels(n: int, prefix: str = "") -> np.ndarray:
+    """Object array of the vertex-id strings: ``labels[row]`` lists a slice row's members."""
+    return np.array([prefix + str(u) for u in range(n)], dtype=object)
+
+
+def _text_report(report, include_slices: bool) -> Iterator[str]:
+    yield "\n".join([
         f"n: {report.n}",
         f"m: {report.m}",
         f"max_degree: {report.max_degree}",
         f"diameter: {report.diameter}",
         "boundary: " + " ".join(str(u) for u in report.boundary),
         "cejz_boundary: " + " ".join(str(u) for u in report.cejz_boundary),
-    ]
+    ]) + "\n"
     if include_slices:
+        labels = _labels(report.n)
         for v, row in enumerate(report.in_slice):
-            lines.append(f"slice {v}: " + " ".join(str(u) for u in np.flatnonzero(row).tolist()))
-    return "\n".join(lines) + "\n"
+            yield f"slice {v}: " + " ".join(labels[row].tolist()) + "\n"
+
+
+def _json_report(report, include_slices: bool) -> Iterator[str]:
+    """``_json_text(report_to_dict(report, include_slices))``, one slice row per chunk.
+
+    The head is the dict without slices; each slice row is written the way
+    ``json.dumps(..., indent=2)`` writes a list of ints at depth 2.
+    """
+    head = _json_text(report_to_dict(report))
+    if not include_slices:
+        yield head
+        return
+    yield head[:-3] + ',\n  "slices": {'  # reopen the head's closing "\n}\n"
+    labels = _labels(report.n, " " * 6)
+    for v, row in enumerate(report.in_slice):
+        members = ",\n".join(labels[row].tolist())
+        yield f'{"," if v else ""}\n    "{v}": ' + (f"[\n{members}\n    ]" if members else "[]")
+    yield "\n  }\n}\n"
 
 
 def cmd_boundary(args) -> int:
     g = _load_graph(args.input)
     report = boundary(g, include_slices=args.slices, threads=args.threads)
     if args.format == "json":
-        text = _json_text(report_to_dict(report, include_slices=args.slices))
+        chunks = _json_report(report, args.slices)
     elif args.format == "dot":
-        text = _dot_report(g, report, args.overlay_cejz)
+        chunks = [_dot_report(g, report, args.overlay_cejz)]
     else:
-        text = _text_report(report, args.slices)
-    _emit(text, args.out)
+        chunks = _text_report(report, args.slices)
+    _emit(chunks, args.out)
     return EXIT_OK
 
 
@@ -361,7 +417,7 @@ def cmd_verify(args) -> int:
             lines.append(f"check={oc.check} pass={'true' if oc.passed else 'false'} {oc.detail}")
         failures = sum(1 for oc in outcomes if not oc.passed)
     lines.append(f"summary failures={failures}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -387,7 +443,7 @@ def cmd_sweep(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows({**row, "pass": "true" if row["pass"] else "false"} for row in rows)
-    _emit(buf.getvalue(), args.out)
+    _emit([buf.getvalue()], args.out)
     return EXIT_OK
 
 
@@ -421,7 +477,7 @@ def cmd_prop4(args) -> int:
             for u, w in pairs
         ],
     }
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 
@@ -441,7 +497,7 @@ def cmd_sector(args) -> int:
             }
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 

@@ -50,6 +50,9 @@ class InvariantViolation(GraphError):
 
 ROW_BLOCK = 32  # distance rows per block in bulk passes: scratch is O(ROW_BLOCK * (n + m))
 MAX_VERTICES = 32767  # largest n whose distance matrix fits int16: n * n * 2 bytes, about 2 GiB
+# verify --checks all on K_600 (179 700 edges) peaks at 296 MiB, about 1.5 KiB per
+# edge, so this edge budget is about 1.5 GiB, of the order of the largest distance matrix
+MAX_EDGES = 2**20
 BIT_ROUTE_RATIO = 2  # distance_matrix goes bit-parallel when ecc(0) * ceil(n / 64) <= this * (n + m)
 
 
@@ -309,6 +312,8 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(f"non-integer header {lines[0]!r}") from exc
     if n > MAX_VERTICES:
         raise EdgeListParseError(f"header declares {n} vertices, more than {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise EdgeListParseError(f"header declares {m} edges, more than {MAX_EDGES}")
     body = lines[1:]
     if len(body) != m:
         raise EdgeListParseError(f"header declares {m} edges, found {len(body)}")

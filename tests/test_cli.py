@@ -433,21 +433,24 @@ def test_invariant_violation_is_not_an_input_error(tmp_path, monkeypatch, target
         run(*(a.format(el=el) for a in argv))
 
 
-# --- input caps: tested with core.MAX_VERTICES patched down, so that a
-# missing check could only ever build a small graph ---
+# --- input caps: tested with core.MAX_VERTICES and core.MAX_EDGES patched
+# down, so that a missing check could only ever build a small graph ---
 
 SMALL_CAP = 50
+SMALL_EDGE_CAP = 45  # the edges of K_10
 
 
 @pytest.fixture
 def small_cap(monkeypatch):
-    """Cap inputs at SMALL_CAP vertices and make any graph construction fail loudly."""
+    """Cap inputs at SMALL_CAP vertices and SMALL_EDGE_CAP edges, and make any
+    graph construction fail loudly."""
     from graphboundary import core, generators
 
     def built(*_):
         raise AssertionError("a graph was built past the size check")
 
     monkeypatch.setattr(core, "MAX_VERTICES", SMALL_CAP)
+    monkeypatch.setattr(core, "MAX_EDGES", SMALL_EDGE_CAP)
     monkeypatch.setattr(generators, "validate", built)
     monkeypatch.setattr(core, "validate", built)
 
@@ -518,3 +521,79 @@ def test_vertex_cap_is_the_int16_distance_limit():
 
     assert core.MAX_VERTICES == np.iinfo(np.int16).max
     assert core.distance_dtype(core.MAX_VERTICES) == np.int16
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "complete", "--params", "11"),  # 55 edges
+        ("verify", "--family", "hypercube", "--params", "5"),  # 32 vertices, 80 edges
+        ("gen", "--family", "er", "--params", "20,0.3", "--out", "x.el"),  # 57 expected
+        ("sweep", "--family", "complete", "--sizes", "3,11"),
+        ("sweep", "--family", "er", "--sizes", "5,20", "--p", "0.3"),
+    ],
+)
+def test_over_the_edge_budget_exit2_before_building(argv, small_cap, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"more than {SMALL_EDGE_CAP} edges" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_edge_list_header_over_the_edge_budget_exit2(small_cap, tmp_path, capsys):
+    el = tmp_path / "dense.el"
+    el.write_text(f"20 {SMALL_EDGE_CAP + 1}\n0 1\n")
+    assert run("boundary", "--in", el) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad edge list {el}: header declares {SMALL_EDGE_CAP + 1} edges, " \
+                  f"more than {SMALL_EDGE_CAP}\n"
+
+
+def test_edge_counts_at_the_budget_still_run(monkeypatch, tmp_path):
+    from graphboundary import core
+
+    monkeypatch.setattr(core, "MAX_EDGES", SMALL_EDGE_CAP)
+    for params in (("complete", 10), ("hypercube", 4), ("er", "10,1")):  # 45, 32 and 45 edges
+        assert run("gen", "--family", params[0], "--params", params[1],
+                   "--out", tmp_path / "g.el") == 0
+        assert run("boundary", "--in", tmp_path / "g.el", "--out", tmp_path / "r.txt") == 0
+
+
+# --- --out destinations that cannot be written exit 2, with nothing written ---
+
+OUT_COMMANDS = [
+    ("verify", "--family", "path", "--params", "5"),
+    ("boundary", "--in", "p.el", "--format", "json", "--slices"),
+    ("boundary", "--in", "p.el"),
+    ("gen", "--family", "grid", "--params", "3,3"),
+    ("sweep", "--family", "path", "--sizes", "3"),
+    ("prop4", "--family", "cycle", "--params", "5"),
+    ("sector", "--r", "1", "--alpha", "0.01"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+@pytest.mark.parametrize("dest", ["folder", "file/x.out", "file/sub/x.out"])
+def test_unwritable_out_exit2_with_one_line(argv, dest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--family", "path", "--params", "5", "--out", "p.el") == 0
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "file").write_text("a file, not a folder\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*argv, "--out", dest) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_bad_graph_leaves_no_out_file(tmp_path, capsys):
+    el = tmp_path / "two.el"
+    el.write_text("4 2\n0 1\n2 3\n")  # disconnected
+    out = tmp_path / "reports" / "r.json"
+    assert run("boundary", "--in", el, "--format", "json", "--slices", "--out", out) == 2
+    assert not out.parent.exists()

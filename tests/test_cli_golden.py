@@ -2,7 +2,8 @@
 
 Each command runs through ``main()`` with ``--out`` in a fresh directory
 and must exit 0, print nothing, and write a file whose sha256 equals the
-digest pinned here. The input files come from the ``gen`` commands, whose
+digest pinned here; ``STDOUT_COMMANDS`` print the report instead, and its
+sha256 is pinned the same way. The input files come from the ``gen`` commands, whose
 own outputs are pinned too. A change that alters any output byte fails
 here; re-pin a digest only for an intended output change, and say why.
 """
@@ -60,6 +61,8 @@ COMMANDS = {
         "f90948e459177dc4d2975ea6f8e93a032811308f3ab3bc0c15bb1978844cf740"),
     "boundary_star_json_slices": (("boundary", "--in", "star.el", "--format", "json", "--slices"),
         "efaeaef271e8747e8851b36d40e26b9b2cdb03253d7e226659e2e84a4ee45b08"),
+    "boundary_star_text_slices": (("boundary", "--in", "star.el", "--slices"),
+        "12fb4a4dbe240182bd5e74d5b147bf12da58fa688052e53f09e67b9b1b474cbd"),
     "boundary_k1_text_slices": (("boundary", "--in", "k1.el", "--slices"),
         "9ea912a381f2e34ff6e3c499a91ea3aa09045bd530bf3f9a62f2e97da171c21b"),
     "boundary_k1_json_slices": (("boundary", "--in", "k1.el", "--format", "json", "--slices"),
@@ -97,6 +100,14 @@ COMMANDS = {
 }
 
 
+# the same, printed to stdout instead of written with --out
+STDOUT_COMMANDS = {
+    "boundary_tree_json_slices_stdout": (
+        ("boundary", "--in", "tree.el", "--format", "json", "--slices"),
+        "49baf297eaff85ea7d74f556986611923ae55ba7c733677b308a8c8e2e5db875"),
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -122,3 +133,13 @@ def test_command_output_bytes(inputs, tmp_path, monkeypatch, capsys, name):
     assert main([*argv, "--out", str(out)]) == 0
     assert capsys.readouterr() == ("", "")
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", STDOUT_COMMANDS)
+def test_command_stdout_bytes(inputs, monkeypatch, capsys, name):
+    argv, digest = STDOUT_COMMANDS[name]
+    monkeypatch.chdir(inputs)
+    assert main(list(argv)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
