@@ -109,17 +109,17 @@ def _check_size(family: str, params: str) -> None:
     own message stays the same. Lattice shapes are checked on their mesh
     box in build_family.
     """
-    nums = _floats(params)
     edges = 0.0
     if family in ("grid", "grid_d"):
-        count = math.prod(max(x, 0.0) for x in nums)
-    elif family == "hypercube":
-        d = min(max(nums[:1] + [0.0]), 64.0)
-        count, edges = 2 ** d, d * 2 ** (d - 1)
+        count = math.prod(max(x, 0.0) for x in _floats(params))
     elif family in _ONE_INT_FAMILIES or family in ("tree", "er"):
+        nums = _floats(params)
         n = max(nums[:1] + [0.0])  # the size is the first number
         count = n + (family == "star")
-        if family == "complete":
+        if family == "hypercube":
+            d = min(n, 64.0)
+            count, edges = 2 ** d, d * 2 ** (d - 1)
+        elif family == "complete":
             edges = n * (n - 1) / 2
         elif family == "er" and len(nums) == 2 and 0.0 <= nums[1] <= 1.0:
             edges = nums[1] * n * (n - 1) / 2
