@@ -23,7 +23,7 @@ families = {
 }
 
 for name, g in families.items():
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     print(f"{name}: n={rep.n} m={rep.m} diam={rep.diameter}")
     print(f"  averaged boundary ({len(rep.boundary)}): {list(rep.boundary)}")
     print(f"  CEJZ boundary     ({len(rep.cejz_boundary)}): {list(rep.cejz_boundary)}")
@@ -31,7 +31,7 @@ for name, g in families.items():
 # a single source already sees part of the boundary: here the far rim of a
 # grid as judged from the corner
 g = grid(5, 5).graph
-rep = boundary(g, include_slices=True)
+rep = boundary(g)
 corner_view = sorted(rep.slices[0].members)
 print("\ngrid(5,5) boundary seen from corner 0:", corner_view)
 print("each member u comes with its witness pair (S, D), S < D strict:")

@@ -23,7 +23,7 @@ for spec in (
     DomainSpec.l_shape(1.0, 1.0, 0.125),
 ):
     gg = lattice_discretize(spec)
-    rep = boundary(gg.graph, include_slices=True)
+    rep = boundary(gg.graph)
     full_deg = [u for u in rep.boundary if gg.graph.degree(u) == 4]
     print(
         f"{spec.shape:>10}: n={gg.graph.n:>4} boundary={len(rep.boundary):>3} "

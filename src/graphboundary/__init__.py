@@ -10,7 +10,6 @@ arithmetic.
 from .boundary import (
     BoundaryReport,
     BoundarySlice,
-    MissingSlicesError,
     boundary,
     boundary_slice,
     cejz_boundary,
@@ -28,7 +27,6 @@ from .core import (
     SingleVertexError,
     VertexOutOfRangeError,
     bfs_distances,
-    diameter,
     distance_matrix,
     format_edge_list,
     is_connected,

@@ -17,7 +17,7 @@ a time, as row reductions of the gathered neighbor distances.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -25,14 +25,7 @@ from itertools import chain
 import numpy as np
 
 from . import core
-from .core import Graph, GraphError, InvariantViolation, distance_matrix
-
-
-class MissingSlicesError(GraphError):
-    """A report built without per-source slices reached code that needs them."""
-
-
-_NO_SLICES = "report was built without slices (include_slices=False)"
+from .core import Graph, InvariantViolation, distance_matrix
 
 
 @dataclass(frozen=True)
@@ -54,10 +47,10 @@ class BoundaryReport:
     ``witness`` maps each boundary member to the smallest source id that
     certifies it, for reproducibility. ``distances`` is the read-only
     distance matrix the report was computed from, kept so that later checks
-    on the same graph need no further BFS. ``in_slice`` is the read-only
-    n x n boolean matrix of the slices, one byte per vertex pair:
-    ``in_slice[v, u]`` is true iff u is in the slice of source v. It is
-    None for a report built without slices.
+    on the same graph need no further BFS. ``slice_bits`` holds the slices
+    as read-only packed bit rows, n x ceil(n / 8) bytes; read them through
+    :meth:`slice_rows` and :meth:`certifiers`, the only code that knows
+    the layout besides :func:`boundary`.
     """
 
     n: int
@@ -67,29 +60,29 @@ class BoundaryReport:
     boundary: tuple[int, ...]
     cejz_boundary: tuple[int, ...]
     witness: dict[int, int]
-    distances: np.ndarray | None = field(default=None, compare=False, repr=False)
-    in_slice: np.ndarray | None = field(default=None, compare=False, repr=False)
+    distances: np.ndarray = field(compare=False, repr=False)
+    slice_bits: np.ndarray = field(compare=False, repr=False)
+
+    def slice_rows(self, start: int, stop: int) -> np.ndarray:
+        """Bool rows of sources start..stop-1: ``[v - start, u]`` is true iff u is in v's slice."""
+        return np.unpackbits(self.slice_bits[start:stop], axis=1, count=self.n,
+                             bitorder="little").view(bool)
+
+    def certifiers(self, u: int) -> list[int]:
+        """The sources whose slice holds u, in increasing order."""
+        return np.flatnonzero(self.slice_bits[:, u >> 3] & (1 << (u & 7))).tolist()
 
     @cached_property
-    def slices(self) -> tuple[BoundarySlice, ...] | None:
-        """The rows of ``in_slice`` as BoundarySlices indexed by source, built on first access."""
-        if self.in_slice is None:
-            return None
+    def slices(self) -> tuple[BoundarySlice, ...]:
+        """The slices as BoundarySlices indexed by source, built on first access."""
         return tuple(BoundarySlice(source=v, members=frozenset(np.flatnonzero(row).tolist()))
-                     for v, row in enumerate(self.in_slice))
+                     for v, row in enumerate(slice_row_iter(self)))
 
 
-def sliced(g: Graph, report: BoundaryReport | None = None) -> BoundaryReport:
-    """``report``, or a new report of ``g`` with slices when it is None.
-
-    Functions that read ``report.in_slice`` call this at entry; a given
-    report built without slices raises MissingSlicesError.
-    """
-    if report is None:
-        return boundary(g, include_slices=True)
-    if report.in_slice is None:
-        raise MissingSlicesError(_NO_SLICES)
-    return report
+def slice_row_iter(report: BoundaryReport) -> Iterator[np.ndarray]:
+    """The bool slice row of every source in order, unpacked ``core.ROW_BLOCK`` rows at a time."""
+    for start in range(0, report.n, core.ROW_BLOCK):
+        yield from report.slice_rows(start, start + core.ROW_BLOCK)
 
 
 def boundary_slice(g: Graph, dist: Sequence[int]) -> frozenset[int]:
@@ -147,12 +140,14 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
 
     Sources are evaluated ``core.ROW_BLOCK`` at a time as array reductions
     over the distance matrix: S = sum of neighbor distances, D = deg(u) *
-    d(u, v), and the neighbor maximum for CEJZ, all in int64. The matrix is
-    kept on the report, so memory is Theta(n^2) for as long as the report
-    lives: 2 bytes per vertex pair below 32768 vertices, 4 bytes from there
-    (a path of 10 000 vertices holds 200 MB). ``include_slices`` keeps the
-    member matrix ``in_slice`` too, one more byte per vertex pair.
-    ``threads`` is accepted and ignored.
+    d(u, v), and the neighbor maximum for CEJZ. S and D are at most
+    Delta * (n - 1), so they are summed in int32 wherever that fits. The
+    matrix is kept on the report, so memory is Theta(n^2) for as long as
+    the report lives: 2 bytes per vertex pair below 32768 vertices, 4 bytes
+    from there (a path of 10 000 vertices holds 200 MB), plus n^2 / 8 bytes
+    for the slices packed as bit rows (12.5 MB on that path).
+    ``include_slices`` and ``threads`` are accepted and ignored: every
+    report carries its slices.
 
     Raises DisconnectedError on disconnected input (boundaries of
     disconnected graphs are deliberately not defined here).
@@ -160,23 +155,21 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
     dm = distance_matrix(g)
     indptr, indices, deg = _csr(g)
     starts = indptr[:-1]
+    acc = np.int32 if g.max_degree * (g.n - 1) < 2**31 else np.int64
+    deg = deg.astype(acc)
     first = np.full(g.n, -1, dtype=np.int64)  # smallest certifying source per vertex
     in_cejz = np.zeros(g.n, dtype=bool)
-    in_slice = np.zeros((g.n, g.n), dtype=bool) if include_slices else None
+    slice_bits = np.zeros((g.n, (g.n + 7) // 8), dtype=np.uint8)
     # K_1 has no neighbor list, which reduceat cannot take; its one slice is empty
     for start in range(0, g.n if g.m else 0, core.ROW_BLOCK):
         blk = dm[start:start + core.ROW_BLOCK]
         nb = blk[:, indices]
-        s = np.add.reduceat(nb, starts, axis=1, dtype=np.int64)
-        d = blk * deg
-        member = s < d
+        member = np.add.reduceat(nb, starts, axis=1, dtype=acc) < blk * deg
         in_cejz |= (np.maximum.reduceat(nb, starts, axis=1) <= blk).any(axis=0)
         new = member.any(axis=0) & (first < 0)
         first[new] = start + member[:, new].argmax(axis=0)
-        if include_slices:
-            in_slice[start:start + core.ROW_BLOCK] = member
-    if include_slices:
-        in_slice.setflags(write=False)
+        slice_bits[start:start + core.ROW_BLOCK] = np.packbits(member, axis=1, bitorder="little")
+    slice_bits.setflags(write=False)
 
     hit = first >= 0
     members = np.nonzero(hit)[0].tolist()
@@ -189,7 +182,7 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
         cejz_boundary=tuple(np.nonzero(in_cejz)[0].tolist()),
         witness=dict(zip(members, first[hit].tolist())),
         distances=dm,
-        in_slice=in_slice,
+        slice_bits=slice_bits,
     )
     _check_report(report)
     return report
@@ -220,8 +213,6 @@ def report_to_dict(report: BoundaryReport, include_slices: bool = False) -> dict
         "witness": {str(u): v for u, v in sorted(report.witness.items())},
     }
     if include_slices:
-        if report.in_slice is None:
-            raise MissingSlicesError(_NO_SLICES)
-        rows = enumerate(report.in_slice)
+        rows = enumerate(slice_row_iter(report))
         out["slices"] = {str(v): np.flatnonzero(row).tolist() for v, row in rows}
     return out

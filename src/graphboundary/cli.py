@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .boundary import boundary, report_to_dict
+from .boundary import boundary, report_to_dict, slice_row_iter
 from .core import (
     Graph,
     GraphError,
@@ -335,7 +335,7 @@ def _text_report(report, include_slices: bool) -> Iterator[str]:
     ]) + "\n"
     if include_slices:
         labels = _labels(report.n)
-        for v, row in enumerate(report.in_slice):
+        for v, row in enumerate(slice_row_iter(report)):
             yield f"slice {v}: " + " ".join(labels[row].tolist()) + "\n"
 
 
@@ -351,7 +351,7 @@ def _json_report(report, include_slices: bool) -> Iterator[str]:
         return
     yield head[:-3] + ',\n  "slices": {'  # reopen the head's closing "\n}\n"
     labels = _labels(report.n, " " * 6)
-    for v, row in enumerate(report.in_slice):
+    for v, row in enumerate(slice_row_iter(report)):
         members = ",\n".join(labels[row].tolist())
         yield f'{"," if v else ""}\n    "{v}": ' + (f"[\n{members}\n    ]" if members else "[]")
     yield "\n  }\n}\n"
@@ -359,7 +359,7 @@ def _json_report(report, include_slices: bool) -> Iterator[str]:
 
 def cmd_boundary(args) -> int:
     g = _load_graph(args.input)
-    report = boundary(g, include_slices=args.slices, threads=args.threads)
+    report = boundary(g)
     if args.format == "json":
         chunks = _json_report(report, args.slices)
     elif args.format == "dot":

@@ -278,14 +278,6 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
     return planes
 
 
-def diameter(g: Graph) -> int:
-    """Max over all pairs of d(u, v), by BFS from every vertex (O(n) memory)."""
-    best = 0
-    for v in range(g.n):
-        best = max(best, max(bfs_distances(g, v)))
-    return best
-
-
 def is_path_graph(g: Graph) -> bool:
     """True iff the connected graph g is a path (K_1 and K_2 included)."""
     if g.n == 1:

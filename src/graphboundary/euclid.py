@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryReport, sliced
+from .boundary import BoundaryReport, boundary
 from .core import Graph, GraphError, InvariantViolation
 from .generators import GridGraph
 
@@ -96,10 +96,6 @@ def _search(
     return found
 
 
-def _certifiers(report: BoundaryReport, u: int) -> list[int]:
-    return np.flatnonzero(report.in_slice[:, u]).tolist()
-
-
 def classify_prop4(
     gg: GridGraph,
     report: BoundaryReport | None = None,
@@ -114,7 +110,7 @@ def classify_prop4(
     which would mean the classifier or the boundary computation is broken.
     """
     g = gg.graph
-    report = sliced(g, report)
+    report = report or boundary(g)
     dm = report.distances
     index = {c: vid for vid, c in enumerate(gg.coordinates)}
     full = 2 * gg.dimension
@@ -130,7 +126,7 @@ def classify_prop4(
             minus = list(cu)
             minus[axis] -= 1
             pairs.append((index[tuple(plus)], index[tuple(minus)]))
-        hits = _search(u, _certifiers(report, u), pairs, g.adjacency[u], dm, all_witnesses)
+        hits = _search(u, report.certifiers(u), pairs, g.adjacency[u], dm, all_witnesses)
         if not hits:
             raise WitnessNotFoundError(f"no witness for full-degree boundary vertex {u}")
         out.extend((u, h) for h in hits)
@@ -150,12 +146,12 @@ def classify_cycle(
     """
     if g.n < 3 or any(len(a) != 2 for a in g.adjacency):
         raise ValueError("not a cycle graph")
-    report = sliced(g, report)
+    report = report or boundary(g)
     dm = report.distances
     out = []
     for u in report.boundary:
         nbrs = g.adjacency[u]
-        hits = _search(u, _certifiers(report, u), [nbrs], nbrs, dm, all_witnesses)
+        hits = _search(u, report.certifiers(u), [nbrs], nbrs, dm, all_witnesses)
         if not hits:
             raise WitnessNotFoundError(f"no witness for cycle vertex {u}")
         out.extend((u, h) for h in hits)

@@ -21,7 +21,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import BoundaryReport, boundary, boundary_slice, sliced
+import numpy as np
+
+from . import core
+from .boundary import BoundaryReport, boundary, boundary_slice
 from .core import Graph, InvariantViolation, SingleVertexError, bfs_distances
 
 
@@ -173,9 +176,20 @@ def check_theorem2(g: Graph, v: int, report: BoundaryReport | None = None) -> Bo
     """Per-source refined bound |slice of v| >= (|V|-1) / (2*Delta*(diam-1)+1)."""
     if g.n < 2:
         raise SingleVertexError("bound needs at least two vertices")
-    report = sliced(g, report)
+    report = report or boundary(g)
     bound = theorem2_bound(g.n, g.max_degree, report.diameter)
-    return _size_entry("theorem2", v, int(report.in_slice[v].sum()), bound)
+    return _size_entry("theorem2", v, int(report.slice_rows(v, v + 1).sum()), bound)
+
+
+def check_theorem2_min(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
+    """:func:`check_theorem2` at the weakest source, the lowest among ties.
+
+    The bound is the same at every source, so it holds iff it holds there.
+    """
+    report = report or boundary(g)
+    sizes = np.concatenate([report.slice_rows(start, start + core.ROW_BLOCK).sum(axis=1)
+                            for start in range(0, g.n, core.ROW_BLOCK)])
+    return check_theorem2(g, int(sizes.argmin()), report)
 
 
 def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
@@ -195,9 +209,8 @@ def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
 
 def inequality_report(g: Graph, report: BoundaryReport | None = None) -> InequalityReport:
     """Assemble all three checks; theorem2 is reported at its weakest source."""
-    report = sliced(g, report)
-    sizes = report.in_slice.sum(axis=1)
-    weakest = int(sizes.argmin())  # lowest source among ties
+    report = report or boundary(g)
+    theorem2_min = check_theorem2_min(g, report)
     return InequalityReport(
         n=g.n,
         m=g.m,
@@ -205,9 +218,9 @@ def inequality_report(g: Graph, report: BoundaryReport | None = None) -> Inequal
         diam=report.diameter,
         boundary_size=len(report.boundary),
         cejz_size=len(report.cejz_boundary),
-        min_slice_size=int(sizes[weakest]),
+        min_slice_size=theorem2_min.observed,
         theorem1=check_theorem1(g, report),
-        theorem2_min=check_theorem2(g, weakest, report),
+        theorem2_min=theorem2_min,
         mps=check_mps(g, report),
         mps_bound_log2=math.log2(g.max_degree + 2),
     )
@@ -218,8 +231,9 @@ def slice_overlap_stats(g: Graph, report: BoundaryReport | None = None) -> dict:
 
     Exploratory output only; no theorem fixes what these numbers should be.
     """
-    report = sliced(g, report)
-    certifiers = report.in_slice.sum(axis=0)
+    report = report or boundary(g)
+    certifiers = sum(report.slice_rows(start, start + core.ROW_BLOCK).sum(axis=0)
+                     for start in range(0, g.n, core.ROW_BLOCK))
     counts = {u: int(certifiers[u]) for u in report.boundary}
     values = sorted(counts.values())
     return {

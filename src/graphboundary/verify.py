@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from . import core
-from .boundary import BoundaryReport, sliced
+from .boundary import BoundaryReport, boundary
 from .core import Graph, is_path_graph
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph
@@ -22,7 +22,7 @@ from .layers import (
     check_dichotomy,
     check_mps,
     check_theorem1,
-    inequality_report,
+    check_theorem2_min,
     layer_decompose,
 )
 
@@ -73,8 +73,7 @@ def _check_thm1(g, report, gg):
 
 
 def _check_thm2(g, report, gg):
-    # the bound is the same at every source, so it holds iff it holds at the weakest
-    entry = inequality_report(g, report).theorem2_min
+    entry = check_theorem2_min(g, report)
     detail = (f"sources={g.n} min_margin={_rat(entry.margin)}" if entry.passed
               else f"source={entry.source} observed={entry.observed} bound={_rat(entry.bound)}")
     return CheckOutcome("thm2", entry.passed, detail)
@@ -95,16 +94,18 @@ def _edge_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 def _check_laplacian(g, report, gg):
     # incidence route L = B B^T: edge (u, w) adds f(u) - f(w) to (L f)(u) and subtracts it
     # at w; the positive entries of L f_v must be the slice of v
+    # int32 is exact, since adjacent distances differ by at most 1 and so |(L f)(u)| <= deg(u);
+    # at half the scratch of int64, a block's arrays stay inside the allocator's reused heap
     tail_keys, head_keys = _edge_keys(g)
     for start in range(0, g.n, core.ROW_BLOCK):
         b = min(core.ROW_BLOCK, g.n - start)
-        f = report.distances[start:start + b].astype(np.int64).ravel()
+        f = report.distances[start:start + b].astype(np.int32).ravel()
         tail, head = tail_keys[:b * g.m], head_keys[:b * g.m]
         diff = f[tail] - f[head]
         lf = np.zeros_like(f)
         np.add.at(lf, tail, diff)
         np.subtract.at(lf, head, diff)
-        bad = np.flatnonzero((lf > 0) != report.in_slice[start:start + b].ravel())
+        bad = np.flatnonzero((lf > 0) != report.slice_rows(start, start + b).ravel())
         if bad.size:
             return CheckOutcome("laplacian", False, f"mismatch at source {start + bad[0] // g.n}")
     return CheckOutcome("laplacian", True, f"sources={g.n}")
@@ -116,7 +117,7 @@ def _cross_keys(keys: np.ndarray, tail: np.ndarray, head: np.ndarray) -> np.ndar
     return np.maximum(k_tail, k_head)[k_tail != k_head]
 
 
-def _dichotomy_flags(dist, in_slice, tail, head, delta) -> np.ndarray:
+def _dichotomy_flags(dist, member, tail, head, delta) -> np.ndarray:
     """Rows of a block of sources whose layers break the dichotomy, in increasing order.
 
     For each row r, column j of the counts is layer j's cross edges (those joining
@@ -126,10 +127,10 @@ def _dichotomy_flags(dist, in_slice, tail, head, delta) -> np.ndarray:
     b = len(dist)
     ell = dist.max(axis=1)
     width = int(ell.max()) + 1
-    keys = (np.arange(b)[:, None] * width + dist).ravel()
+    keys = (np.arange(b, dtype=np.int32)[:, None] * width + dist).ravel()  # < ROW_BLOCK * n
     cross = np.bincount(_cross_keys(keys, tail, head), minlength=b * width)
     size = np.bincount(keys, minlength=b * width)
-    members = np.bincount(keys[in_slice.ravel()], minlength=b * width)
+    members = np.bincount(keys[member.ravel()], minlength=b * width)
     last = np.arange(b) * width + ell
     last_bad = (ell >= 1) & ((members[last] != size[last]) | (cross[last] > delta * size[last]))
     # mid-layer test |E(A_{j-1}, A_j)| <= |E(A_j, A_{j+1})| + delta |slice ∩ A_j| on every
@@ -147,12 +148,12 @@ def _check_dichotomy(g, report, gg):
     delta = g.max_degree
     for start in range(0, g.n, core.ROW_BLOCK):
         b = min(core.ROW_BLOCK, g.n - start)
-        rows = slice(start, start + b)
-        flagged = _dichotomy_flags(report.distances[rows], report.in_slice[rows],
+        member = report.slice_rows(start, start + b)
+        flagged = _dichotomy_flags(report.distances[start:start + b], member,
                                    tail_keys[:b * g.m], head_keys[:b * g.m], delta)
         if flagged.size:  # the per-source reference writes the detail of the first one
             v = start + int(flagged[0])
-            members = np.flatnonzero(report.in_slice[v]).tolist()
+            members = np.flatnonzero(member[flagged[0]]).tolist()
             try:
                 check_dichotomy(layer_decompose(g, v, report.distances[v].tolist(), members), delta)
             except InvariantViolation as exc:
@@ -197,14 +198,13 @@ def run_battery(
 ) -> list[CheckOutcome]:
     """Run the named checks; prop4 is skipped unless ``gg`` supplies coordinates.
 
-    Every check reads the distance matrix of ``report``. A given report must
-    carry slices, else MissingSlicesError is raised. On a single vertex the
-    bounds thm1, thm2 and mps pass as skipped.
+    Every check reads the distance matrix and the slices of ``report``. On
+    a single vertex the bounds thm1, thm2 and mps pass as skipped.
     """
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
-    report = sliced(g, report)
+    report = report or boundary(g)
     out = []
     for name in checks:
         if name == "prop4" and gg is None:

@@ -107,7 +107,7 @@ def test_criterion_4_randomized_stress():
 def test_criterion_5_geodesic_non_uniqueness():
     t0 = time.perf_counter()
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2))
-    rep = boundary(gg.graph, include_slices=True)
+    rep = boundary(gg.graph)
     full = {u for u in rep.boundary if gg.graph.degree(u) == 4}
     pairs = classify_prop4(gg, rep)
     dm = distance_matrix(gg.graph)

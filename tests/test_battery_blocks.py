@@ -4,7 +4,6 @@ the literal matrix, and ``layer_decompose`` plus ``check_dichotomy``. Slices
 are flipped at random so that failing outcomes, detail strings included,
 are compared too."""
 
-import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from test_distance_pass import graphs_and_long_paths
+from test_distance_pass import flip_bits, graphs_and_long_paths
 from graphboundary import (
     InvariantViolation,
     boundary,
@@ -34,14 +33,14 @@ CHECKS = ("laplacian", "dichotomy")
 def laplacian_reference(g, rep):
     lap = laplacian_matrix(g)
     for v, row in enumerate(rep.distances.tolist()):
-        if laplacian_slice(g, row, lap) != set(np.flatnonzero(rep.in_slice[v]).tolist()):
+        if laplacian_slice(g, row, lap) != rep.slices[v].members:
             return CheckOutcome("laplacian", False, f"mismatch at source {v}")
     return CheckOutcome("laplacian", True, f"sources={g.n}")
 
 
 def dichotomy_reference(g, rep):
     for v, row in enumerate(rep.distances.tolist()):
-        members = np.flatnonzero(rep.in_slice[v]).tolist()
+        members = sorted(rep.slices[v].members)
         try:
             check_dichotomy(layer_decompose(g, v, row, members), g.max_degree)
         except InvariantViolation as exc:
@@ -50,10 +49,7 @@ def dichotomy_reference(g, rep):
 
 
 def flipped(rep, rng, flips):
-    in_slice = rep.in_slice.copy()
-    for v, u in rng.integers(rep.n, size=(flips, 2)):
-        in_slice[v, u] = not in_slice[v, u]
-    return dataclasses.replace(rep, in_slice=in_slice)
+    return flip_bits(rep, rng.integers(rep.n, size=(flips, 2)).tolist())
 
 
 def block_outcomes(g, rep, block):
@@ -68,7 +64,7 @@ def test_block_checks_equal_references_on_all_small_graphs():
     details = set()
     count = 0
     for g in enumerate_connected(5):
-        rep = boundary(g, include_slices=True)
+        rep = boundary(g)
         block = 1 + count % 8
         assert all(oc.passed for oc in block_outcomes(g, rep, block))
         for flips in (1, 2, 3):
@@ -87,7 +83,7 @@ def test_block_checks_equal_references_on_all_small_graphs():
 @given(graphs_and_long_paths, st.integers(min_value=1, max_value=8),
        st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
 def test_block_checks_equal_references_at_any_block_size(g, block, flips, seed):
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     block_outcomes(g, flipped(rep, np.random.default_rng(seed), flips), block)
 
 
@@ -95,10 +91,8 @@ def test_dichotomy_mid_layer_failure_names_the_layer():
     # from the corner of a 5 x 5 grid, 8 edges enter layer 5 and 6 leave it, so the
     # inequality at layer 5 rests on the layer's two slice members
     g = grid(5, 5).graph
-    rep = boundary(g, include_slices=True)
-    in_slice = rep.in_slice.copy()
-    in_slice[0, rep.distances[0] == 5] = False
-    bad = dataclasses.replace(rep, in_slice=in_slice)
+    rep = boundary(g)
+    bad = flip_bits(rep, [(0, u) for u in rep.slices[0].members if rep.distances[0, u] == 5])
     (outcome,) = run_battery(g, ("dichotomy",), report=bad)
     assert outcome == dichotomy_reference(g, bad)
     assert outcome.detail == "dichotomy failed at layer 5 (source 0)"
@@ -106,17 +100,16 @@ def test_dichotomy_mid_layer_failure_names_the_layer():
 
 def test_dichotomy_routes_that_disagree_raise(monkeypatch):
     g = grid(5, 5).graph
-    rep = boundary(g, include_slices=True)
-    in_slice = rep.in_slice.copy()
-    in_slice[7] = False
+    rep = boundary(g)
+    bad = flip_bits(rep, [(7, u) for u in rep.slices[7].members])
     monkeypatch.setattr(verify, "check_dichotomy", lambda ld, delta: [])
     with pytest.raises(InvariantViolation, match="flags source 7"):
-        run_battery(g, ("dichotomy",), report=dataclasses.replace(rep, in_slice=in_slice))
+        run_battery(g, ("dichotomy",), report=bad)
 
 
 def test_block_checks_hold_no_n_by_n_int64_array():
     g = path(1200)
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     tracemalloc.start()
     try:
         outcomes = run_battery(g, CHECKS, report=rep)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 import oracle
 from graphboundary import (
     DisconnectedError,
-    MissingSlicesError,
     bfs_distances,
     boundary,
     boundary_slice,
@@ -39,7 +39,7 @@ def test_slice_of_a_distance_matrix_row_is_exact():
     # a path of 163 edges ending in a hub with 199 leaves: seen from vertex 0 the hub
     # has S = 162 + 199 * 164 = 32798 > D = 200 * 163 = 32600, past the int16 range
     g = validate([(i, i + 1) for i in range(163)] + [(163, 164 + j) for j in range(199)], 363)
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     assert rep.distances.dtype == np.int16
     got = boundary_slice(g, rep.distances[0])
     assert got == boundary_slice(g, bfs_distances(g, 0)) == rep.slices[0].members
@@ -102,7 +102,7 @@ def test_boundary_single_vertex_empty():
 
 def test_witness_is_smallest_certifier():
     g = path(4)
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     for u, v in rep.witness.items():
         certifiers = [sl.source for sl in rep.slices if u in sl.members]
         assert v == min(certifiers)
@@ -157,7 +157,7 @@ def test_laplacian_slice_equals_boundary_slice(g):
 
 
 def test_report_json_schema():
-    rep = boundary(grid(3, 3).graph, include_slices=True)
+    rep = boundary(grid(3, 3).graph)
     doc = report_to_dict(rep, include_slices=True)
     assert list(doc) == [
         "n", "m", "max_degree", "diameter",
@@ -169,16 +169,25 @@ def test_report_json_schema():
     json.dumps(doc)  # serializable as-is
 
 
-def test_report_without_slices_rejects_slice_dump():
-    rep = boundary(path(3))
-    with pytest.raises(MissingSlicesError, match="without slices"):
-        report_to_dict(rep, include_slices=True)
-
-
 def test_boundary_thread_count_invariant():
+    # include_slices and threads are accepted and ignored
     g = grid(9, 9).graph
     a = boundary(g, include_slices=True, threads=1)
-    b = boundary(g, include_slices=True, threads=4)
-    assert a == b
-    assert np.array_equal(a.in_slice, b.in_slice)
-    assert a.slices == b.slices
+    for b in (boundary(g, include_slices=True, threads=4), boundary(g), boundary(g, False, 2)):
+        assert a == b
+        assert np.array_equal(a.slice_bits, b.slice_bits)
+        assert np.array_equal(a.distances, b.distances)
+        assert a.slices == b.slices
+
+
+def test_dense_block_pass_sums_in_int32():
+    # casting the int16 neighbor gather to int64 for the sums peaked at 50.5 MiB here
+    g = complete(400)
+    tracemalloc.start()
+    try:
+        rep = boundary(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.boundary == rep.cejz_boundary == tuple(range(400))
+    assert peak < 40 * 2**20

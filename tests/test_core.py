@@ -8,7 +8,6 @@ from graphboundary import (
     SelfLoopError,
     VertexOutOfRangeError,
     bfs_distances,
-    diameter,
     distance_matrix,
     format_edge_list,
     is_connected,
@@ -16,6 +15,7 @@ from graphboundary import (
     parse_edge_list,
     validate,
 )
+from graphboundary import boundary
 from graphboundary.generators import complete, cycle, grid, path, star
 
 
@@ -71,22 +71,22 @@ def test_bfs_rejects_bad_source():
 
 @pytest.mark.parametrize("n", [2, 3, 7, 11])
 def test_diameter_path(n):
-    assert diameter(path(n)) == n - 1
+    assert boundary(path(n)).diameter == n - 1
 
 
 def test_diameter_complete():
-    assert diameter(complete(5)) == 1
+    assert boundary(complete(5)).diameter == 1
 
 
 def test_diameter_grid_matches_brute_force():
     gg = grid(5, 5)
-    assert diameter(gg.graph) == 8
-    assert diameter(gg.graph) == oracle.diameter(gg.graph.n, list(gg.graph.edges()))
+    assert boundary(gg.graph).diameter == 8
+    assert boundary(gg.graph).diameter == oracle.diameter(gg.graph.n, list(gg.graph.edges()))
 
 
 @pytest.mark.parametrize("n,expected", [(3, 1), (4, 2), (7, 3), (8, 4)])
 def test_diameter_cycle(n, expected):
-    assert diameter(cycle(n)) == expected
+    assert boundary(cycle(n)).diameter == expected
 
 
 def test_is_connected():
@@ -112,7 +112,7 @@ def test_distance_matrix_symmetric_zero_diagonal():
     dm = distance_matrix(grid(4, 3).graph)
     assert (dm == dm.T).all()
     assert (dm.diagonal() == 0).all()
-    assert dm.max() == diameter(grid(4, 3).graph)
+    assert dm.max() == oracle.diameter(12, list(grid(4, 3).graph.edges()))
 
 
 # --- edge-list text format ---

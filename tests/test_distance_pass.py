@@ -1,6 +1,6 @@
 """The shared distance pass: block-evaluated reports against the oracle,
-reuse of one distance matrix across the battery, slices built only where
-they are read, and typed errors for reports that lack slices."""
+reuse of one distance matrix across the battery, and the packed slice rows
+every report carries."""
 
 import dataclasses
 import sys
@@ -19,38 +19,41 @@ from graphboundary import (
     GraphError,
     InvariantViolation,
     BoundarySlice,
-    MissingSlicesError,
     boundary,
     boundary_slice,
-    check_mps,
-    check_theorem1,
-    check_theorem2,
-    classify_prop4,
     distance_matrix,
     enumerate_connected,
-    inequality_report,
     lattice_discretize,
     layer_decompose,
     random_tree,
     run_battery,
-    slice_overlap_stats,
 )
-from graphboundary import cli, core, layers
+from graphboundary import core, layers
 from graphboundary.boundary import _check_report
-from graphboundary.cli import main
 from graphboundary.core import distance_dtype
 from graphboundary.generators import cycle, grid, path, star
+
+
+def flip_bits(rep, pairs):
+    """``rep`` with u's membership in the slice of v flipped for each (v, u), in the packed rows."""
+    bits = rep.slice_bits.copy()
+    for v, u in pairs:
+        bits[v, u >> 3] ^= 1 << (u & 7)
+    return dataclasses.replace(rep, slice_bits=bits)
+
 
 def assert_matches_oracle(g):
     edges = list(g.edges())
     dist = oracle.floyd_warshall(g.n, edges)
-    rep = boundary(g, include_slices=True)
-    assert rep.in_slice.shape == (g.n, g.n)
+    rep = boundary(g)
+    assert rep.slice_bits.shape == (g.n, (g.n + 7) // 8)
+    assert rep.slice_rows(0, g.n).shape == (g.n, g.n)
     witness = {}
-    for v, row in enumerate(rep.in_slice):
+    for v, row in enumerate(rep.slice_rows(0, g.n)):
         expected = oracle.slice_members(g.n, edges, v, dist)
         assert set(np.flatnonzero(row).tolist()) == expected
         assert rep.slices[v] == BoundarySlice(source=v, members=frozenset(expected))
+        assert all((v in rep.certifiers(u)) == (u in expected) for u in range(g.n))
         for u in sorted(expected):
             witness.setdefault(u, v)
     assert len(rep.slices) == g.n
@@ -87,7 +90,7 @@ def test_block_report_equals_oracle_at_any_block_size(g, block):
 
 def test_multi_block_report_equals_per_source_route():
     g = path(2 * core.ROW_BLOCK + 5)
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     for v, row in enumerate(rep.distances.tolist()):
         assert rep.slices[v].members == boundary_slice(g, row)
     assert rep.boundary == rep.cejz_boundary == (0, g.n - 1)
@@ -100,11 +103,11 @@ def test_distance_matrix_int16_and_read_only():
     assert not dm.flags.writeable
     with pytest.raises(ValueError):
         dm[0, 1] = 7
-    in_slice = boundary(grid(4, 5).graph, include_slices=True).in_slice
-    assert in_slice.dtype == bool and in_slice.shape == (20, 20)
-    assert not in_slice.flags.writeable
+    bits = boundary(grid(4, 5).graph).slice_bits
+    assert bits.dtype == np.uint8 and bits.shape == (20, 3)
+    assert not bits.flags.writeable
     with pytest.raises(ValueError):
-        in_slice[0, 1] = True
+        bits[0, 1] = 1
 
 
 def test_distance_dtype_rule():
@@ -119,10 +122,9 @@ def test_rows_match_matrix_across_blocks():
     # dichotomy reduces distance rows a block at a time; the last source's
     # doctored slice must be found at every block size
     g = path(2 * core.ROW_BLOCK + 5)
-    rep = boundary(g, include_slices=True)
-    in_slice = rep.in_slice.copy()
-    in_slice[g.n - 1, 0] = False
-    bad = dataclasses.replace(rep, in_slice=in_slice)
+    rep = boundary(g)
+    assert rep.certifiers(0)[-1] == g.n - 1
+    bad = flip_bits(rep, [(g.n - 1, 0)])
     expected = [(True, f"sources={g.n}"),
                 (False, f"outermost layer not fully in the slice (source {g.n - 1})")]
     for block in range(1, 9):
@@ -133,9 +135,9 @@ def test_rows_match_matrix_across_blocks():
 
 def test_layer_decompose_with_precomputed_row_and_members():
     g = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2)).graph
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     for v, row in enumerate(rep.distances.tolist()):
-        members = np.flatnonzero(rep.in_slice[v]).tolist()
+        members = np.flatnonzero(rep.slice_rows(v, v + 1)[0]).tolist()
         assert layer_decompose(g, v) == layer_decompose(g, v, row, members)
         assert layer_decompose(g, v) == layer_decompose(g, v, row, rep.slices[v].members)
         assert layer_decompose(g, v) == layer_decompose(g, v, row)
@@ -185,71 +187,9 @@ def test_python_route_runs_one_bfs_per_source():
     assert sorted(calls) == list(range(gg.graph.n))
 
 
-def test_battery_rejects_report_without_slices():
-    g = grid(3, 3).graph
-    # laplacian and dichotomy read the slices directly, not through layers
-    for checks in (ALL_CHECKS, ("laplacian",), ("dichotomy",)):
-        with pytest.raises(MissingSlicesError):
-            run_battery(g, checks, report=boundary(g))
-
-
-@pytest.mark.parametrize("entry", [
-    lambda g, rep: check_theorem2(g, 0, rep),
-    lambda g, rep: inequality_report(g, rep),
-    lambda g, rep: slice_overlap_stats(g, rep),
-], ids=["check_theorem2", "inequality_report", "slice_overlap_stats"])
-def test_layers_reject_report_without_slices(entry):
-    g = grid(3, 3).graph
-    with pytest.raises(MissingSlicesError):
-        entry(g, boundary(g))
-
-
-def test_prop4_rejects_report_without_slices():
-    gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2))
-    with pytest.raises(MissingSlicesError):
-        classify_prop4(gg, boundary(gg.graph))
-
-
-@pytest.fixture
-def slice_builds(monkeypatch):
-    """Records ``include_slices`` of every boundary() call the package makes."""
-    boundary_module = sys.modules["graphboundary.boundary"]
-    real = boundary_module.boundary
-    calls = []
-
-    def recording(g, include_slices=False, threads=1):
-        calls.append(include_slices)
-        return real(g, include_slices, threads)
-
-    for module in (boundary_module, layers, cli):
-        monkeypatch.setattr(module, "boundary", recording)
-    return calls
-
-
-def test_theorem1_and_mps_build_no_slices(slice_builds):
-    g = grid(4, 5).graph
-    rep = boundary(g, include_slices=True)
-    slice_builds.clear()
-    assert check_theorem1(g) == check_theorem1(g, rep)
-    assert check_mps(g) == check_mps(g, rep)
-    assert slice_builds == [False, False]
-    inequality_report(g)
-    assert slice_builds == [False, False, True]
-
-
-def test_boundary_cli_builds_slices_only_with_the_flag(tmp_path, slice_builds):
-    el = str(tmp_path / "g.el")
-    assert main(["gen", "--family", "star", "--params", "6", "--out", el]) == 0
-    for fmt in ("text", "json", "dot"):
-        assert main(["boundary", "--in", el, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
-    assert slice_builds == [False] * 3
-    assert main(["boundary", "--in", el, "--slices", "--out", str(tmp_path / "s.txt")]) == 0
-    assert slice_builds == [False] * 3 + [True]
-
-
 def test_thm2_checks_the_weakest_source_once(monkeypatch):
     g = grid(4, 4).graph
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     calls = []
     real = layers.check_theorem2
 
@@ -265,10 +205,9 @@ def test_thm2_checks_the_weakest_source_once(monkeypatch):
 
 def test_thm2_failure_names_the_emptied_source():
     g = grid(4, 4).graph
-    rep = boundary(g, include_slices=True)
-    in_slice = rep.in_slice.copy()
-    in_slice[5] = False
-    (outcome,) = run_battery(g, ("thm2",), report=dataclasses.replace(rep, in_slice=in_slice))
+    rep = boundary(g)
+    bad = flip_bits(rep, [(5, u) for u in rep.slices[5].members])
+    (outcome,) = run_battery(g, ("thm2",), report=bad)
     assert not outcome.passed
     assert outcome.detail == "source=5 observed=0 bound=15/41 (0.365854)"
 
@@ -279,13 +218,11 @@ def test_thm2_failure_names_the_emptied_source():
 ])
 def test_cross_checks_fail_on_a_bad_slice(check, detail):
     g = grid(5, 5).graph
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     v = 7
     u = int(rep.distances[v].argmax())  # a farthest vertex is always in the slice
-    assert rep.in_slice[v, u]
-    in_slice = rep.in_slice.copy()
-    in_slice[v, u] = False
-    (outcome,) = run_battery(g, (check,), report=dataclasses.replace(rep, in_slice=in_slice))
+    assert v in rep.certifiers(u)
+    (outcome,) = run_battery(g, (check,), report=flip_bits(rep, [(v, u)]))
     assert (outcome.passed, outcome.detail) == (False, detail)
 
 
@@ -296,4 +233,3 @@ def test_report_check_raises_typed_error():
     with pytest.raises(InvariantViolation, match="witness"):
         _check_report(dataclasses.replace(rep, witness={}))
     assert issubclass(InvariantViolation, GraphError)
-    assert issubclass(MissingSlicesError, GraphError)

@@ -77,10 +77,10 @@ def test_all_witnesses_come_from_every_certifying_source():
     # gives a witness: a neighbor at d(u, v), or else at least three of the
     # four at d(u, v) - 1, two of them on one axis
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.15))
-    rep = boundary(gg.graph, include_slices=True)
+    rep = boundary(gg.graph)
     pairs = classify_prop4(gg, rep, all_witnesses=True)
     full = [u for u in rep.boundary if gg.graph.degree(u) == 4]
-    certified = {(u, v) for u in full for v in np.flatnonzero(rep.in_slice[:, u]).tolist()}
+    certified = {(u, v) for u in full for v in rep.certifiers(u)}
     assert {(u, w.witness) for u, w in pairs} == certified
     assert len(certified) > len(full) > 0
 
@@ -89,7 +89,7 @@ def test_witness_search_failure_is_an_error():
     # doctor the report to claim the center of a 3x3 grid is boundary;
     # no source certifies it, so the classifier must refuse
     gg = grid(3, 3)
-    rep = boundary(gg.graph, include_slices=True)
+    rep = boundary(gg.graph)
     fake = dataclasses.replace(rep, boundary=(4,))
     with pytest.raises(WitnessNotFoundError):
         classify_prop4(gg, report=fake)

@@ -112,7 +112,7 @@ def test_diameter_pair_lands_in_both_boundaries(g):
 
 @given(connected_graphs())
 def test_source_never_in_its_own_slice(g):
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     for sl in rep.slices:
         assert sl.source not in sl.members
         dist = rep.distances[sl.source].tolist()
@@ -124,7 +124,7 @@ def test_source_never_in_its_own_slice(g):
 
 @given(connected_graphs())
 def test_boundary_is_union_of_slices(g):
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     union = set()
     for sl in rep.slices:
         union |= sl.members
@@ -155,7 +155,7 @@ def test_layer_invariants(g):
 @settings(max_examples=120)
 @given(connected_graphs())
 def test_inequalities_hold_everywhere(g):
-    rep = boundary(g, include_slices=True)
+    rep = boundary(g)
     assert check_theorem1(g, rep).passed
     assert check_mps(g, rep).passed
     delta = g.max_degree

@@ -38,13 +38,13 @@ def reference_text(report, include_slices):
         "cejz_boundary: " + " ".join(str(u) for u in report.cejz_boundary),
     ]
     if include_slices:
-        for v, row in enumerate(report.in_slice):
-            lines.append(f"slice {v}: " + " ".join(str(u) for u in np.flatnonzero(row).tolist()))
+        for sl in report.slices:
+            lines.append(f"slice {sl.source}: " + " ".join(str(u) for u in sorted(sl.members)))
     return "\n".join(lines) + "\n"
 
 
 def assert_streams_match(g):
-    report = boundary(g, include_slices=True)
+    report = boundary(g)
     for slices in (False, True):
         expected = json.dumps(report_to_dict(report, include_slices=slices), indent=2) + "\n"
         assert "".join(_json_report(report, slices)) == expected
@@ -89,7 +89,7 @@ def test_small_and_both_distance_routes(g, bits):
 
 def test_streamed_json_memory_is_a_small_fraction_of_its_length():
     # the dict of lists and the indent encoder peaked near 10x the output (38.6 MB)
-    report = boundary(star(600), include_slices=True)
+    report = boundary(star(600))
     length = sum(map(len, _json_report(report, True)))
     tracemalloc.start()
     try:
@@ -110,7 +110,7 @@ def test_cli_report_peaks_no_higher_than_computing_it(fmt, tmp_path):
     assert main(argv) == 0  # imports and caches settle before tracing
     tracemalloc.start()
     try:
-        boundary(read_edge_list(el), include_slices=True)
+        boundary(read_edge_list(el))
         _, report_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         assert main(argv) == 0
