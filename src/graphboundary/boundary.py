@@ -20,12 +20,11 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from . import core
-from .core import Graph, InvariantViolation, distance_matrix
+from .core import Graph, InvariantViolation, VertexOutOfRangeError, distance_matrix
 
 
 @dataclass(frozen=True)
@@ -64,12 +63,16 @@ class BoundaryReport:
     slice_bits: np.ndarray = field(compare=False, repr=False)
 
     def slice_rows(self, start: int, stop: int) -> np.ndarray:
-        """Bool rows of sources start..stop-1: ``[v - start, u]`` is true iff u is in v's slice."""
+        """Bool rows [v - start, u] of sources v = start..min(stop, n) - 1: u is in v's slice."""
+        if not 0 <= start < self.n:
+            raise VertexOutOfRangeError(f"source {start} outside 0..{self.n - 1}")
         return np.unpackbits(self.slice_bits[start:stop], axis=1, count=self.n,
                              bitorder="little").view(bool)
 
     def certifiers(self, u: int) -> list[int]:
         """The sources whose slice holds u, in increasing order."""
+        if not 0 <= u < self.n:
+            raise VertexOutOfRangeError(f"vertex {u} outside 0..{self.n - 1}")
         return np.flatnonzero(self.slice_bits[:, u >> 3] & (1 << (u & 7))).tolist()
 
     @cached_property
@@ -101,10 +104,9 @@ def boundary_slice(g: Graph, dist: Sequence[int]) -> frozenset[int]:
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
     """L = D - A as an int64 matrix (degree matrix minus adjacency matrix)."""
+    indptr, indices = g.csr
     a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, nbrs in enumerate(g.adjacency):
-        for w in nbrs:
-            a[u, w] = 1
+    a[np.arange(g.n).repeat(indptr[1:] - indptr[:-1]), indices] = 1
     return np.diag(a.sum(axis=1)) - a
 
 
@@ -126,37 +128,26 @@ def cejz_boundary(g: Graph) -> frozenset[int]:
     return frozenset(boundary(g).cejz_boundary)
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, deg): the adjacency lists in compressed sparse row form."""
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
-    return indptr, indices, deg
-
-
 def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> BoundaryReport:
     """Compute the full boundary report from one distance pass, O(n(n+m)) time.
 
     Sources are evaluated ``core.ROW_BLOCK`` at a time as array reductions
     over the distance matrix: S = sum of neighbor distances, D = deg(u) *
     d(u, v), and the neighbor maximum for CEJZ. S and D are at most
-    Delta * (n - 1), so they are summed in int32 wherever that fits. The
-    matrix is kept on the report, so memory is Theta(n^2) for as long as
-    the report lives: 2 bytes per vertex pair below 32768 vertices, 4 bytes
-    from there (a path of 10 000 vertices holds 200 MB), plus n^2 / 8 bytes
-    for the slices packed as bit rows (12.5 MB on that path).
-    ``include_slices`` and ``threads`` are accepted and ignored: every
-    report carries its slices.
+    Delta * (n - 1) < 2^31, as n <= core.MAX_VERTICES, so they are summed
+    in int32. The int16 matrix is kept on the report, so memory is
+    Theta(n^2) while the report lives: 2 bytes per vertex pair (200 MB on
+    a path of 10 000 vertices) plus n^2 / 8 bytes for the slices packed as
+    bit rows (12.5 MB on that path). ``include_slices`` and ``threads`` are
+    accepted and ignored: every report carries its slices.
 
     Raises DisconnectedError on disconnected input (boundaries of
     disconnected graphs are deliberately not defined here).
     """
     dm = distance_matrix(g)
-    indptr, indices, deg = _csr(g)
+    indptr, indices = g.csr
     starts = indptr[:-1]
-    acc = np.int32 if g.max_degree * (g.n - 1) < 2**31 else np.int64
-    deg = deg.astype(acc)
+    deg = (indptr[1:] - starts).astype(np.int32)
     first = np.full(g.n, -1, dtype=np.int64)  # smallest certifying source per vertex
     in_cejz = np.zeros(g.n, dtype=bool)
     slice_bits = np.zeros((g.n, (g.n + 7) // 8), dtype=np.uint8)
@@ -164,7 +155,7 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
     for start in range(0, g.n if g.m else 0, core.ROW_BLOCK):
         blk = dm[start:start + core.ROW_BLOCK]
         nb = blk[:, indices]
-        member = np.add.reduceat(nb, starts, axis=1, dtype=acc) < blk * deg
+        member = np.add.reduceat(nb, starts, axis=1, dtype=np.int32) < blk * deg
         in_cejz |= (np.maximum.reduceat(nb, starts, axis=1) <= blk).any(axis=0)
         new = member.any(axis=0) & (first < 0)
         first[new] = start + member[:, new].argmax(axis=0)

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from .euclid import (
 )
 from .generators import (
     ENUM_NMAX,
+    DisconnectedDiscretizationWarning,
     DomainSpec,
     GridGraph,
     complete,
@@ -165,7 +167,11 @@ def build_family(family: str, params: str, seed: int, lam: float | None, offset:
             if (ihi - ilo + 1) * (jhi - jlo + 1) > core.MAX_VERTICES:
                 raise _CliError(f"family {family} params={params} at --lam {lam} tests more "
                                 f"than {core.MAX_VERTICES} mesh points")
-            return lattice_discretize(spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DisconnectedDiscretizationWarning)
+                return lattice_discretize(spec)
+    except DisconnectedDiscretizationWarning as exc:
+        raise _CliError(f"family {family} params={params} at --lam {lam} is disconnected") from exc
     except (ValueError, GraphError) as exc:
         raise _CliError(f"cannot build family {family} params={params}: {exc}") from exc
     raise _CliError(f"unknown family {family!r}")

@@ -10,7 +10,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,15 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR (indptr, indices): u's neighbors are indices[indptr[u]:indptr[u + 1]]."""
+        indptr = np.array([0, *accumulate(map(len, self.adjacency))], dtype=np.intp)
+        indices = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp, count=2 * self.m)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (u, w) with u < w, sorted."""
         for u in range(self.n):
@@ -84,20 +93,18 @@ class Graph:
                 if u < w:
                     yield u, w
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
-
 
 def validate(edges: Iterable[tuple[int, int]], n: int) -> Graph:
-    """Build a Graph from an edge list, rejecting invalid input.
+    """Build a Graph from an edge list, rejecting invalid input; the one constructor of Graph.
 
     Raises:
-        VertexOutOfRangeError: n < 1 or an endpoint outside 0..n-1.
+        VertexOutOfRangeError: n outside 1..MAX_VERTICES or an endpoint outside 0..n-1.
         SelfLoopError: an edge (u, u).
         DuplicateEdgeError: the same undirected pair listed twice.
+        GraphError: more than MAX_EDGES edges.
     """
-    if n < 1:
-        raise VertexOutOfRangeError(f"need n >= 1, got {n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise VertexOutOfRangeError(f"need 1 <= n <= {MAX_VERTICES}, got {n}")
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, w in edges:
@@ -111,6 +118,8 @@ def validate(edges: Iterable[tuple[int, int]], n: int) -> Graph:
         seen.add(key)
         adj[u].append(w)
         adj[w].append(u)
+    if len(seen) > MAX_EDGES:
+        raise GraphError(f"{len(seen)} edges, more than {MAX_EDGES}")
     return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj), m=len(seen))
 
 
@@ -156,11 +165,6 @@ def is_connected(g: Graph) -> bool:
     return True
 
 
-def distance_dtype(n: int) -> np.dtype:
-    """Narrowest signed dtype holding every hop distance (at most n - 1)."""
-    return np.dtype(np.int16 if n < 32768 else np.int32)
-
-
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances as a read-only n x n array, row v from source v.
 
@@ -168,13 +172,13 @@ def distance_matrix(g: Graph) -> np.ndarray:
     otherwise) and gives ecc(0), which brackets the diameter within a factor
     of 2. :func:`takes_bit_route` then picks the route: the bit-parallel BFS
     of :func:`_bit_distances`, or one Python BFS per source, with the probe
-    reused as row 0. The dtype is :func:`distance_dtype` of n.
+    reused as row 0. The dtype is int16, which holds n - 1 < MAX_VERTICES.
     """
     row0 = bfs_distances(g, 0)
     if takes_bit_route(g, max(row0)):
         arr = _bit_distances(g)
     else:
-        arr = np.empty((g.n, g.n), dtype=distance_dtype(g.n))
+        arr = np.empty((g.n, g.n), dtype=np.int16)
         arr[0] = row0
         for v in range(1, g.n):
             arr[v] = bfs_distances(g, v)
@@ -191,9 +195,10 @@ def takes_bit_route(g: Graph, ecc0: int) -> bool:
     Python. Below one full word (n < 64) the per-level numpy calls cost
     more than the whole Python pass. BIT_ROUTE_RATIO was fitted on grids
     (square and long thin), G(n, p), trees, stars, complete graphs, cycles
-    and paths of 64 to 3630 vertices: bits lost from a ratio of about 3.4
-    at n = 3600 (grid 6x600) and won at 2 or below, by 1.2x to 240x, with
-    paths near n = 64 within 10% either way.
+    and paths of 64 to 3630 vertices: bits won at 2 or below, by 1.2x to
+    240x, with paths near n = 64 within 10% either way. Above 2 they still
+    won at path 600 (ratio 5.0, 0.079 against 0.105 s, medians of 5 on a
+    shared 2-core host) and lost at cycle 2000 (8.0, 1.18 against 0.64 s).
     """
     return g.n >= 64 and ecc0 * -(-g.n // 64) <= BIT_ROUTE_RATIO * (g.n + g.m)
 
@@ -206,7 +211,7 @@ def _bit_distances(g: Graph) -> np.ndarray:
     peaks at the matrix, the planes and one block of unpacked rows.
     """
     planes = _distance_planes(g)
-    out = np.zeros((g.n, g.n), dtype=distance_dtype(g.n))
+    out = np.zeros((g.n, g.n), dtype=np.int16)
     for start in range(0, g.n, ROW_BLOCK):
         blk = out[start:start + ROW_BLOCK]
         for k, plane in enumerate(planes):
@@ -228,32 +233,30 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
     bit_length(diam) of them, each n x ceil(n / 64) words.
 
     The gather runs over vertex ranges whose neighbor rows take at most
-    n * n / 2 bytes, a quarter of the int16 matrix, even on K_n. An
-    isolated vertex reads the all-zero row n. Raises DisconnectedError
-    with the text of ``bfs_distances(g, 0)`` when some source cannot reach
-    every vertex.
+    n * n / 2 bytes, a quarter of the int16 matrix, even on K_n. Raises
+    DisconnectedError with the text of ``bfs_distances(g, 0)`` when some
+    source cannot reach every vertex.
     """
     n = g.n
     words = -(-n // 64)
-    ptr = [0]
-    for a in g.adjacency:
-        ptr.append(ptr[-1] + (len(a) or 1))
-    nbrs = np.fromiter(chain.from_iterable(a or (n,) for a in g.adjacency), dtype=np.intp,
-                       count=ptr[-1])
+    indptr, indices = g.csr
+    if n > 1 and not all(g.adjacency):  # an isolated vertex has no neighbor rows to reduce
+        bfs_distances(g, 0)  # and is unreachable, so this raises
+    ptr = indptr.tolist()
     cap = max(1, n * n // (16 * words))  # gathered neighbor rows per vertex range
     cuts = [0]
     for v in range(1, n):
         if ptr[v + 1] - ptr[cuts[-1]] > cap:
             cuts.append(v)
     cuts.append(n)
-    ranges = [(a, b, nbrs[ptr[a]:ptr[b]], np.array(ptr[a:b]) - ptr[a])
+    ranges = [(a, b, indices[ptr[a]:ptr[b]], indptr[a:b] - ptr[a])
               for a, b in zip(cuts, cuts[1:])]
     gathered = np.empty((max(len(idx) for _, _, idx, _ in ranges), words), dtype=np.uint64)
 
     ids = np.arange(n)
-    frontier = np.zeros((n + 1, words), dtype=np.uint64)
+    frontier = np.zeros((n, words), dtype=np.uint64)
     frontier[ids, ids >> 6] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
-    unseen = ~frontier[:n]
+    unseen = ~frontier
     if n % 64:
         unseen[:, -1] &= np.uint64((1 << n % 64) - 1)  # padding bits stand for no source
     new = np.zeros_like(frontier)
@@ -264,7 +267,7 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
         for a, b, idx, offsets in ranges:
             rows = np.take(frontier, idx, axis=0, out=gathered[:len(idx)], mode="clip")
             np.bitwise_or.reduceat(rows, offsets, axis=0, out=new[a:b])
-        reached = new[:n]
+        reached = new
         reached &= unseen
         if not reached.any():
             raise _disconnected(n, int(np.count_nonzero(unseen[:, 0] & np.uint64(1))), 0)
@@ -280,10 +283,8 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
 
 def is_path_graph(g: Graph) -> bool:
     """True iff the connected graph g is a path (K_1 and K_2 included)."""
-    if g.n == 1:
-        return True
-    degs = sorted(g.degree_sequence())
-    return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
+    degs = sorted(map(len, g.adjacency))
+    return g.n == 1 or degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
 
 
 # --- canonical edge-list text format ---

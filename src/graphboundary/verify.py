@@ -8,7 +8,6 @@ because every checked statement is a theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -86,9 +85,11 @@ def _check_mps(g, report, gg):
 
 def _edge_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Flat keys r * n + u of both ends of edge e, at entry r * m + e, for block rows r."""
-    ends = np.fromiter(chain.from_iterable(g.edges()), dtype=np.intp, count=2 * g.m)
-    rows = np.arange(min(core.ROW_BLOCK, g.n))[:, None] * g.n
-    return (rows + ends[0::2]).ravel(), (rows + ends[1::2]).ravel()
+    indptr, indices = g.csr
+    tails = np.arange(g.n).repeat(indptr[1:] - indptr[:-1])
+    lower = tails < indices
+    rows = np.arange(0, min(core.ROW_BLOCK, g.n) * g.n, g.n)[:, None]
+    return (rows + tails[lower]).ravel(), (rows + indices[lower]).ravel()
 
 
 def _check_laplacian(g, report, gg):

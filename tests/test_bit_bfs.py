@@ -23,13 +23,13 @@ from graphboundary import (
     validate,
 )
 from graphboundary import core
-from graphboundary.core import _bit_distances, bfs_distances, distance_dtype, takes_bit_route
+from graphboundary.core import _bit_distances, bfs_distances, takes_bit_route
 from graphboundary.generators import complete, cycle, erdos_renyi, grid, path, random_tree, star
 
 
 def assert_bit_route_exact(g):
     bits = _bit_distances(g)
-    assert bits.dtype == distance_dtype(g.n) and bits.shape == (g.n, g.n)
+    assert bits.dtype == np.int16 and bits.shape == (g.n, g.n)
     assert bits.tolist() == [list(bfs_distances(g, v)) for v in range(g.n)]
     assert bits.tolist() == oracle.floyd_warshall(g.n, list(g.edges()))
 

@@ -7,6 +7,7 @@ import pytest
 import oracle
 from graphboundary import (
     DisconnectedError,
+    VertexOutOfRangeError,
     bfs_distances,
     boundary,
     boundary_slice,
@@ -191,3 +192,11 @@ def test_dense_block_pass_sums_in_int32():
         tracemalloc.stop()
     assert rep.boundary == rep.cejz_boundary == tuple(range(400))
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("u", [-1, 5, 6, 9])
+def test_certifiers_reject_an_out_of_range_vertex(u):
+    # 5 and 6 fall in the padding bits of a packed row of path 5, 9 past its one byte
+    rep = boundary(path(5))
+    with pytest.raises(VertexOutOfRangeError, match=f"vertex {u} outside 0..4"):
+        rep.certifiers(u)

@@ -517,10 +517,24 @@ def test_mesh_finer_than_a_float_exit2(capsys):
 def test_vertex_cap_is_the_int16_distance_limit():
     import numpy as np
 
-    from graphboundary import core
+    from graphboundary import core, distance_matrix, grid, path
 
-    assert core.MAX_VERTICES == np.iinfo(np.int16).max
-    assert core.distance_dtype(core.MAX_VERTICES) == np.int16
+    assert core.MAX_VERTICES == np.iinfo(np.int16).max  # so n - 1 fits int16
+    for g in (path(70), grid(8, 8).graph):  # the Python route and the bit route
+        assert distance_matrix(g).dtype == np.int16
+
+
+@pytest.mark.filterwarnings("default")  # Python's own policy, as a command line run has it
+@pytest.mark.parametrize("command", ["gen", "verify", "prop4"])
+def test_disconnected_lattice_exit2_with_one_line(command, tmp_path, monkeypatch, capsys):
+    # the library warns and returns the graph; every command that builds it refuses it
+    monkeypatch.chdir(tmp_path)
+    assert run(command, "--family", "annulus", "--params", "0.9,1.0", "--lam", "0.1",
+               "--out", "x.out") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family annulus params=0.9,1.0 at --lam 0.1 is disconnected\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import pytest
 
 import oracle
@@ -5,6 +8,7 @@ from graphboundary import (
     DisconnectedError,
     DuplicateEdgeError,
     EdgeListParseError,
+    GraphError,
     SelfLoopError,
     VertexOutOfRangeError,
     bfs_distances,
@@ -15,7 +19,7 @@ from graphboundary import (
     parse_edge_list,
     validate,
 )
-from graphboundary import boundary
+from graphboundary import boundary, core
 from graphboundary.generators import complete, cycle, grid, path, star
 
 
@@ -40,6 +44,26 @@ def test_validate_rejects_out_of_range():
         validate([(0, 2)], 2)
     with pytest.raises(VertexOutOfRangeError):
         validate([], 0)
+
+
+def test_validate_refuses_more_than_max_vertices():
+    # refused before any adjacency list exists: 32 768 empty lists would take over 1 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(VertexOutOfRangeError, match=f"n <= {core.MAX_VERTICES}, got "):
+            validate([], core.MAX_VERTICES + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_validate_refuses_more_than_max_edges(monkeypatch):
+    edges = list(combinations(range(5), 2))  # the 10 edges of K_5
+    monkeypatch.setattr(core, "MAX_EDGES", 9)
+    with pytest.raises(GraphError, match="10 edges, more than 9"):
+        validate(edges, 5)
+    assert validate(edges[:9], 5).m == 9
 
 
 def test_bfs_path_distances():

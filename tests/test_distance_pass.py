@@ -30,7 +30,6 @@ from graphboundary import (
 )
 from graphboundary import core, layers
 from graphboundary.boundary import _check_report
-from graphboundary.core import distance_dtype
 from graphboundary.generators import cycle, grid, path, star
 
 
@@ -110,12 +109,33 @@ def test_distance_matrix_int16_and_read_only():
         bits[0, 1] = 1
 
 
-def test_distance_dtype_rule():
-    # decided from n alone, so the large case needs no allocation
-    assert distance_dtype(1) == np.int16
-    assert distance_dtype(32767) == np.int16
-    assert distance_dtype(32768) == np.int32
-    assert distance_dtype(10**6) == np.int32
+def assert_csr_is_the_adjacency(g):
+    indptr, indices = g.csr
+    assert indptr.dtype == indices.dtype == np.intp
+    assert indptr.shape == (g.n + 1,) and indices.shape == (2 * g.m,)
+    assert [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(g.n)] == \
+        [list(a) for a in g.adjacency]
+    assert g.csr is g.csr  # built once
+
+
+def test_csr_equals_adjacency_on_all_small_graphs():
+    count = 0
+    for g in enumerate_connected(5):
+        assert_csr_is_the_adjacency(g)
+        count += 1
+    assert count == 772
+
+
+@given(graphs_and_long_paths)
+def test_csr_equals_adjacency_on_hypothesis_graphs(g):
+    assert_csr_is_the_adjacency(g)
+
+
+def test_csr_is_read_only():
+    for arr in grid(4, 5).graph.csr:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_rows_match_matrix_across_blocks():

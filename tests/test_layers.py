@@ -5,6 +5,8 @@ import pytest
 import oracle
 from graphboundary import (
     SingleVertexError,
+    VertexOutOfRangeError,
+    boundary,
     check_dichotomy,
     check_mps,
     check_theorem1,
@@ -115,6 +117,14 @@ def test_theorem2_path_endpoint():
         assert entry.observed == 1
         assert entry.bound == Fraction(n - 1, 4 * (n - 2) + 1)
         assert entry.passed
+
+
+@pytest.mark.parametrize("v", [5, -1, -5])
+def test_theorem2_rejects_an_out_of_range_source(v):
+    # 5 and -1 read an empty row, -5 the row of source 0: none of them is a source of path 5
+    g = path(5)
+    with pytest.raises(VertexOutOfRangeError, match=f"source {v} outside 0..4"):
+        check_theorem2(g, v, boundary(g))
 
 
 def test_theorem2_cycle6():
