@@ -48,8 +48,8 @@ class BoundaryReport:
     distance matrix the report was computed from, kept so that later checks
     on the same graph need no further BFS. ``slice_bits`` holds the slices
     as read-only packed bit rows, n x ceil(n / 8) bytes; read them through
-    :meth:`slice_rows` and :meth:`certifiers`, the only code that knows
-    the layout besides :func:`boundary`.
+    :meth:`row_blocks`, :meth:`slice_rows` and :meth:`certifiers`, the only
+    code that knows the layout besides :func:`boundary`.
     """
 
     n: int
@@ -69,6 +69,17 @@ class BoundaryReport:
         return np.unpackbits(self.slice_bits[start:stop], axis=1, count=self.n,
                              bitorder="little").view(bool)
 
+    def row_blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Yield (start, distance rows, bool slice rows), ``core.ROW_BLOCK`` sources at a time.
+
+        Row i of both arrays belongs to source start + i, and the starts
+        increase. Every walk over a report's sources goes through here, so
+        a walk unpacks one block of slice rows at a time.
+        """
+        for start in range(0, self.n, core.ROW_BLOCK):
+            stop = start + core.ROW_BLOCK
+            yield start, self.distances[start:stop], self.slice_rows(start, stop)
+
     def certifiers(self, u: int) -> list[int]:
         """The sources whose slice holds u, in increasing order."""
         if not 0 <= u < self.n:
@@ -83,9 +94,9 @@ class BoundaryReport:
 
 
 def slice_row_iter(report: BoundaryReport) -> Iterator[np.ndarray]:
-    """The bool slice row of every source in order, unpacked ``core.ROW_BLOCK`` rows at a time."""
-    for start in range(0, report.n, core.ROW_BLOCK):
-        yield from report.slice_rows(start, start + core.ROW_BLOCK)
+    """The bool slice row of every source in order, a block at a time."""
+    for _, _, rows in report.row_blocks():
+        yield from rows
 
 
 def boundary_slice(g: Graph, dist: Sequence[int]) -> frozenset[int]:

@@ -381,25 +381,7 @@ def enumerate_connected(n_max: int) -> Iterator[Graph]:
         raise ValueError(f"exhaustive enumeration is capped at n_max <= {ENUM_NMAX}")
     for n in range(1, n_max + 1):
         pairs = list(combinations(range(n), 2))
-        full = (1 << n) - 1
         for mask in range(1 << len(pairs)):
-            adj_bits = [0] * n
-            for idx, (u, w) in enumerate(pairs):
-                if mask >> idx & 1:
-                    adj_bits[u] |= 1 << w
-                    adj_bits[w] |= 1 << u
-            reach = 1
-            while True:
-                grown = reach
-                r = reach
-                while r:
-                    u = (r & -r).bit_length() - 1
-                    grown |= adj_bits[u]
-                    r &= r - 1
-                if grown == reach:
-                    break
-                reach = grown
-            if reach == full:
-                yield validate(
-                    [pairs[i] for i in range(len(pairs)) if mask >> i & 1], n
-                )
+            g = validate([pairs[i] for i in range(len(pairs)) if mask >> i & 1], n)
+            if is_connected(g):
+                yield g

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import core
 from .boundary import BoundaryReport, boundary, boundary_slice
 from .core import Graph, InvariantViolation, SingleVertexError, bfs_distances
 
@@ -187,8 +186,7 @@ def check_theorem2_min(g: Graph, report: BoundaryReport | None = None) -> BoundE
     The bound is the same at every source, so it holds iff it holds there.
     """
     report = report or boundary(g)
-    sizes = np.concatenate([report.slice_rows(start, start + core.ROW_BLOCK).sum(axis=1)
-                            for start in range(0, g.n, core.ROW_BLOCK)])
+    sizes = np.concatenate([rows.sum(axis=1) for _, _, rows in report.row_blocks()])
     return check_theorem2(g, int(sizes.argmin()), report)
 
 
@@ -232,8 +230,7 @@ def slice_overlap_stats(g: Graph, report: BoundaryReport | None = None) -> dict:
     Exploratory output only; no theorem fixes what these numbers should be.
     """
     report = report or boundary(g)
-    certifiers = sum(report.slice_rows(start, start + core.ROW_BLOCK).sum(axis=0)
-                     for start in range(0, g.n, core.ROW_BLOCK))
+    certifiers = sum(rows.sum(axis=0) for _, _, rows in report.row_blocks())
     counts = {u: int(certifiers[u]) for u in report.boundary}
     values = sorted(counts.values())
     return {

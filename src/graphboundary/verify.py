@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .boundary import BoundaryReport, boundary
 from .core import Graph, is_path_graph
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
@@ -83,13 +82,12 @@ def _check_mps(g, report, gg):
     return CheckOutcome("mps", entry.passed, f"cejz={entry.observed} delta+2={entry.bound}")
 
 
-def _edge_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Flat keys r * n + u of both ends of edge e, at entry r * m + e, for block rows r."""
+def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The ends (u, w) of every edge with u < w, as two arrays read off ``g.csr``."""
     indptr, indices = g.csr
     tails = np.arange(g.n).repeat(indptr[1:] - indptr[:-1])
     lower = tails < indices
-    rows = np.arange(0, min(core.ROW_BLOCK, g.n) * g.n, g.n)[:, None]
-    return (rows + tails[lower]).ravel(), (rows + indices[lower]).ravel()
+    return tails[lower], indices[lower]
 
 
 def _check_laplacian(g, report, gg):
@@ -97,28 +95,24 @@ def _check_laplacian(g, report, gg):
     # at w; the positive entries of L f_v must be the slice of v
     # int32 is exact, since adjacent distances differ by at most 1 and so |(L f)(u)| <= deg(u);
     # at half the scratch of int64, a block's arrays stay inside the allocator's reused heap
-    tail_keys, head_keys = _edge_keys(g)
-    for start in range(0, g.n, core.ROW_BLOCK):
-        b = min(core.ROW_BLOCK, g.n - start)
-        f = report.distances[start:start + b].astype(np.int32).ravel()
+    for start, dist, member in report.row_blocks():
+        b = len(dist)
+        if not start:  # flat keys r * n + u of both edge ends, sized by the first, longest block
+            rows = np.arange(0, b * g.n, g.n)[:, None]
+            tail_keys, head_keys = ((rows + ends).ravel() for ends in _edge_ends(g))
+        f = dist.astype(np.int32).ravel()
         tail, head = tail_keys[:b * g.m], head_keys[:b * g.m]
         diff = f[tail] - f[head]
         lf = np.zeros_like(f)
         np.add.at(lf, tail, diff)
         np.subtract.at(lf, head, diff)
-        bad = np.flatnonzero((lf > 0) != report.slice_rows(start, start + b).ravel())
+        bad = np.flatnonzero((lf > 0) != member.ravel())
         if bad.size:
             return CheckOutcome("laplacian", False, f"mismatch at source {start + bad[0] // g.n}")
     return CheckOutcome("laplacian", True, f"sources={g.n}")
 
 
-def _cross_keys(keys: np.ndarray, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """The key of each edge that joins two layers, taken at its outer end."""
-    k_tail, k_head = keys[tail], keys[head]
-    return np.maximum(k_tail, k_head)[k_tail != k_head]
-
-
-def _dichotomy_flags(dist, member, tail, head, delta) -> np.ndarray:
+def _dichotomy_flags(dist, member, tails, heads, delta) -> np.ndarray:
     """Rows of a block of sources whose layers break the dichotomy, in increasing order.
 
     For each row r, column j of the counts is layer j's cross edges (those joining
@@ -128,10 +122,15 @@ def _dichotomy_flags(dist, member, tail, head, delta) -> np.ndarray:
     b = len(dist)
     ell = dist.max(axis=1)
     width = int(ell.max()) + 1
-    keys = (np.arange(b, dtype=np.int32)[:, None] * width + dist).ravel()  # < ROW_BLOCK * n
-    cross = np.bincount(_cross_keys(keys, tail, head), minlength=b * width)
-    size = np.bincount(keys, minlength=b * width)
-    members = np.bincount(keys[member.ravel()], minlength=b * width)
+    keys = np.arange(b, dtype=np.int32)[:, None] * width + dist  # < ROW_BLOCK * n
+    k_tail, k_head = keys[:, tails], keys[:, heads]
+    outer = np.maximum(k_tail, k_head)[k_tail != k_head]  # each cross edge, at its outer end
+    # freed before bincount copies outer to intp: a block's scratch then stays small enough
+    # for the allocator to reuse it, instead of trimming the heap and faulting it in again
+    del k_tail, k_head
+    cross = np.bincount(outer, minlength=b * width)
+    size = np.bincount(keys.ravel(), minlength=b * width)
+    members = np.bincount(keys[member], minlength=b * width)
     last = np.arange(b) * width + ell
     last_bad = (ell >= 1) & ((members[last] != size[last]) | (cross[last] > delta * size[last]))
     # mid-layer test |E(A_{j-1}, A_j)| <= |E(A_j, A_{j+1})| + delta |slice ∩ A_j| on every
@@ -145,23 +144,19 @@ def _dichotomy_flags(dist, member, tail, head, delta) -> np.ndarray:
 
 
 def _check_dichotomy(g, report, gg):
-    tail_keys, head_keys = _edge_keys(g)
+    tails, heads = _edge_ends(g)
     delta = g.max_degree
-    for start in range(0, g.n, core.ROW_BLOCK):
-        b = min(core.ROW_BLOCK, g.n - start)
-        member = report.slice_rows(start, start + b)
-        flagged = _dichotomy_flags(report.distances[start:start + b], member,
-                                   tail_keys[:b * g.m], head_keys[:b * g.m], delta)
+    for start, dist, member in report.row_blocks():
+        flagged = _dichotomy_flags(dist, member, tails, heads, delta)
         if flagged.size:  # the per-source reference writes the detail of the first one
-            v = start + int(flagged[0])
-            members = np.flatnonzero(member[flagged[0]]).tolist()
+            r = int(flagged[0])
+            members = np.flatnonzero(member[r]).tolist()
             try:
-                check_dichotomy(layer_decompose(g, v, report.distances[v].tolist(), members), delta)
+                check_dichotomy(layer_decompose(g, start + r, dist[r].tolist(), members), delta)
             except InvariantViolation as exc:
                 return CheckOutcome("dichotomy", False, str(exc))
-            raise InvariantViolation(
-                f"dichotomy: the block count flags source {v}, the per-source count passes it"
-            )
+            raise InvariantViolation(f"dichotomy: the block count flags source {start + r}, "
+                                     "the per-source count passes it")
     return CheckOutcome("dichotomy", True, f"sources={g.n}")
 
 

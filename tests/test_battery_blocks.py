@@ -24,7 +24,7 @@ from graphboundary import (
     run_battery,
 )
 from graphboundary import core, verify
-from graphboundary.generators import grid, path
+from graphboundary.generators import complete, grid, path
 from graphboundary.verify import CheckOutcome
 
 CHECKS = ("laplacian", "dichotomy")
@@ -118,3 +118,18 @@ def test_block_checks_hold_no_n_by_n_int64_array():
         tracemalloc.stop()
     assert all(oc.passed for oc in outcomes)
     assert peak < g.n ** 2 * 8 // 4
+
+
+def test_dichotomy_builds_no_flat_edge_keys():
+    # flat intp keys of both ends of every edge, for a whole block of sources, peaked at
+    # 39.8 MiB traced on this graph; gathering the int32 layer keys by column takes 18.6 MiB
+    g = complete(300)
+    rep = boundary(g)
+    tracemalloc.start()
+    try:
+        (outcome,) = run_battery(g, ("dichotomy",), report=rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.passed
+    assert peak < 25 * 2**20

@@ -3,7 +3,13 @@ import re
 
 import pytest
 
-from graphboundary import parse_edge_list, read_edge_list
+from graphboundary import (
+    DomainSpec,
+    format_edge_list,
+    lattice_discretize,
+    parse_edge_list,
+    read_edge_list,
+)
 from graphboundary.cli import main
 from graphboundary.generators import grid
 from graphboundary.layers import SWEEP_COLUMNS
@@ -611,3 +617,70 @@ def test_bad_graph_leaves_no_out_file(tmp_path, capsys):
     out = tmp_path / "reports" / "r.json"
     assert run("boundary", "--in", el, "--format", "json", "--slices", "--out", out) == 2
     assert not out.parent.exists()
+
+
+def test_gen_offset_moves_the_lattice(tmp_path):
+    out = tmp_path / "d.el"
+    assert run("gen", "--family", "disk", "--params", 1, "--lam", 0.2, "--offset", "0.1,0",
+               "--out", out) == 0
+    gg = lattice_discretize(DomainSpec.disk(1.0, 0.2, offset=(0.1, 0.0)))
+    assert out.read_text() == format_edge_list(gg.graph)
+    assert json.loads((tmp_path / "d.el.coords.json").read_text()) == {
+        "dimension": 2,
+        "scale": 0.2,
+        "offset": [0.1, 0.0],
+        "coordinates": [list(c) for c in gg.coordinates],
+    }
+
+
+def test_verify_enum_counts_failures_with_exit1(monkeypatch, capsys):
+    from graphboundary import verify
+    from graphboundary.verify import CheckOutcome
+
+    real = verify._RUNNERS["prop3"]
+
+    def failing_on_three(g, report, gg):
+        return CheckOutcome("prop3", False, "forced") if g.n == 3 else real(g, report, gg)
+
+    monkeypatch.setitem(verify._RUNNERS, "prop3", failing_on_three)
+    assert run("verify", "--family", "enum", "--nmax", 5) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "check=prop3 graphs=772 failures=4" in lines
+    assert "check=thm1 graphs=772 failures=0" in lines
+    assert lines[-1] == "summary failures=4"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "path", "--sizes", "3,1"),
+     "error: path 1: bound needs at least two vertices\n"),
+    (("--family", "er", "--sizes", "20", "--p", "0.05"),
+     "error: er 20,0.05: graph is disconnected: 19 of 20 vertices unreachable from 0\n"),
+])
+def test_sweep_graph_error_exit2_with_one_line(argv, message, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run("sweep", *argv, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not out.exists()
+
+
+def _no_witness(gg, report):
+    from graphboundary import WitnessNotFoundError
+
+    raise WitnessNotFoundError("no witness for vertex 7")
+
+
+@pytest.mark.parametrize("target, fake, detail", [
+    ("classify_prop4", _no_witness, "no witness for vertex 7"),
+    ("verify_witness", lambda w, dm: False, "unverifiable witnesses for ["),
+])
+def test_verify_prop4_failure_exit1(target, fake, detail, monkeypatch, capsys):
+    from graphboundary import verify
+
+    monkeypatch.setattr(verify, target, fake)
+    assert run("verify", "--family", "annulus", "--params", "0.4,1.0", "--lam", 0.2,
+               "--checks", "prop4") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith(f"check=prop4 pass=false {detail}")
+    assert lines[-1] == "summary failures=1"

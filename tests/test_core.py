@@ -17,7 +17,9 @@ from graphboundary import (
     is_connected,
     is_path_graph,
     parse_edge_list,
+    read_edge_list,
     validate,
+    write_edge_list,
 )
 from graphboundary import boundary, core
 from graphboundary.generators import complete, cycle, grid, path, star
@@ -169,3 +171,11 @@ def test_edge_list_format_exact():
 def test_edge_list_parse_errors(text):
     with pytest.raises(EdgeListParseError):
         parse_edge_list(text)
+
+
+def test_write_edge_list_round_trip(tmp_path):
+    g = grid(4, 5).graph
+    dest = tmp_path / "g.el"
+    write_edge_list(dest, g)
+    assert dest.read_text() == format_edge_list(g)
+    assert read_edge_list(dest) == g

@@ -30,7 +30,7 @@ from graphboundary import (
 )
 from graphboundary import core, layers
 from graphboundary.boundary import _check_report
-from graphboundary.generators import cycle, grid, path, star
+from graphboundary.generators import complete, cycle, grid, path, star
 
 
 def flip_bits(rep, pairs):
@@ -253,3 +253,20 @@ def test_report_check_raises_typed_error():
     with pytest.raises(InvariantViolation, match="witness"):
         _check_report(dataclasses.replace(rep, witness={}))
     assert issubclass(InvariantViolation, GraphError)
+
+
+@pytest.mark.parametrize("block", [1, 3, 32])
+@pytest.mark.parametrize("g", [complete(1), path(63), path(70), grid(9, 9).graph],
+                         ids=["K_1", "path63", "path70", "grid9x9"])
+def test_row_blocks_walk_the_whole_report_in_order(g, block):
+    # below 64 vertices distance_matrix runs one Python BFS per source; path 70 and
+    # grid 9x9 take the bit-parallel route
+    rep = boundary(g)
+    with mock.patch.object(core, "ROW_BLOCK", block):
+        blocks = list(rep.row_blocks())
+    assert [start for start, _, _ in blocks] == list(range(0, g.n, block))
+    assert np.array_equal(np.concatenate([dist for _, dist, _ in blocks]), rep.distances)
+    rows = np.concatenate([member for _, _, member in blocks])
+    assert rows.dtype == bool and rows.shape == (g.n, g.n)
+    assert [set(np.flatnonzero(row).tolist()) for row in rows] == \
+        [sl.members for sl in rep.slices]

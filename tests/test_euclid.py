@@ -170,3 +170,18 @@ def test_radial_identity_input_guards():
         radial_laplacian_identity_check(2, [(1e-4, 0.0)], step=1e-3)
     with pytest.raises(ValueError):
         radial_laplacian_identity_check(2, [(1.0, 0.0, 0.0)])
+
+
+def test_equal_distance_witnesses_verify_and_doctored_copies_fail():
+    # on an odd cycle the farthest vertex from u has a tied neighbor of u, and u's
+    # other neighbor is one step closer, so it is no equal-distance witness
+    g = cycle(9)
+    rep = boundary(g)
+    pairs = classify_cycle(g, rep, all_witnesses=True)
+    assert len(pairs) == 18
+    assert {w.case for _, w in pairs} == {CASE_EQUAL_DISTANCE}
+    for u, w in pairs:
+        assert verify_witness(w, rep.distances)
+        (other,) = set(g.adjacency[u]) - set(w.neighbors)
+        assert not verify_witness(dataclasses.replace(w, neighbors=(other,)), rep.distances)
+        assert not verify_witness(dataclasses.replace(w, case="unknown"), rep.distances)

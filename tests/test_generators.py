@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from graphboundary import (
     cycle,
     enumerate_connected,
     erdos_renyi,
+    format_edge_list,
     grid,
     grid_d,
     hypercube,
@@ -264,6 +266,14 @@ def test_enumerate_matches_oracle_on_n3():
     }
 
 
+def test_enumerate_stream_is_pinned():
+    # the order and the labels of every graph with n <= 5, as edge-list text
+    digest = hashlib.sha256()
+    for g in enumerate_connected(5):
+        digest.update(format_edge_list(g).encode())
+    assert digest.hexdigest() == "f7a201bd57fc3cbe828ed019fb1a48844a017063e1efdaffe0628475113bf0f6"
+
+
 def test_enumerate_rejects_large_n():
     with pytest.raises(ValueError):
         list(enumerate_connected(7))
@@ -272,3 +282,15 @@ def test_enumerate_rejects_large_n():
 def test_grid_cejz_always_four_corners():
     for n in (2, 3, 6):
         assert len(cejz_boundary(grid(n, n).graph)) == 4
+
+
+def test_real_coordinates_round_trip():
+    # point = offset + scale * coordinate, and every point lies strictly inside the disk
+    gg = lattice_discretize(DomainSpec.disk(1.0, 0.2, offset=(0.1, 0.0)))
+    real = gg.real_coordinates()
+    assert len(real) == gg.graph.n
+    assert all(x * x + y * y < 1.0 for x, y in real)
+    back = [tuple(round((x - o) / gg.scale) for x, o in zip(p, gg.offset)) for p in real]
+    assert back == list(gg.coordinates)
+    plain = grid(2, 3)
+    assert plain.real_coordinates() == [tuple(map(float, c)) for c in plain.coordinates]

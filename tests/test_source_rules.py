@@ -1,10 +1,12 @@
-"""Rules the package source keeps: typed errors, and no dead imports.
+"""Rules the package source keeps: typed errors, no dead imports, and one reader of the block size.
 
 ``python -O`` strips ``assert`` statements, so an invariant written as one
 silently stops being checked. The package raises InvariantViolation (or
 another GraphError) instead; this test keeps it that way. Every module
 except ``__init__.py``, whose imports are the public re-exports, reads
-every name it imports.
+every name it imports. Only ``core.py`` and ``boundary.py`` read
+``core.ROW_BLOCK``; every other walk over a report's sources goes through
+``BoundaryReport.row_blocks``.
 """
 
 import ast
@@ -35,6 +37,16 @@ def _unused_imports(tree: ast.AST) -> list[str]:
     return sorted(imported - read)
 
 
+def _row_block_reads(tree: ast.AST) -> list[int]:
+    """Lines naming ROW_BLOCK in code: bare, as an attribute, or imported."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "ROW_BLOCK"
+        or isinstance(node, ast.Attribute) and node.attr == "ROW_BLOCK"
+        or isinstance(node, ast.alias) and node.name == "ROW_BLOCK"
+    )
+
+
 def test_package_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "boundary.py", "cli.py", "core.py"}
 
@@ -61,3 +73,15 @@ def test_rule_sees_unused_imports():
                      "from a import b as c, d\n"
                      "def f(v: d) -> None:\n    return sys.argv, x.y.z, core.K\n")
     assert _unused_imports(tree) == ["c", "os"]
+
+
+def test_only_core_and_boundary_read_row_block():
+    found = {p.name: _row_block_reads(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES}
+    assert {name for name, lines in found.items() if lines} == {"core.py", "boundary.py"}
+
+
+def test_rule_sees_row_block_reads():
+    tree = ast.parse("# ROW_BLOCK in a comment\nfrom . import core\nb = core.ROW_BLOCK\n"
+                     "ROW_BLOCK = 3\nfrom .core import ROW_BLOCK as rb\n"
+                     "s = 'ROW_BLOCK'\nc = ROW_BLOCK\n")
+    assert _row_block_reads(tree) == [3, 4, 5, 7]
