@@ -54,6 +54,7 @@ MAX_VERTICES = 32767  # largest n whose distance matrix fits int16: n * n * 2 by
 # edge, so this edge budget is about 1.3 GiB, of the order of the largest distance matrix
 MAX_EDGES = 2**20
 BIT_ROUTE_RATIO = 2  # distance_matrix goes bit-parallel when ecc(0) * ceil(n / 64) <= this * (n + m)
+TREE_ROUTE_ECC = 16  # a tree with n >= 64 takes the row recurrence when ecc(0) >= this
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,18 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
     One Python BFS from vertex 0 checks connectivity (DisconnectedError
     otherwise) and gives ecc(0), which brackets the diameter within a factor
-    of 2. :func:`takes_bit_route` then picks the route: the bit-parallel BFS
-    of :func:`_bit_distances`, or one Python BFS per source, with the probe
-    reused as row 0. The dtype is int16, which holds n - 1 < MAX_VERTICES.
+    of 2. Three routes give the same matrix: deep trees take the row
+    recurrence of :func:`_tree_distances` (:func:`takes_tree_route`),
+    low-diameter graphs the bit-parallel BFS of :func:`_bit_distances`
+    (:func:`takes_bit_route`), and the rest one Python BFS per source,
+    with the probe reused as row 0. The dtype is int16, which holds
+    n - 1 < MAX_VERTICES.
     """
     row0 = bfs_distances(g, 0)
-    if takes_bit_route(g, max(row0)):
+    ecc0 = max(row0)
+    if takes_tree_route(g, ecc0):
+        arr = _tree_distances(g, row0)
+    elif takes_bit_route(g, ecc0):
         arr = _bit_distances(g)
     else:
         arr = np.empty((g.n, g.n), dtype=np.int16)
@@ -189,18 +196,99 @@ def distance_matrix(g: Graph) -> np.ndarray:
 def takes_bit_route(g: Graph, ecc0: int) -> bool:
     """True iff :func:`distance_matrix` runs the bit-parallel BFS on g, where ecc(0) = ecc0.
 
-    A level of the bit route costs about ceil(n / 64) words per vertex and
-    edge, and it runs diam <= 2 ecc(0) levels; a Python BFS costs n + m per
-    source. So low-diameter graphs go to bits, and long paths stay in
-    Python. Below one full word (n < 64) the per-level numpy calls cost
-    more than the whole Python pass. BIT_ROUTE_RATIO was fitted on grids
-    (square and long thin), G(n, p), trees, stars, complete graphs, cycles
-    and paths of 64 to 3630 vertices: bits won at 2 or below, by 1.2x to
-    240x, with paths near n = 64 within 10% either way. Above 2 they still
-    won at path 600 (ratio 5.0, 0.079 against 0.105 s, medians of 5 on a
-    shared 2-core host) and lost at cycle 2000 (8.0, 1.18 against 0.64 s).
+    A tree that :func:`takes_tree_route` never does. Otherwise a level of
+    the bit route costs about ceil(n / 64) words per vertex and edge, and
+    it runs diam <= 2 ecc(0) levels; a Python BFS costs n + m per source.
+    So low-diameter graphs go to bits, and long cycles and other long thin
+    graphs stay in Python. Below one full word (n < 64) the per-level numpy
+    calls cost more than the whole Python pass. BIT_ROUTE_RATIO was fitted
+    on grids (square and long thin), G(n, p), trees, stars, complete
+    graphs, cycles and paths of 64 to 3630 vertices: bits won at 2 or
+    below, by 1.2x to 240x, with paths near n = 64 within 10% either way.
+    Above 2 they still won at cycle 600 (ratio 2.5, 0.041 against 0.091 s)
+    and grid 6x600 (3.38, 3.65 against 4.23 s), and lost at cycle 2000
+    (8.0, 1.18 against 0.64 s), medians of 5 on a shared 2-core host.
     """
-    return g.n >= 64 and ecc0 * -(-g.n // 64) <= BIT_ROUTE_RATIO * (g.n + g.m)
+    return (g.n >= 64 and not takes_tree_route(g, ecc0)
+            and ecc0 * -(-g.n // 64) <= BIT_ROUTE_RATIO * (g.n + g.m))
+
+
+def takes_tree_route(g: Graph, ecc0: int) -> bool:
+    """True iff :func:`distance_matrix` runs the row recurrence of :func:`_tree_distances` on g.
+
+    g is connected, so m = n - 1 makes it a tree. The recurrence costs a few
+    numpy calls per row whatever the depth, while the bit route costs one
+    level per unit of diameter, and ecc(0) <= diam <= 2 ecc(0). So deep
+    trees go to the recurrence, and shallow, bushy ones (stars, binary
+    trees, short-legged spiders) stay on bits. Below one full word (n < 64)
+    the Python BFS wins: on the 145 labeled trees with 2 <= n <= 5 it takes
+    14-17 us per graph against 37 us. TREE_ROUTE_ECC was fitted on these
+    trees, in ms, medians of 5 on a shared 2-core host (about +-15%):
+
+    ========================  ======  ============  ==========
+    tree (n)                  ecc(0)  bits          recurrence
+    ========================  ======  ============  ==========
+    path 600 / 2000           n - 1   75 / 2975     2.6 / 19
+    random_tree(600, 1)       61      10.0          3.2
+    random_tree(2000, 1)      97      191           19
+    caterpillar 200x2 (600)   200     14.7          1.9
+    spider 20x30 (601)        30      5.3           1.7
+    spider 37x16 (593)        16      5.7           3.3
+    caterpillar 16x36 (592)   16      3.2           3.8
+    caterpillar 24x24 (600)   24      3.9           3.9
+    binary 600 / 2000         9 / 10  3.8 / 34      3.5 / 23
+    spider 100x6 (601)        6       1.7           1.7
+    star 600 / 2000           1       1.0 / 7.8     3.8 / 19
+    ========================  ======  ============  ==========
+
+    Rooted at the center, as in a spider, diam = 2 ecc(0) and the
+    recurrence wins from ecc(0) = 12 at n = 100 to 2000. Rooted at an end
+    of a caterpillar, diam = ecc(0) and it breaks even near 24 for n <= 600
+    and near 12 at n = 2000. At 16 the worst loss
+    measured was 1.2x (caterpillar 16x11, n = 192, 0.98 against 0.80 ms),
+    against gains up to 2.4x at the same ecc(0) (spider 124x16, n = 1985).
+    (The Python BFS takes 0.105 s on path 600 and 1.2 s on path 2000.)
+    """
+    return g.m == g.n - 1 and g.n >= 64 and ecc0 >= TREE_ROUTE_ECC
+
+
+def _tree_distances(g: Graph, row0: tuple[int, ...]) -> np.ndarray:
+    """The writable distance matrix of the tree g, where row0 = ``bfs_distances(g, 0)``.
+
+    One iterative DFS from vertex 0 lists the vertices in preorder, so the
+    subtree of c is the preorder range [tin(c), tin(c) + size(c)). Row 0 in
+    preorder columns is the depth; the row of a child c is its parent's
+    row plus 1, minus 2 on c's subtree. Each row is stored at its vertex id
+    and then its columns go back to vertex order, ROW_BLOCK rows at a time,
+    so the route peaks at the matrix plus one block.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    parent = [-1] * n
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in adjacency[u]:
+            if w != parent[u]:
+                parent[w] = u
+                stack.append(w)
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    tin = np.argsort(order)
+
+    out = np.empty((n, n), dtype=np.int16)
+    out[0] = np.asarray(row0, dtype=np.int16)[order]
+    for i in range(1, n):
+        c = order[i]
+        row = out[c]
+        np.add(out[parent[c]], 1, out=row)  # at most n <= MAX_VERTICES, so int16 never wraps
+        row[i:i + size[c]] -= 2
+    for start in range(0, n, ROW_BLOCK):
+        out[start:start + ROW_BLOCK] = out[start:start + ROW_BLOCK, tin]
+    return out
 
 
 def _bit_distances(g: Graph) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The bit-parallel all-sources BFS behind ``distance_matrix``, called directly
 so that graphs below the route threshold are covered too, against
 ``bfs_distances`` and the Floyd-Warshall oracle; the route rule on the
-bench shapes; the disconnected-input message on both routes; and the
-bound on the kernel's scratch memory."""
+bench shapes for all three routes; the disconnected-input message on
+both BFS routes; and the bound on the kernel's scratch memory."""
 
 import tracemalloc
 from unittest import mock
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 import oracle
 from test_distance_pass import graphs_and_long_paths
+from test_tree_distances import binary, caterpillar, spider
 from graphboundary import (
     DisconnectedError,
     DomainSpec,
@@ -23,7 +24,13 @@ from graphboundary import (
     validate,
 )
 from graphboundary import core
-from graphboundary.core import _bit_distances, bfs_distances, takes_bit_route
+from graphboundary.core import (
+    _bit_distances,
+    _tree_distances,
+    bfs_distances,
+    takes_bit_route,
+    takes_tree_route,
+)
 from graphboundary.generators import complete, cycle, erdos_renyi, grid, path, random_tree, star
 
 
@@ -112,26 +119,41 @@ def test_bit_route_raises_exactly_when_disconnected(n, pairs):
 
 
 def route_of(g):
-    return takes_bit_route(g, max(bfs_distances(g, 0)))
+    """The route ``distance_matrix`` takes on the connected g: "tree", "bits" or "python"."""
+    ecc0 = max(bfs_distances(g, 0))
+    if takes_tree_route(g, ecc0):
+        assert not takes_bit_route(g, ecc0)
+        return "tree"
+    return "bits" if takes_bit_route(g, ecc0) else "python"
 
 
 def test_route_rule_on_the_bench_shapes():
     annulus = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.1)).graph
-    for g in (annulus, connected_gnp(400, 0.02), random_tree(600, 1), random_tree(2000, 1),
-              grid(40, 40).graph, grid(60, 60).graph, star(2000), complete(64)):
-        assert route_of(g), g.n
-    # long paths, and everything below one full word, keep the Python BFS
-    for g in (path(600), path(2000), cycle(2000), star(62), complete(63)):
-        assert not route_of(g), g.n
-    assert not any(route_of(g) for g in enumerate_connected(5))
+    # deep trees take the row recurrence
+    for g in (path(600), path(2000), random_tree(600, 1), random_tree(2000, 1),
+              caterpillar(200, 2), spider(20, 30)):
+        assert route_of(g) == "tree", g.n
+    # low diameter takes bits, shallow bushy trees included
+    for g in (annulus, connected_gnp(400, 0.02), grid(40, 40).graph, grid(60, 60).graph,
+              star(599), star(2000), spider(100, 6), binary(600), complete(64)):
+        assert route_of(g) == "bits", g.n
+    # long cycles, and everything below one full word, keep the Python BFS
+    for g in (cycle(2000), path(63), star(62), complete(63)):
+        assert route_of(g) == "python", g.n
+    assert {route_of(g) for g in enumerate_connected(5)} == {"python"}
 
 
 def test_distance_matrix_runs_the_chosen_route():
-    for g, bits in ((grid(8, 8).graph, True), (path(600), False), (grid(7, 9).graph, False)):
-        with mock.patch.object(core, "_bit_distances", wraps=_bit_distances) as kernel:
+    for g, route in ((grid(8, 8).graph, "bits"), (star(63), "bits"), (grid(7, 9).graph, "python"),
+                     (cycle(600), "python"), (path(63), "python"), (path(600), "tree"),
+                     (random_tree(600, 1), "tree")):
+        with mock.patch.object(core, "_bit_distances", wraps=_bit_distances) as bits, \
+                mock.patch.object(core, "_tree_distances", wraps=_tree_distances) as tree, \
+                mock.patch.object(core, "bfs_distances", wraps=bfs_distances) as bfs:
             dm = distance_matrix(g)
-        assert kernel.call_count == bits
-        assert not dm.flags.writeable
+        assert (bits.call_count, tree.call_count) == (route == "bits", route == "tree"), g.n
+        assert bfs.call_count == (g.n if route == "python" else 1)  # the probe, then one per source
+        assert dm.dtype == np.int16 and not dm.flags.writeable
         assert dm.tolist() == [list(bfs_distances(g, v)) for v in range(g.n)]
 
 

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from test_bit_bfs import route_of
 from test_distance_pass import graphs_and_long_paths
 from graphboundary import boundary, enumerate_connected, read_edge_list
 from graphboundary.boundary import report_to_dict
 from graphboundary.cli import _emit, _json_report, _text_report, main
-from graphboundary.core import bfs_distances, takes_bit_route
 from graphboundary.generators import complete, cycle, grid, path, random_tree, star
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,26 +64,22 @@ def test_hypothesis_graphs(g):
     assert_streams_match(g)
 
 
-def routes_to_bits(g):
-    return takes_bit_route(g, max(bfs_distances(g, 0)))
-
-
 @pytest.mark.parametrize(
-    "g, bits",
+    "g, route",
     [
-        (complete(1), False),
-        (complete(2), False),
-        (star(40), False),
-        (star(300), True),
-        (grid(8, 8).graph, True),
-        (random_tree(200, 7), True),
-        (cycle(65), True),
-        (path(600), False),
+        (complete(1), "python"),
+        (complete(2), "python"),
+        (star(40), "python"),
+        (star(300), "bits"),
+        (grid(8, 8).graph, "bits"),
+        (random_tree(200, 7), "tree"),
+        (cycle(65), "bits"),
+        (path(600), "tree"),
     ],
     ids=["k1", "k2", "star40", "star300", "grid8", "tree200", "cycle65", "path600"],
 )
-def test_small_and_both_distance_routes(g, bits):
-    assert routes_to_bits(g) == bits
+def test_small_and_both_distance_routes(g, route):
+    assert route_of(g) == route
     assert_streams_match(g)
 
 
