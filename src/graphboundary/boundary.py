@@ -198,6 +198,70 @@ def _check_report(report: BoundaryReport) -> None:
         raise InvariantViolation("witness map out of sync with boundary set")
 
 
+@dataclass(frozen=True)
+class BatchReport:
+    """Slices and CEJZ sets of B connected graphs on the same n vertices, as dense arrays.
+
+    Index b of every array is graph b: ``adjacency`` is (B, n, n) bool,
+    ``distances`` (B, n, n) int8, ``slices`` (B, n, n) bool with [b, v, u]
+    true iff u is in the slice of v, and ``cejz`` (B, n) bool. Built by
+    :func:`batch_boundary`; the other quantities are read off these four.
+    """
+
+    adjacency: np.ndarray
+    distances: np.ndarray
+    slices: np.ndarray
+    cejz: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.adjacency)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[1]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.adjacency.sum(axis=2)
+
+    @property
+    def max_degree(self) -> np.ndarray:
+        return self.degrees.max(axis=1)
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.degrees.sum(axis=1) // 2
+
+    @property
+    def diameter(self) -> np.ndarray:
+        return self.distances.max(axis=(1, 2))
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """(B, n) bool: u is in some slice of graph b."""
+        return self.slices.any(axis=1)
+
+
+def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
+    """The slices and CEJZ sets of a stack of connected graphs, in one dense pass.
+
+    u is in the slice of v iff sum_{w ~ u} d(v, w) < deg(u) * d(u, v), and in
+    the CEJZ set iff it has a neighbor and, for some v, no neighbor is
+    farther from v than u. The neighbor distances are gathered as one
+    (B, n, n, n) array, so this is meant for graphs of a handful of vertices.
+    """
+    nbr = adjacency[:, None]  # [b, -, u, w]: w ~ u
+    gathered = distances[:, :, None]  # [b, v, -, w]: d(v, w)
+    deg = adjacency.sum(axis=2, dtype=np.int16)  # int16 sums: at most (n - 1)^2
+    slices = (gathered * nbr).sum(axis=3, dtype=np.int16) < deg[:, None] * distances
+    farther = (nbr & (gathered > distances[..., None])).any(axis=3)
+    cejz = (~farther & (deg > 0)[:, None]).any(axis=1)
+    report = BatchReport(adjacency, distances, slices, cejz)
+    if (cejz & ~report.boundary).any():
+        raise InvariantViolation("CEJZ boundary escaped the averaged boundary")
+    return report
+
+
 def report_to_dict(report: BoundaryReport, include_slices: bool = False) -> dict:
     """Fixed JSON schema used by the CLI and the tests.
 

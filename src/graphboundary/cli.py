@@ -54,7 +54,6 @@ from .generators import (
     GridGraph,
     complete,
     cycle,
-    enumerate_connected,
     erdos_renyi,
     grid,
     grid_d,
@@ -66,7 +65,7 @@ from .generators import (
     unit_step_edges,
 )
 from .layers import SWEEP_COLUMNS, sweep_rows
-from .verify import ALL_CHECKS, run_battery
+from .verify import ALL_CHECKS, enum_sweep, run_battery
 
 DEFAULT_SEED = 12345  # fixed so unseeded runs are still reproducible
 
@@ -404,18 +403,16 @@ def cmd_verify(args) -> int:
     lines = []
     failures = 0
     if enum:
-        checks = tuple(c for c in checks if c != "prop4")
-        count = 0
-        tallies = {c: 0 for c in checks}
-        for g in enumerate_connected(args.nmax):
-            count += 1
-            for oc in run_battery(g, checks):
-                if not oc.passed:
-                    tallies[oc.check] += 1
-                    failures += 1
-        lines.append(f"enum nmax={args.nmax} graphs={count}")
-        for c in checks:
-            lines.append(f"check={c} graphs={count} failures={tallies[c]}")
+        sweep = enum_sweep(args.nmax, tuple(c for c in checks if c != "prop4"))
+        lines.append(f"enum nmax={args.nmax} graphs={sweep.graphs}")
+        for c, tally in sweep.failures.items():
+            lines.append(f"check={c} graphs={sweep.graphs} failures={tally}")
+            if c in sweep.first_failures:
+                g, oc = sweep.first_failures[c]
+                edges = ",".join(f"{u}-{w}" for u, w in g.edges())
+                lines.append(f"check={c} first_failure n={g.n} m={g.m} edges={edges} "
+                             f"detail={oc.detail}")
+        failures = sum(sweep.failures.values())
     else:
         outcomes = run_battery(g, checks, gg=gg)
         lines.append(f"graph {label} n={g.n} m={g.m}")

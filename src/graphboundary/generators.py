@@ -22,6 +22,8 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .core import Graph, GraphError, is_connected, validate
 
 _MASK = (1 << 64) - 1
@@ -371,17 +373,61 @@ def lattice_discretize(spec: DomainSpec) -> GridGraph:
 
 # labeled connected graph counts by n: 1, 1, 4, 38, 728, 26704
 
-def enumerate_connected(n_max: int) -> Iterator[Graph]:
-    """All connected labeled simple graphs on 1..n_max vertices.
+ENUM_CHUNK = 256  # edge masks per dense pass; larger chunks run no faster and raise the peak RSS
 
-    Enumeration is by edge-subset bitmask in a fixed order, so the stream
-    is deterministic. Capped at n_max <= ENUM_NMAX (32768 masks at n = 6).
+
+def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
+    """The edges of ``mask`` on n vertices: pair i of combinations(range(n), 2) iff bit i is set."""
+    return [pair for i, pair in enumerate(combinations(range(n), 2)) if mask >> i & 1]
+
+
+def _dense_distances(adjacency: np.ndarray) -> np.ndarray:
+    """Hop distances of a (B, n, n) bool adjacency stack as int8, -1 where unreachable.
+
+    Step k of the BFS is one boolean product, reach_k = reach_{k-1} | reach_{k-1} A, and
+    n - 1 steps reach every vertex of a connected graph.
+    """
+    n = adjacency.shape[1]
+    reach = np.broadcast_to(np.eye(n, dtype=bool), adjacency.shape)
+    dist = np.where(reach, np.int8(0), np.int8(-1))
+    for step in range(1, n):
+        grown = reach | reach @ adjacency
+        dist[grown & ~reach] = step
+        reach = grown
+    return dist
+
+
+def connected_chunks(n_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(n, masks, adjacency, distances) of the connected labeled graphs on 1..n_max vertices.
+
+    Edge masks run in increasing order, ENUM_CHUNK at a time, and bit i of a
+    mask is pair i of combinations(range(n), 2), as in :func:`mask_edges`.
+    Row b of the (B, n, n) bool ``adjacency`` and int8 ``distances`` is the
+    graph of ``masks[b]``; only connected graphs are kept. Capped at
+    n_max <= ENUM_NMAX (32768 masks at n = 6).
     """
     if not 1 <= n_max <= ENUM_NMAX:
         raise ValueError(f"exhaustive enumeration is capped at n_max <= {ENUM_NMAX}")
     for n in range(1, n_max + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = validate([pairs[i] for i in range(len(pairs)) if mask >> i & 1], n)
-            if is_connected(g):
-                yield g
+        rows, cols = np.triu_indices(n, 1)  # the pairs in combinations order
+        total = 1 << len(rows)
+        for lo in range(0, total, ENUM_CHUNK):
+            masks = np.arange(lo, min(lo + ENUM_CHUNK, total), dtype=np.int32)
+            bits = (masks[:, None] >> np.arange(len(rows), dtype=np.int32) & 1).astype(bool)
+            adjacency = np.zeros((len(masks), n, n), dtype=bool)
+            adjacency[:, rows, cols] = bits
+            adjacency[:, cols, rows] = bits
+            dist = _dense_distances(adjacency)
+            keep = (dist[:, 0] >= 0).all(axis=1)
+            yield n, masks[keep], adjacency[keep], dist[keep]
+
+
+def enumerate_connected(n_max: int) -> Iterator[Graph]:
+    """All connected labeled simple graphs on 1..n_max vertices.
+
+    Enumeration is by edge-subset bitmask in the fixed order of
+    :func:`connected_chunks`, so the stream is deterministic.
+    """
+    for n, masks, _, _ in connected_chunks(n_max):
+        for mask in masks.tolist():
+            yield validate(mask_edges(n, mask), n)

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryReport, boundary
-from .core import Graph, is_path_graph
+from .boundary import BatchReport, BoundaryReport, batch_boundary, boundary
+from .core import Graph, is_path_graph, validate
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
-from .generators import GridGraph
+from .generators import GridGraph, connected_chunks, mask_edges
 from .layers import (
     InvariantViolation,
     check_dichotomy,
@@ -112,35 +112,50 @@ def _check_laplacian(g, report, gg):
     return CheckOutcome("laplacian", True, f"sources={g.n}")
 
 
-def _dichotomy_flags(dist, member, tails, heads, delta) -> np.ndarray:
-    """Rows of a block of sources whose layers break the dichotomy, in increasing order.
-
-    For each row r, column j of the counts is layer j's cross edges (those joining
-    A_{j-1} and A_j, counted at their outer end as layer_decompose does), size and
-    slice members: one integer bincount each over the keys r * width + j.
-    """
-    b = len(dist)
+def _layer_keys(dist) -> tuple[np.ndarray, np.ndarray, int]:
+    """(keys r * width + d, ell per row, width) for a stack of distance rows."""
     ell = dist.max(axis=1)
     width = int(ell.max()) + 1
-    keys = np.arange(b, dtype=np.int32)[:, None] * width + dist  # < ROW_BLOCK * n
-    k_tail, k_head = keys[:, tails], keys[:, heads]
-    outer = np.maximum(k_tail, k_head)[k_tail != k_head]  # each cross edge, at its outer end
-    # freed before bincount copies outer to intp: a block's scratch then stays small enough
-    # for the allocator to reuse it, instead of trimming the heap and faulting it in again
-    del k_tail, k_head
+    return np.arange(len(dist), dtype=np.int32)[:, None] * width + dist, ell, width
+
+
+def _broken_rows(keys, outer, member, ell, width, delta) -> np.ndarray:
+    """Bool per row of ``keys``: True where the row's layers break the dichotomy.
+
+    For each row r, column j of the counts is layer j's cross edges (those joining
+    A_{j-1} and A_j, counted at their outer end as layer_decompose does; ``outer``
+    holds the key of that end once per edge), size and slice members: one integer
+    bincount each over the keys r * width + j. ``delta`` is one maximum degree, or
+    one per row.
+    """
+    b = len(keys)
+    delta = np.reshape(delta, (-1, 1))
     cross = np.bincount(outer, minlength=b * width)
     size = np.bincount(keys.ravel(), minlength=b * width)
     members = np.bincount(keys[member], minlength=b * width)
     last = np.arange(b) * width + ell
-    last_bad = (ell >= 1) & ((members[last] != size[last]) | (cross[last] > delta * size[last]))
+    last_bad = (ell >= 1) & ((members[last] != size[last])
+                             | (cross[last] > delta[:, 0] * size[last]))
     # mid-layer test |E(A_{j-1}, A_j)| <= |E(A_j, A_{j+1})| + delta |slice ∩ A_j| on every
     # column: it cannot fail at j = 0, which has no cross edges, nor past ell, where all
     # is empty, and at j = ell it fails only where last_bad holds; so it flags the same
     # rows as the test on layers 1..ell-1
     cross = cross.reshape(b, width)
-    slack = delta * members.reshape(b, width)
+    slack = members.reshape(b, width)
+    slack *= delta
     slack[:, :-1] += cross[:, 1:]
-    return np.flatnonzero((cross > slack).any(axis=1) | last_bad)
+    return (cross > slack).any(axis=1) | last_bad
+
+
+def _dichotomy_flags(dist, member, tails, heads, delta) -> np.ndarray:
+    """Rows of a block of sources whose layers break the dichotomy, in increasing order."""
+    keys, ell, width = _layer_keys(dist)  # keys < ROW_BLOCK * n
+    k_tail, k_head = keys[:, tails], keys[:, heads]
+    outer = np.maximum(k_tail, k_head)[k_tail != k_head]  # each cross edge, at its outer end
+    # freed before bincount copies outer to intp: a block's scratch then stays small enough
+    # for the allocator to reuse it, instead of trimming the heap and faulting it in again
+    del k_tail, k_head
+    return np.flatnonzero(_broken_rows(keys, outer, member, ell, width, delta))
 
 
 def _check_dichotomy(g, report, gg):
@@ -210,3 +225,122 @@ def run_battery(
         else:
             out.append(_RUNNERS[name](g, report, gg))
     return out
+
+
+# --- the same checks over a BatchReport: one pass/fail vector per check, all in integers ---
+
+def _batch_prop1(r: BatchReport) -> np.ndarray:
+    return ~(r.cejz & ~r.boundary).any(axis=1)
+
+
+def _batch_prop2(r: BatchReport) -> np.ndarray:
+    leaves = r.degrees == 1
+    ok = ~(leaves & ~r.boundary).any(axis=1)
+    if r.n < 2:
+        return ok
+    tree = r.m == r.n - 1  # tree: boundary is exactly the leaf set
+    return ok & (~tree | (r.boundary == leaves).all(axis=1))
+
+
+def _batch_prop3(r: BatchReport) -> np.ndarray:
+    size = r.boundary.sum(axis=1)
+    if r.n < 2:
+        return size == 0
+    deg = r.degrees
+    path = ((deg == 1).sum(axis=1) == 2) & ((deg == 2).sum(axis=1) == r.n - 2)
+    return (size >= 2) & ((size != 2) | path)
+
+
+def _batch_thm1(r: BatchReport) -> np.ndarray:
+    # |boundary| >= n / (2 Delta diam), times the positive denominator
+    return 2 * r.max_degree * r.diameter * r.boundary.sum(axis=1) >= r.n
+
+
+def _batch_thm2(r: BatchReport) -> np.ndarray:
+    smallest = r.slices.sum(axis=2).min(axis=1)
+    return smallest * (2 * r.max_degree * (r.diameter - 1) + 1) >= r.n - 1
+
+
+def _batch_mps(r: BatchReport) -> np.ndarray:
+    return np.left_shift(1, r.cejz.sum(axis=1)) >= r.max_degree + 2
+
+
+def _batch_laplacian(r: BatchReport) -> np.ndarray:
+    # the matrix route: row v of D L is L f_v, whose positive entries must be v's slice
+    lap = np.where(r.adjacency, -1, 0).astype(np.int32)
+    lap[:, range(r.n), range(r.n)] = r.degrees
+    return ((r.distances.astype(np.int32) @ lap > 0) == r.slices).all(axis=(1, 2))
+
+
+def _batch_dichotomy(r: BatchReport) -> np.ndarray:
+    # row b * n + v is source v of graph b; each u counts its nearer neighbors, which are
+    # the cross edges that have u as their outer end
+    b, n = len(r), r.n
+    nearer = (r.adjacency[:, None] & (r.distances[:, :, None] < r.distances[..., None])).sum(
+        axis=3, dtype=np.int8)
+    keys, ell, width = _layer_keys(r.distances.reshape(b * n, n))
+    outer = np.repeat(keys.ravel(), nearer.ravel())
+    broken = _broken_rows(keys, outer, r.slices.reshape(b * n, n), ell, width,
+                          np.repeat(r.max_degree, n))
+    return ~broken.reshape(b, n).any(axis=1)
+
+
+_BATCH_RUNNERS = {
+    "prop1": _batch_prop1,
+    "prop2": _batch_prop2,
+    "prop3": _batch_prop3,
+    "thm1": _batch_thm1,
+    "thm2": _batch_thm2,
+    "mps": _batch_mps,
+    "laplacian": _batch_laplacian,
+    "dichotomy": _batch_dichotomy,
+}
+
+
+def run_batch(report: BatchReport, checks: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The pass vector of each named check (prop4 excluded) over the graphs of ``report``.
+
+    Entry b is run_battery's verdict on graph b; the bounds pass on a single vertex.
+    """
+    skip = _BOUNDS if report.n < 2 else ()
+    return {c: np.ones(len(report), dtype=bool) if c in skip else _BATCH_RUNNERS[c](report)
+            for c in checks}
+
+
+@dataclass(frozen=True)
+class EnumSweep:
+    """Tallies of :func:`enum_sweep`: per check, the failures and the first failing graph."""
+
+    graphs: int
+    failures: dict[str, int]
+    first_failures: dict[str, tuple[Graph, CheckOutcome]]
+
+
+def _replay(check: str, n: int, mask: int) -> tuple[Graph, CheckOutcome]:
+    """The graph of ``mask`` on n vertices and its per-graph outcome, which must fail."""
+    g = validate(mask_edges(n, mask), n)
+    [outcome] = run_battery(g, (check,))
+    if outcome.passed:
+        raise InvariantViolation(f"{check}: the batch pass fails edge mask {mask} on {n} "
+                                 "vertices, the per-graph check passes it")
+    return g, outcome
+
+
+def enum_sweep(n_max: int, checks: tuple[str, ...]) -> EnumSweep:
+    """Run the checks (prop4 excluded) on every connected labeled graph with n <= n_max.
+
+    Each chunk of :func:`connected_chunks` is checked as one BatchReport. The
+    first failing graph of a check, in enumeration order, is rebuilt and run
+    through :func:`run_battery` for its detail.
+    """
+    graphs = 0
+    failures = dict.fromkeys(checks, 0)
+    first: dict[str, tuple[Graph, CheckOutcome]] = {}
+    for n, masks, adjacency, distances in connected_chunks(n_max):
+        graphs += len(masks)
+        for check, passed in run_batch(batch_boundary(adjacency, distances), checks).items():
+            bad = np.flatnonzero(~passed)
+            failures[check] += len(bad)
+            if len(bad) and check not in first:
+                first[check] = _replay(check, n, int(masks[bad[0]]))
+    return EnumSweep(graphs, failures, first)

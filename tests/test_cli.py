@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from graphboundary import (
@@ -640,7 +641,21 @@ def test_gen_offset_moves_the_lattice(tmp_path):
     }
 
 
-def test_verify_enum_counts_failures_with_exit1(monkeypatch, capsys):
+def _fail_prop3_batch_on_three(monkeypatch):
+    # the sweep reads one pass vector per graph size from _BATCH_RUNNERS
+    from graphboundary import verify
+
+    real = verify._BATCH_RUNNERS["prop3"]
+
+    def failing_on_three(report):
+        return np.zeros(len(report), dtype=bool) if report.n == 3 else real(report)
+
+    monkeypatch.setitem(verify._BATCH_RUNNERS, "prop3", failing_on_three)
+
+
+def test_verify_enum_counts_failures_with_exit1(monkeypatch, capsys, tmp_path):
+    # the failure is injected into both routes: the batch pass counts it, and the
+    # per-graph battery gives the first failing graph its detail
     from graphboundary import verify
     from graphboundary.verify import CheckOutcome
 
@@ -650,11 +665,31 @@ def test_verify_enum_counts_failures_with_exit1(monkeypatch, capsys):
         return CheckOutcome("prop3", False, "forced") if g.n == 3 else real(g, report, gg)
 
     monkeypatch.setitem(verify._RUNNERS, "prop3", failing_on_three)
+    _fail_prop3_batch_on_three(monkeypatch)
     assert run("verify", "--family", "enum", "--nmax", 5) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "check=prop3 graphs=772 failures=4" in lines
     assert "check=thm1 graphs=772 failures=0" in lines
     assert lines[-1] == "summary failures=4"
+    first = lines[lines.index("check=prop3 graphs=772 failures=4") + 1]
+    assert first == "check=prop3 first_failure n=3 m=2 edges=0-1,0-2 detail=forced"
+    assert sum("first_failure" in line for line in lines) == 1
+    # the edge list replays through verify --in, which fails the same way
+    n, m, edges = re.fullmatch(r"check=prop3 first_failure n=(\d+) m=(\d+) edges=(\S*) .*",
+                               first).groups()
+    replay = tmp_path / "first.el"
+    replay.write_text(f"{n} {m}\n" + "".join(e.replace("-", " ") + "\n" for e in edges.split(",")))
+    assert run("verify", "--in", replay, "--checks", "prop3") == 1
+    assert capsys.readouterr().out.splitlines()[1] == "check=prop3 pass=false forced"
+
+
+def test_verify_enum_batch_failure_the_graph_check_passes_raises(monkeypatch, capsys):
+    from graphboundary import InvariantViolation
+
+    _fail_prop3_batch_on_three(monkeypatch)
+    with pytest.raises(InvariantViolation, match="prop3: the batch pass fails edge mask 3 on 3"):
+        run("verify", "--family", "enum", "--nmax", 4)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv, message", [

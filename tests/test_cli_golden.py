@@ -83,6 +83,11 @@ COMMANDS = {
         "554bd9fabd06ce073ced427c3633a5da77e1a8929b75f86a32e4db7b7a6546ff"),
     "verify_enum_4": (("verify", "--family", "enum", "--nmax", "4"),
         "96065ff6b31bccd7a0037084176774eebe93a703f1996baab81e9477a6781889"),
+    "verify_enum_6": (("verify", "--family", "enum", "--nmax", "6"),
+        "389f69f8d5fa2b040cfadcd26862541ec8f92d30914a838ebe5b14cf97c37f7f"),
+    "verify_enum_5_three_checks": (
+        ("verify", "--family", "enum", "--nmax", "5", "--checks", "dichotomy,thm2,laplacian"),
+        "3b7c9ab890c32d3dc18b8bdbfbb6741c5416b67564a5d7c8cfd6e17087738b75"),
     "sweep_grid": (("sweep", "--family", "grid", "--sizes", "3,5"),
         "fac69a4eb8ecda008c3ca3278332ad831d34327ffc300df2f5e98d46ca045211"),
     "sweep_tree": (("sweep", "--family", "tree", "--sizes", "10,20"),
