@@ -50,8 +50,8 @@ class InvariantViolation(GraphError):
 
 ROW_BLOCK = 32  # distance rows per block in bulk passes: scratch is O(ROW_BLOCK * (n + m))
 MAX_VERTICES = 32767  # largest n whose distance matrix fits int16: n * n * 2 bytes, about 2 GiB
-# verify --checks all on K_600 (179 700 edges) peaks at 225 MiB RSS, about 1.3 KiB per
-# edge, so this edge budget is about 1.3 GiB, of the order of the largest distance matrix
+# verify --checks all on K_600 (179 700 edges) peaks at 196 MiB RSS, about 1.1 KiB per
+# edge, so this edge budget is about 1.1 GiB, of the order of the largest distance matrix
 MAX_EDGES = 2**20
 BIT_ROUTE_RATIO = 2  # distance_matrix goes bit-parallel when ecc(0) * ceil(n / 64) <= this * (n + m)
 TREE_ROUTE_ECC = 16  # a tree with n >= 64 takes the row recurrence when ecc(0) >= this

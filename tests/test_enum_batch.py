@@ -13,7 +13,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from graphboundary import InvariantViolation, boundary, distance_matrix, run_battery, validate
+from exhaustive import CHECKS, per_graph_pass
+from graphboundary import InvariantViolation, distance_matrix, run_battery, validate
 from graphboundary.boundary import BoundaryReport, batch_boundary
 from graphboundary.cli import main
 from graphboundary.generators import (
@@ -24,8 +25,6 @@ from graphboundary.generators import (
     star,
 )
 from graphboundary.verify import _BATCH_RUNNERS, ALL_CHECKS, run_batch
-
-CHECKS = tuple(c for c in ALL_CHECKS if c != "prop4")
 
 
 def graphs_of(n, masks):
@@ -56,25 +55,26 @@ def test_chunks_follow_the_enumeration_order():
 
 
 def test_batch_rows_equal_per_graph_reports_on_all_graphs_up_to_6():
-    count = 0
+    # row b of a chunk is the graph after ``seen[n]`` earlier ones of its size in the
+    # enumeration order, and so the row of the per-graph pass at that index
+    reference = per_graph_pass()
+    seen = Counter()
     for n, masks, adjacency, distances in connected_chunks(6):
         batch = batch_boundary(adjacency, distances)
         passed = run_batch(batch, CHECKS)
         assert all(ok.all() for ok in passed.values())
-        members, diameter = batch.boundary, batch.diameter
-        max_degree, m = batch.max_degree, batch.m
-        for b, g in enumerate(graphs_of(n, masks)):
-            rep = boundary(g)
-            assert (batch.distances[b] == rep.distances).all()
-            assert (batch.slices[b] == rep.slice_rows(0, n)).all()
-            assert tuple(np.flatnonzero(batch.cejz[b]).tolist()) == rep.cejz_boundary
-            assert tuple(np.flatnonzero(members[b]).tolist()) == rep.boundary
-            assert diameter[b] == rep.diameter
-            assert max_degree[b] == g.max_degree and m[b] == g.m
-            verdicts = [oc.passed for oc in run_battery(g, CHECKS, report=rep)]
-            assert verdicts == [bool(passed[c][b]) for c in CHECKS]
-            count += 1
-    assert count == 27476
+        rows = slice(seen[n], seen[n] + len(masks))
+        seen[n] += len(masks)
+        ref = reference[n]
+        assert (batch.distances == ref.distances[rows]).all()
+        assert (batch.slices == ref.slices[rows]).all()
+        assert (batch.cejz == ref.cejz[rows]).all()
+        assert (batch.boundary == ref.boundary[rows]).all()
+        assert (batch.diameter == ref.diameter[rows]).all()
+        assert (batch.max_degree == ref.max_degree[rows]).all() and (batch.m == ref.m[rows]).all()
+        assert (np.column_stack([passed[c] for c in CHECKS]) == ref.passed[rows]).all()
+    assert seen == {n: len(ref.passed) for n, ref in reference.items()}
+    assert sum(seen.values()) == 27476
 
 
 def corruptions(batch, b):
