@@ -15,8 +15,9 @@ Both criteria are evaluated over one distance matrix, a block of sources at
 a time, on a padded fixed-width neighbor layout in the style of ELLPACK
 (Bell and Garland, SC 2009). Each neighbor list is padded with its own
 vertex u up to a width, and the vertices are grouped into classes of equal
-width, so one gather of a block's distance rows gives every class as a
-dense (rows, width, class size) array that reduces along one axis. The
+width. One gather of a block's distance rows per class gives it as a dense
+(rows, width, class size) array that reduces along one axis, and the
+class's verdicts are written straight into their vertices' columns. The
 padding is exact. Each pad adds d(v, u) to u's neighbor sum, so with S the
 sum and W the width,  S < deg(u) d(u, v)  holds iff
 S + (W - deg(u)) d(u, v) < W d(u, v). Each pad equals d(u, v), so the
@@ -151,8 +152,6 @@ def cejz_boundary(g: Graph) -> frozenset[int]:
 # entries of padded neighbor distances a block may gather past ROW_BLOCK rows; 2^17 and 2^18
 # were no faster on path 600, tree 600, a lattice and G(400, 0.02), with up to 4x the scratch
 GATHER_BUDGET = 2**16
-PYTHON_LAYOUT = 64  # n * Delta up to which the layout is one class built from g.adjacency
-_SAME = slice(None)  # the permutation of a layout in vertex order: indexing with it is a view
 
 
 def _width(d: int) -> int:
@@ -161,109 +160,89 @@ def _width(d: int) -> int:
     return -(-d >> shift) << shift
 
 
-def _padded_layout(g: Graph) -> tuple[np.ndarray, list[tuple[int, int, int, int]],
-                                      np.ndarray | slice, np.ndarray | slice,
-                                      np.ndarray | np.int32]:
+def _padded_layout(g: Graph) -> list[tuple[np.ndarray | slice, int, np.ndarray]]:
     """Every neighbor list padded with its own vertex, in classes of equal width.
 
-    Returns (flat, classes, order, rank, width). Position i of the layout
-    is vertex ``order[i]``, and vertex u is at position ``rank[u]``; both
-    are ``slice(None)`` when the positions are in vertex order, so that
-    indexing with them is a view. ``width`` gives the width of each
-    position, or of all of them. A class (lo, hi, w, offset) holds
-    positions lo..hi - 1 slot-major: slot j of position lo + i is
-    ``flat[offset + j * (hi - lo) + i]``, so a block of rows reduces a
-    class along its middle axis, with the class's positions contiguous in
-    the inner loop. A vertex of degree d has width :func:`_width` (d), in
-    classes of increasing width. When padding every list to Delta costs at
-    most 2n more slots than that, the two permutations of the positions
-    would cost more, so there is one class of width Delta in vertex order.
-    There is one such class also when n * Delta <= PYTHON_LAYOUT, built
-    from ``g.adjacency`` with a single numpy call: on graphs of a few
-    vertices the set-up of the layout is most of the work.
+    Returns classes (members, width, slots) of increasing width that
+    partition the vertices. ``members`` holds a class's vertex ids in
+    increasing order, and ``slots`` is a (width, len(members)) array whose
+    column i is the neighbor list of ``members[i]`` padded with that vertex
+    itself. A vertex of degree d has width :func:`_width` (d). When padding
+    every list to Delta costs at most 2n more slots than that, there is one
+    class of width Delta whose ``members`` is ``slice(None)``, so that
+    indexing with it is a view.
     """
     n, delta = g.n, g.max_degree
-    if n * delta <= PYTHON_LAYOUT:
-        flat = [nbrs[j] if j < len(nbrs) else u
-                for j in range(delta) for u, nbrs in enumerate(g.adjacency)]
-        return np.array(flat, dtype=np.intp), [(0, n, delta, 0)], _SAME, _SAME, np.int32(delta)
     indptr, indices = g.csr
     deg = indptr[1:] - indptr[:-1]
     width = np.array([_width(d) for d in range(delta + 1)])[deg]
     if n * delta <= int(width.sum()) + 2 * n:
-        order = rank = _SAME
-        groups = [(delta, np.arange(n))]
-        width = np.int32(delta)
+        groups = [(slice(None), delta)]
     else:
-        groups = [(w, np.flatnonzero(width == w)) for w in sorted(set(width.tolist()))]
-        order = np.concatenate([members for _, members in groups])
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        width = width[order].astype(np.int32)
-    flat = np.empty(sum(w * len(members) for w, members in groups), dtype=np.intp)
+        groups = [(np.flatnonzero(width == w), w) for w in sorted(set(width.tolist()))]
     classes = []
-    lo = offset = 0
-    for w, members in groups:
+    for members, w in groups:
+        ids = np.arange(n)[members]
         slot = np.arange(w)[:, None]
-        real = slot < deg[members]
-        nbrs = indices[np.where(real, indptr[members] + slot, 0)]
-        flat[offset:offset + w * len(members)] = np.where(real, nbrs, members).ravel()
-        classes.append((lo, lo + len(members), w, offset))
-        lo, offset = lo + len(members), offset + w * len(members)
-    return flat, classes, order, rank, width
+        real = slot < deg[ids]
+        nbrs = indices[np.where(real, indptr[ids] + slot, 0)]
+        classes.append((members, w, np.where(real, nbrs, ids)))
+    return classes
 
 
 def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> BoundaryReport:
     """Compute the full boundary report from one distance pass, O(n(n+m)) time.
 
-    Sources are evaluated a block of rows at a time on the padded layout of
-    :func:`_padded_layout`. One gather ``blk[:, flat]`` takes the distances
-    from the block's sources to every padded slot. Each class then gives a
-    (rows, width, class size) view, with one int32 sum and one max along
-    the width. u is in the slice of v iff the padded sum is below
-    width * d(u, v), and u is CEJZ-certified by v iff the maximum is at
-    most d(u, v) (see the module docstring for why the pads change
-    neither). A width is at most 5/4 Delta, so both sides are at most
-    5/4 Delta (n - 1) <= 5/4 (n - 1)^2 < 1.35e9 < 2^31 for
-    n <= core.MAX_VERTICES, and they are computed in int32.
+    Sources are evaluated a block of rows at a time on the classes of
+    :func:`_padded_layout`. For each class, one gather ``blk[:, slots]``
+    gives the distances from the block's sources to its padded slots as a
+    (rows, width, class size) array, and ``blk[:, members]`` gives d(u, v)
+    for its members. One int32 sum and one max along the width then decide
+    the class's columns, which are written straight into vertex order. u
+    is in the slice of v iff the padded sum is below width * d(u, v), that
+    is, iff the padded mean rounded down is below d(u, v), and u is
+    CEJZ-certified by v iff the maximum is at most d(u, v) (see the module
+    docstring for why the pads change neither). A width is at most
+    5/4 Delta, so a padded sum is at most 5/4 Delta (n - 1) <=
+    5/4 (n - 1)^2 < 1.35e9 < 2^31 for n <= core.MAX_VERTICES, and it is
+    computed in int32.
 
     A block has ``core.ROW_BLOCK`` rows, or more on sparse graphs, as many
-    as keep its gather within ``GATHER_BUDGET`` entries, and never more
-    than n. The layout has at most 5/2 m + 2n slots (or PYTHON_LAYOUT),
-    and a block's per-vertex rows hold no more entries than its gather, so
-    the scratch of a block is O(max(ROW_BLOCK * (n + m), GATHER_BUDGET))
-    entries. The int16 matrix is kept on the report, so memory
-    is Theta(n^2) while the report lives: 2 bytes per vertex pair (200 MB
-    on a path of 10 000 vertices) plus n^2 / 8 bytes for the slices packed
-    as bit rows (12.5 MB on that path). ``include_slices`` and ``threads``
-    are accepted and ignored: every report carries its slices.
+    as keep its gathers within ``GATHER_BUDGET`` entries, and never more
+    than n. The layout has at most 5/2 m + 2n slots, and one class is
+    gathered at a time, so the scratch of a block is its bool slice rows
+    plus O(max(ROW_BLOCK * (n + m), GATHER_BUDGET)) entries. The int16
+    matrix is kept on the report, so memory is Theta(n^2) while the report
+    lives: 2 bytes per vertex pair (200 MB on a path of 10 000 vertices)
+    plus n^2 / 8 bytes for the slices packed as bit rows (12.5 MB on that
+    path). ``include_slices`` and ``threads`` are accepted and ignored:
+    every report carries its slices.
 
     Raises DisconnectedError on disconnected input (boundaries of
     disconnected graphs are deliberately not defined here).
     """
     dm = distance_matrix(g)
     n = g.n
-    flat, classes, order, rank, width = _padded_layout(g)
-    rows = min(n, max(core.ROW_BLOCK, GATHER_BUDGET // max(len(flat), 1)))
-    sums = np.empty((rows, n), dtype=np.int32)
-    top = np.empty((rows, n), dtype=dm.dtype)
+    classes = _padded_layout(g)
+    size = sum(slots.size for _, _, slots in classes)
+    rows = min(n, max(core.ROW_BLOCK, GATHER_BUDGET // max(size, 1)))
+    in_slice = np.empty((rows, n), dtype=bool)  # [v - start, u]: u is in the slice of v
     first = np.full(n, -1, dtype=np.int64)  # smallest certifying source per vertex
-    in_cejz = np.zeros(n, dtype=bool)  # by layout position
+    in_cejz = np.zeros(n, dtype=bool)
     slice_bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     for start in range(0, n if g.m else 0, rows):  # K_1: its one slice is empty
         blk = dm[start:start + rows]
-        r = len(blk)
-        nb = blk[:, flat]
-        for lo, hi, w, offset in classes:
-            slots = nb[:, offset:offset + w * (hi - lo)].reshape(r, w, hi - lo)
-            slots.sum(axis=1, dtype=np.int32, out=sums[:r, lo:hi])
-            slots.max(axis=1, out=top[:r, lo:hi])
-        d = blk[:, order]
-        member = (sums[:r] < d * width)[:, rank]
-        in_cejz |= (top[:r] <= d).any(axis=0)
+        member = in_slice[:len(blk)]
+        for members, width, slots in classes:
+            nb = blk[:, slots]
+            d = blk[:, members]
+            mean = nb.sum(axis=1, dtype=np.int32)
+            mean //= width  # in place: one more temporary made path 8000 refault its heap per block
+            member[:, members] = mean < d
+            in_cejz[members] |= (nb.max(axis=1) <= d).any(axis=0)
         new = member.any(axis=0) & (first < 0)
         first[new] = start + member[:, new].argmax(axis=0)
-        slice_bits[start:start + r] = np.packbits(member, axis=1, bitorder="little")
+        slice_bits[start:start + rows] = np.packbits(member, axis=1, bitorder="little")
     slice_bits.setflags(write=False)
 
     hit = first >= 0
@@ -274,7 +253,7 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
         max_degree=g.max_degree,
         diameter=int(dm.max()),
         boundary=tuple(members),
-        cejz_boundary=tuple(np.nonzero(in_cejz[rank])[0].tolist()),
+        cejz_boundary=tuple(np.nonzero(in_cejz)[0].tolist()),
         witness=dict(zip(members, first[hit].tolist())),
         distances=dm,
         slice_bits=slice_bits,

@@ -5,7 +5,8 @@ class, and the pads must change no slice, no CEJZ verdict and no witness.
 The pinned graphs put vertices on both sides of the class edges (degrees
 4 | 5, 8 | 9, 16 | 17 and 33), and every graph runs with one row per block,
 three rows per block and the default block, so that several blocks and a
-short last block are evaluated, through both layout builders.
+short last block are evaluated. A star of 300 leaves and a random tree of
+300 vertices put the members of several classes in scattered vertex order.
 """
 
 import importlib
@@ -17,13 +18,22 @@ import pytest
 from hypothesis import given, settings
 
 import oracle
-from graphboundary import bfs_distances, boundary, boundary_slice, core, validate
-from graphboundary.generators import complete, path, star
+from graphboundary import (
+    DomainSpec,
+    bfs_distances,
+    boundary,
+    boundary_slice,
+    core,
+    erdos_renyi,
+    lattice_discretize,
+    random_tree,
+    validate,
+)
+from graphboundary.generators import complete, grid, path, star
 
 kernel = importlib.import_module("graphboundary.boundary")
 
 BLOCKS = [(1, 0), (3, 0), (core.ROW_BLOCK, kernel.GATHER_BUDGET)]  # (ROW_BLOCK, GATHER_BUDGET)
-BUILDERS = [0, kernel.PYTHON_LAYOUT]  # with PYTHON_LAYOUT = 0 every layout is built with numpy
 
 
 def hub_chain(degrees):
@@ -76,27 +86,36 @@ def hubbed_graphs(draw):
     return validate(sorted(edges), n)
 
 
-def assert_exact(g):
-    """Every block size and layout builder give the slices, CEJZ set and witnesses of the references."""
-    edges = list(g.edges())
-    dist = oracle.floyd_warshall(g.n, edges)
-    slices = [boundary_slice(g, bfs_distances(g, v)) for v in range(g.n)]
-    assert slices == [oracle.slice_members(g.n, edges, v, dist) for v in range(g.n)]
+def reports_at_every_block(g):
+    """``boundary(g)`` with each of the BLOCKS settings."""
+    for block, budget in BLOCKS:
+        with mock.patch.object(core, "ROW_BLOCK", block), \
+                mock.patch.object(kernel, "GATHER_BUDGET", budget):
+            yield boundary(g)
+
+
+def first_certifiers(slices):
+    """The smallest source whose slice holds u, for every u in some slice."""
     witness = {}
     for v, members in enumerate(slices):
         for u in members:
             witness.setdefault(u, v)
+    return witness
+
+
+def assert_exact(g):
+    """Every block size gives the slices, CEJZ set and witnesses of the references."""
+    edges = list(g.edges())
+    dist = oracle.floyd_warshall(g.n, edges)
+    slices = [boundary_slice(g, bfs_distances(g, v)) for v in range(g.n)]
+    assert slices == [oracle.slice_members(g.n, edges, v, dist) for v in range(g.n)]
+    witness = first_certifiers(slices)
     cejz = tuple(sorted(oracle.cejz(g.n, edges)))
-    for block, budget in BLOCKS:
-        for python_layout in BUILDERS:
-            with mock.patch.object(core, "ROW_BLOCK", block), \
-                    mock.patch.object(kernel, "GATHER_BUDGET", budget), \
-                    mock.patch.object(kernel, "PYTHON_LAYOUT", python_layout):
-                rep = boundary(g)
-            assert [sl.members for sl in rep.slices] == slices
-            assert rep.witness == witness
-            assert rep.boundary == tuple(sorted(witness))
-            assert rep.cejz_boundary == cejz
+    for rep in reports_at_every_block(g):
+        assert [sl.members for sl in rep.slices] == slices
+        assert rep.witness == witness
+        assert rep.boundary == tuple(sorted(witness))
+        assert rep.cejz_boundary == cejz
 
 
 @pytest.mark.parametrize("name", PINNED)
@@ -110,36 +129,67 @@ def test_hypothesis_graphs_equal_the_references(g):
     assert_exact(g)
 
 
-@pytest.mark.parametrize("python_layout", BUILDERS)
+@pytest.mark.parametrize("g", [star(300), random_tree(300, 1)],
+                         ids=["star_300", "random_tree_300"])
+def test_scattered_classes_equal_the_definitions(g):
+    """Several classes whose members interleave in vertex order, against BFS rows."""
+    assert len(kernel._padded_layout(g)) > 1
+    rows = [bfs_distances(g, v) for v in range(g.n)]
+    slices = [boundary_slice(g, row) for row in rows]
+    cejz = tuple(u for u in range(g.n) if any(
+        all(row[w] <= row[u] for w in g.adjacency[u]) for row in rows))
+    witness = first_certifiers(slices)
+    for rep in reports_at_every_block(g):
+        assert [sl.members for sl in rep.slices] == slices
+        assert rep.witness == witness
+        assert rep.cejz_boundary == cejz
+
+
 @pytest.mark.parametrize("name", PINNED)
-def test_layout_pads_each_list_with_its_own_vertex(name, python_layout):
+def test_layout_pads_each_list_with_its_own_vertex(name):
     g = PINNED[name]
-    with mock.patch.object(kernel, "PYTHON_LAYOUT", python_layout):
-        flat, classes, order, rank, width = kernel._padded_layout(g)
-    verts = np.arange(g.n)[order].tolist()
-    assert sorted(verts) == list(range(g.n))
-    assert [verts[i] for i in np.arange(g.n)[rank]] == list(range(g.n))
-    widths = np.broadcast_to(width, (g.n,)).tolist()
-    end, size = 0, 0
-    for lo, hi, w, offset in classes:
-        assert (lo, offset) == (end, size)
-        slots = flat[offset:offset + w * (hi - lo)].reshape(w, hi - lo)
-        for i, u in enumerate(verts[lo:hi]):
-            assert widths[lo + i] == w
+    classes = kernel._padded_layout(g)
+    verts = [np.arange(g.n)[members].tolist() for members, _, _ in classes]
+    assert sorted(sum(verts, [])) == list(range(g.n))
+    assert all(ids == sorted(ids) for ids in verts)
+    for ids, (_, w, slots) in zip(verts, classes):
+        assert slots.shape == (w, len(ids))
+        for i, u in enumerate(ids):
             assert sorted(slots[:, i].tolist()) == sorted([*g.adjacency[u], *[u] * (w - g.degree(u))])
-        end, size = hi, size + w * (hi - lo)
-    assert (end, size) == (g.n, len(flat))
 
 
 def test_widths_keep_the_top_three_bits_of_the_degree():
     g = PINNED["hub_chain"]
-    flat, classes, order, rank, width = kernel._padded_layout(g)
-    assert [w for _, _, w, _ in classes] == [1, 2, 4, 5, 8, 10, 16, 20, 40]
-    for u, w in zip(order.tolist(), width.tolist()):
-        d = g.degree(u)
-        assert d <= w < d + max(1, d / 4)
-    # padding a path to Delta = 2 costs two slots; it keeps one class in vertex order
-    assert kernel._padded_layout(path(600))[2:4] == (slice(None), slice(None))
+    classes = kernel._padded_layout(g)
+    assert [w for _, w, _ in classes] == [1, 2, 4, 5, 8, 10, 16, 20, 40]
+    for members, w, _ in classes:
+        for u in members.tolist():
+            d = g.degree(u)
+            assert d <= w < d + max(1, d / 4)
+
+
+ONE_CLASS = {
+    "path_600": path(600),
+    "K_40": complete(40),
+    "grid_8x8": grid(8, 8).graph,
+    "annulus_0.08": lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.08)).graph,
+}
+
+
+@pytest.mark.parametrize("name", ONE_CLASS)
+def test_near_regular_graphs_take_one_class_in_vertex_order(name):
+    # padding every list to Delta costs at most 2n slots more than the classes would
+    g = ONE_CLASS[name]
+    [(members, w, slots)] = kernel._padded_layout(g)
+    assert (members, w, slots.shape) == (slice(None), g.max_degree, (g.max_degree, g.n))
+
+
+@pytest.mark.parametrize("g", [random_tree(600, 1), erdos_renyi(400, 0.02, 12345)],
+                         ids=["random_tree_600", "gnp_400"])
+def test_skewed_degrees_take_several_classes(g):
+    classes = kernel._padded_layout(g)
+    assert len(classes) > 1
+    assert all(isinstance(members, np.ndarray) for members, _, _ in classes)
 
 
 def test_sparse_graphs_take_more_rows_per_block():

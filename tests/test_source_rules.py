@@ -6,7 +6,10 @@ another GraphError) instead; this test keeps it that way. Every module
 except ``__init__.py``, whose imports are the public re-exports, reads
 every name it imports. Only ``core.py`` and ``boundary.py`` read
 ``core.ROW_BLOCK``; every other walk over a report's sources goes through
-``BoundaryReport.row_blocks``.
+``BoundaryReport.row_blocks``. The ``boundary()`` kernel names none of
+``reduceat``, ``unique``, ``argsort`` and ``searchsorted``: on its padded
+layout each was measured slower, or raised the peak RSS of
+``verify --checks all`` on G(400, 0.02) and an annulus lattice.
 """
 
 import ast
@@ -44,6 +47,19 @@ def _row_block_reads(tree: ast.AST) -> list[int]:
         if isinstance(node, ast.Name) and node.id == "ROW_BLOCK"
         or isinstance(node, ast.Attribute) and node.attr == "ROW_BLOCK"
         or isinstance(node, ast.alias) and node.name == "ROW_BLOCK"
+    )
+
+
+SLOW_IN_KERNEL = {"reduceat", "unique", "argsort", "searchsorted"}
+
+
+def _slow_kernel_calls(tree: ast.AST) -> list[int]:
+    """Lines naming one of SLOW_IN_KERNEL in code: bare, as an attribute, or imported."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in SLOW_IN_KERNEL
+        or isinstance(node, ast.Attribute) and node.attr in SLOW_IN_KERNEL
+        or isinstance(node, ast.alias) and node.name in SLOW_IN_KERNEL
     )
 
 
@@ -85,3 +101,15 @@ def test_rule_sees_row_block_reads():
                      "ROW_BLOCK = 3\nfrom .core import ROW_BLOCK as rb\n"
                      "s = 'ROW_BLOCK'\nc = ROW_BLOCK\n")
     assert _row_block_reads(tree) == [3, 4, 5, 7]
+
+
+def test_boundary_kernel_calls_no_slow_numpy_routine():
+    src = next(p for p in SOURCES if p.name == "boundary.py")
+    assert _slow_kernel_calls(ast.parse(src.read_text(), filename=str(src))) == []
+
+
+def test_rule_sees_slow_kernel_calls():
+    tree = ast.parse("# np.unique in a comment\nimport numpy as np\nnp.add.reduceat(a, b)\n"
+                     "k = a.argsort()\nfrom numpy import searchsorted as ss\n"
+                     "s = 'unique'\nu = unique(a)\nlen(a)\n")
+    assert _slow_kernel_calls(tree) == [3, 4, 5, 7]
