@@ -40,4 +40,5 @@ for spec in (
 
 print("\nsolid grids have no full-degree boundary vertex at all:")
 for n in (4, 8, 12):
-    print(f"  grid({n},{n}): {classify_prop4(grid(n, n))}")
+    gg = grid(n, n)
+    print(f"  grid({n},{n}): {classify_prop4(gg, boundary(gg.graph))}")

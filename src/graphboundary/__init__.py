@@ -69,14 +69,12 @@ from .generators import (
 )
 from .layers import (
     BoundEntry,
-    InequalityReport,
     InvariantViolation,
     LayerDecomposition,
     check_dichotomy,
     check_mps,
     check_theorem1,
     check_theorem2,
-    inequality_report,
     layer_decompose,
     slice_overlap_stats,
     sweep_rows,

@@ -220,7 +220,7 @@ def _json_text(obj) -> str:
 def _load_graph(path_str: str) -> Graph:
     try:
         return read_edge_list(path_str)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path_str}: {exc}") from exc
     except GraphError as exc:
         raise _CliError(f"bad edge list {path_str}: {exc}") from exc
@@ -255,7 +255,7 @@ def _load_input(path_str: str) -> Graph | GridGraph:
             scale=meta.get("scale"),
             offset=None if meta.get("offset") is None else tuple(meta["offset"]),
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise _CliError(f"bad coordinate sidecar {sidecar}: {exc!r}") from exc
     if len(coords) != g.n:
         raise _CliError(f"sidecar {sidecar} does not match {path_str}")
@@ -437,7 +437,7 @@ def cmd_sweep(args) -> int:
     for params in members:
         g, _ = _split(build_family(args.family, params, args.seed, None, None))
         try:
-            rows.extend(sweep_rows(args.family, params, g))
+            rows.extend(sweep_rows(args.family, params, g, boundary(g)))
         except InvariantViolation:
             raise
         except GraphError as exc:
@@ -455,14 +455,14 @@ def cmd_sweep(args) -> int:
 def cmd_prop4(args) -> int:
     g, gg, _ = _family_or_input(args)
     if args.family == "cycle":
-        pairs = classify_cycle(g, all_witnesses=args.all_witnesses)
+        pairs = classify_cycle(g, boundary(g), all_witnesses=args.all_witnesses)
         coords = [[u] for u in range(g.n)]
         dimension = 1
     elif gg is None:
         raise _CliError(f"family {args.family} carries no lattice coordinates" if args.family
                         else f"no coordinate sidecar found for {args.input}")
     else:
-        pairs = classify_prop4(gg, all_witnesses=args.all_witnesses)
+        pairs = classify_prop4(gg, boundary(g), all_witnesses=args.all_witnesses)
         coords = [list(c) for c in gg.coordinates]
         dimension = gg.dimension
     payload = {

@@ -12,8 +12,8 @@ certifying vertex v:
 This is a theorem for lattice discretizations, so a fruitless witness
 search raises an error instead of returning quietly.
 
-This module is the only place floating point enters the package, in the
-closed-form sector geometry and the finite-difference identity check.
+Floating point enters this module only in the closed-form sector geometry
+and the finite-difference identity check; the witness search is integer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryReport, boundary
+from .boundary import BoundaryReport
 from .core import Graph, GraphError, InvariantViolation
 from .generators import GridGraph
 
@@ -98,7 +98,7 @@ def _search(
 
 def classify_prop4(
     gg: GridGraph,
-    report: BoundaryReport | None = None,
+    report: BoundaryReport,
     all_witnesses: bool = False,
 ) -> list[tuple[int, NonUniquenessWitness]]:
     """Witness geodesic non-uniqueness for every full-degree boundary vertex.
@@ -110,7 +110,6 @@ def classify_prop4(
     which would mean the classifier or the boundary computation is broken.
     """
     g = gg.graph
-    report = report or boundary(g)
     dm = report.distances
     index = {c: vid for vid, c in enumerate(gg.coordinates)}
     full = 2 * gg.dimension
@@ -135,7 +134,7 @@ def classify_prop4(
 
 def classify_cycle(
     g: Graph,
-    report: BoundaryReport | None = None,
+    report: BoundaryReport,
     all_witnesses: bool = False,
 ) -> list[tuple[int, NonUniquenessWitness]]:
     """Cycle graphs viewed as one-dimensional lattice rings (2d = 2).
@@ -146,7 +145,6 @@ def classify_cycle(
     """
     if g.n < 3 or any(len(a) != 2 for a in g.adjacency):
         raise ValueError("not a cycle graph")
-    report = report or boundary(g)
     dm = report.distances
     out = []
     for u in report.boundary:

@@ -8,6 +8,10 @@ distance: A_i = {v : d(v, v0) = i}. Two theorems are verified here:
 
 plus the cited lower bound |CEJZ boundary| >= log2(Delta + 2).
 
+Each check reads the diameter, boundary and slices off the BoundaryReport
+it is handed, so one ``boundary(g)`` feeds all of them; nothing here
+computes distances except ``layer_decompose`` when given no row.
+
 Every pass/fail decision is made in exact rational arithmetic: Fraction
 comparisons for the two size bounds, and the log2 bound rewritten as the
 integer comparison 2**observed >= Delta + 2. Floats appear only as display
@@ -16,14 +20,13 @@ values, never in a decision.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundaryReport, boundary, boundary_slice
+from .boundary import BoundaryReport, boundary_slice
 from .core import Graph, InvariantViolation, SingleVertexError, bfs_distances
 
 
@@ -60,27 +63,6 @@ class BoundEntry:
     bound: Fraction
     margin: Fraction
     passed: bool
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Graph statistics plus the three inequality entries."""
-
-    n: int
-    m: int
-    delta: int
-    diam: int
-    boundary_size: int
-    cejz_size: int
-    min_slice_size: int
-    theorem1: BoundEntry
-    theorem2_min: BoundEntry
-    mps: BoundEntry
-    mps_bound_log2: float
-
-    @property
-    def all_passed(self) -> bool:
-        return self.theorem1.passed and self.theorem2_min.passed and self.mps.passed
 
 
 def layer_decompose(g: Graph, v0: int, dist: Sequence[int] | None = None,
@@ -157,11 +139,10 @@ def _size_entry(check: str, source: int | None, observed: int, bound: Fraction) 
                       margin=Fraction(observed) - bound, passed=observed >= bound)
 
 
-def check_theorem1(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
+def check_theorem1(g: Graph, report: BoundaryReport) -> BoundEntry:
     """Global isoperimetric bound |boundary| >= |V| / (2 * Delta * diam); needs no slices."""
     if g.n < 2:
         raise SingleVertexError("bound needs at least two vertices")
-    report = report or boundary(g)
     bound = Fraction(g.n, 2 * g.max_degree * report.diameter)
     return _size_entry("theorem1", None, len(report.boundary), bound)
 
@@ -171,28 +152,25 @@ def theorem2_bound(n: int, delta: int, diam: int) -> Fraction:
     return Fraction(n - 1, 2 * delta * (diam - 1) + 1)
 
 
-def check_theorem2(g: Graph, v: int, report: BoundaryReport | None = None) -> BoundEntry:
+def check_theorem2(g: Graph, v: int, report: BoundaryReport) -> BoundEntry:
     """Per-source refined bound |slice of v| >= (|V|-1) / (2*Delta*(diam-1)+1)."""
     if g.n < 2:
         raise SingleVertexError("bound needs at least two vertices")
-    report = report or boundary(g)
     bound = theorem2_bound(g.n, g.max_degree, report.diameter)
     return _size_entry("theorem2", v, int(report.slice_rows(v, v + 1).sum()), bound)
 
 
-def check_theorem2_min(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
+def check_theorem2_min(g: Graph, report: BoundaryReport) -> BoundEntry:
     """:func:`check_theorem2` at the weakest source, the lowest among ties.
 
     The bound is the same at every source, so it holds iff it holds there.
     """
-    report = report or boundary(g)
     sizes = np.concatenate([rows.sum(axis=1) for _, _, rows in report.row_blocks()])
     return check_theorem2(g, int(sizes.argmin()), report)
 
 
-def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
+def check_mps(g: Graph, report: BoundaryReport) -> BoundEntry:
     """Cited bound |CEJZ boundary| >= log2(Delta + 2), in integers; needs no slices."""
-    report = report or boundary(g)
     observed = len(report.cejz_boundary)
     target = g.max_degree + 2
     return BoundEntry(
@@ -205,31 +183,11 @@ def check_mps(g: Graph, report: BoundaryReport | None = None) -> BoundEntry:
     )
 
 
-def inequality_report(g: Graph, report: BoundaryReport | None = None) -> InequalityReport:
-    """Assemble all three checks; theorem2 is reported at its weakest source."""
-    report = report or boundary(g)
-    theorem2_min = check_theorem2_min(g, report)
-    return InequalityReport(
-        n=g.n,
-        m=g.m,
-        delta=g.max_degree,
-        diam=report.diameter,
-        boundary_size=len(report.boundary),
-        cejz_size=len(report.cejz_boundary),
-        min_slice_size=theorem2_min.observed,
-        theorem1=check_theorem1(g, report),
-        theorem2_min=theorem2_min,
-        mps=check_mps(g, report),
-        mps_bound_log2=math.log2(g.max_degree + 2),
-    )
-
-
-def slice_overlap_stats(g: Graph, report: BoundaryReport | None = None) -> dict:
+def slice_overlap_stats(g: Graph, report: BoundaryReport) -> dict:
     """How many sources certify each boundary member (overlap of the slices).
 
     Exploratory output only; no theorem fixes what these numbers should be.
     """
-    report = report or boundary(g)
     certifiers = sum(rows.sum(axis=0) for _, _, rows in report.row_blocks())
     counts = {u: int(certifiers[u]) for u in report.boundary}
     values = sorted(counts.values())
@@ -263,22 +221,22 @@ SWEEP_COLUMNS = (
 )
 
 
-def sweep_rows(family: str, params: str, g: Graph) -> list[dict]:
-    """InequalityReport flattened into one CSV row per check."""
-    rep = inequality_report(g)
+def sweep_rows(family: str, params: str, g: Graph, report: BoundaryReport) -> list[dict]:
+    """One CSV row per check: theorem1, theorem2 at its weakest source, and mps."""
     rows = []
-    for entry in (rep.theorem1, rep.theorem2_min, rep.mps):
+    for entry in (check_theorem1(g, report), check_theorem2_min(g, report),
+                  check_mps(g, report)):
         rows.append(
             {
                 "family": family,
                 "params": params,
                 "check": entry.check,
-                "n": rep.n,
-                "m": rep.m,
-                "delta": rep.delta,
-                "diam": rep.diam,
-                "boundary_size": rep.boundary_size,
-                "cejz_size": rep.cejz_size,
+                "n": g.n,
+                "m": g.m,
+                "delta": g.max_degree,
+                "diam": report.diameter,
+                "boundary_size": len(report.boundary),
+                "cejz_size": len(report.cejz_boundary),
                 "bound_value_num": entry.bound.numerator,
                 "bound_value_den": entry.bound.denominator,
                 "margin_num": entry.margin.numerator,

@@ -112,7 +112,8 @@ def test_criterion_5_geodesic_non_uniqueness():
     ok = witnessed == full and len(full) > 0
     ok = ok and all(verify_witness(w, dm) for _, w in pairs)
     for n in (3, 4, 5, 6, 10):
-        ok = ok and classify_prop4(grid(n, n)) == []
+        gn = grid(n, n)
+        ok = ok and classify_prop4(gn, boundary(gn.graph)) == []
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30
     _stamp(5, ok, t0, f"annulus full-degree boundary={len(full)}, all witnessed; solid grids empty")

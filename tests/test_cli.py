@@ -368,6 +368,9 @@ SIDECAR_CORRUPTIONS = {
     "offset_short": ("3,3", lambda meta: json.dumps({**meta, "offset": [0.5]})),
     "offset_empty": ("3,3", lambda meta: json.dumps({**meta, "offset": []})),
     "offset_number": ("3,3", lambda meta: json.dumps({**meta, "offset": 0})),
+    "dimension_inf": ("3,3", lambda meta: json.dumps({**meta, "dimension": float("inf")})),
+    # nested past the interpreter's recursion limit: json.loads raises RecursionError
+    "deeply_nested": ("3,3", lambda meta: "[" * 200_000 + "]" * 200_000),
 }
 
 
@@ -383,6 +386,17 @@ def test_bad_sidecar_exit2_with_one_line(tmp_path, capsys, corruption, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["boundary", "verify", "prop4"])
+def test_edge_list_not_utf8_exit2_with_one_line(command, tmp_path, capsys):
+    el = tmp_path / "g.el"
+    el.write_bytes(bytes.fromhex("fffe00626164"))
+    assert run(command, "--in", el) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {el}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_sidecar_integer_scale_and_offset_accepted(tmp_path, capsys):

@@ -28,7 +28,7 @@ from graphboundary import (
     random_tree,
     run_battery,
 )
-from graphboundary import core, layers
+from graphboundary import cli, core, layers
 from graphboundary.boundary import _check_report
 from graphboundary.generators import complete, cycle, grid, path, star
 
@@ -188,6 +188,24 @@ def test_battery_runs_one_distance_pass():
     assert sources == [0]  # the bit route's connectivity probe, and no other BFS
 
 
+@pytest.mark.parametrize("argv, passes", [
+    (("sweep", "--family", "grid", "--sizes", "3,4,5"), 3),
+    (("prop4", "--family", "annulus", "--params", "0.4,1.0", "--lam", "0.2"), 1),
+], ids=["sweep", "prop4"])
+def test_sweep_and_prop4_run_one_distance_pass_per_graph(argv, passes, capsys):
+    boundary_module = sys.modules["graphboundary.boundary"]
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return distance_matrix(g)
+
+    with mock.patch.object(boundary_module, "distance_matrix", counting):
+        assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == passes
+
+
 def test_python_route_runs_one_bfs_per_source():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.25))
     assert not core.takes_bit_route(gg.graph, max(core.bfs_distances(gg.graph, 0)))
@@ -213,7 +231,7 @@ def test_thm2_checks_the_weakest_source_once(monkeypatch):
     calls = []
     real = layers.check_theorem2
 
-    def counting(g, v, report=None):
+    def counting(g, v, report):
         calls.append(v)
         return real(g, v, report)
 

@@ -27,11 +27,13 @@ from graphboundary import (
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 10])
 def test_solid_grid_has_no_full_degree_boundary(n):
     # the rim is the boundary and no rim vertex has degree 4
-    assert classify_prop4(grid(n, n)) == []
+    gg = grid(n, n)
+    assert classify_prop4(gg, boundary(gg.graph)) == []
 
 
 def test_cycle5_every_vertex_equal_distance_case():
-    pairs = classify_cycle(cycle(5))
+    g = cycle(5)
+    pairs = classify_cycle(g, boundary(g))
     assert [u for u, _ in pairs] == [0, 1, 2, 3, 4]
     assert all(w.case == CASE_EQUAL_DISTANCE for _, w in pairs)
     # odd cycle: the antipodal tie, e.g. vertex 0 seen from 2 ties with neighbor 4
@@ -42,18 +44,19 @@ def test_cycle5_every_vertex_equal_distance_case():
 def test_cycle6_witnesses_exist_and_verify():
     g = cycle(6)
     dm = distance_matrix(g)
-    for u, w in classify_cycle(g, all_witnesses=True):
+    for u, w in classify_cycle(g, boundary(g), all_witnesses=True):
         assert verify_witness(w, dm)
 
 
 def test_cycle_rejects_non_cycle():
+    g = grid(2, 3).graph
     with pytest.raises(ValueError):
-        classify_cycle(grid(2, 3).graph)
+        classify_cycle(g, boundary(g))
 
 
 def test_annulus_full_degree_witnesses():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2))
-    pairs = classify_prop4(gg)
+    pairs = classify_prop4(gg, boundary(gg.graph))
     assert len(pairs) == 24  # frozen: degree-4 vertices flanking the hole
     dm = distance_matrix(gg.graph)
     assert all(verify_witness(w, dm) for _, w in pairs)
@@ -63,7 +66,7 @@ def test_annulus_full_degree_witnesses():
 
 def test_annulus_all_witnesses_include_axis_info():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2))
-    for u, w in classify_prop4(gg, all_witnesses=True):
+    for u, w in classify_prop4(gg, boundary(gg.graph), all_witnesses=True):
         if w.case == CASE_ANTIPODAL_DESCENT:
             assert w.axis in (0, 1)
             assert len(w.neighbors) == 2

@@ -11,7 +11,6 @@ from graphboundary import (
     check_mps,
     check_theorem1,
     check_theorem2,
-    inequality_report,
     layer_decompose,
     slice_overlap_stats,
     sweep_rows,
@@ -19,7 +18,7 @@ from graphboundary import (
     validate,
 )
 from graphboundary.generators import complete, cycle, grid, path, star
-from graphboundary.layers import SWEEP_COLUMNS
+from graphboundary.layers import SWEEP_COLUMNS, check_theorem2_min
 
 
 def sizes(ld):
@@ -84,7 +83,8 @@ def test_dichotomy_passes_everywhere():
 
 
 def test_theorem1_path10():
-    entry = check_theorem1(path(10))
+    g = path(10)
+    entry = check_theorem1(g, boundary(g))
     assert entry.observed == 2
     assert entry.bound == Fraction(10, 36)
     assert entry.margin == 2 - Fraction(10, 36)
@@ -92,28 +92,33 @@ def test_theorem1_path10():
 
 
 def test_theorem1_grid10():
-    entry = check_theorem1(grid(10, 10).graph)
+    g = grid(10, 10).graph
+    entry = check_theorem1(g, boundary(g))
     assert entry.observed == 36  # brute-forced rim count
     assert entry.bound == Fraction(100, 144)
     assert entry.passed
 
 
 def test_theorem1_complete5():
-    entry = check_theorem1(complete(5))
+    g = complete(5)
+    entry = check_theorem1(g, boundary(g))
     assert entry.observed == 5
     assert entry.bound == Fraction(5, 8)
     assert entry.passed
 
 
 def test_theorem1_single_vertex_rejected():
+    g = validate([], 1)
+    rep = boundary(g)
     with pytest.raises(SingleVertexError):
-        check_theorem1(validate([], 1))
+        check_theorem1(g, rep)
 
 
 def test_theorem2_path_endpoint():
     # slice from an endpoint holds exactly the far endpoint
     for n in (3, 6, 11):
-        entry = check_theorem2(path(n), 0)
+        g = path(n)
+        entry = check_theorem2(g, 0, boundary(g))
         assert entry.observed == 1
         assert entry.bound == Fraction(n - 1, 4 * (n - 2) + 1)
         assert entry.passed
@@ -128,14 +133,16 @@ def test_theorem2_rejects_an_out_of_range_source(v):
 
 
 def test_theorem2_cycle6():
-    entry = check_theorem2(cycle(6), 0)
+    g = cycle(6)
+    entry = check_theorem2(g, 0, boundary(g))
     assert entry.observed == 1  # just the antipode
     assert entry.bound == Fraction(5, 9)
     assert entry.passed
 
 
 def test_theorem2_grid_center():
-    entry = check_theorem2(grid(5, 5).graph, 12)
+    g = grid(5, 5).graph
+    entry = check_theorem2(g, 12, boundary(g))
     assert entry.bound == Fraction(24, 57)
     assert entry.observed == 12  # frozen from brute force
     assert entry.observed == len(
@@ -147,9 +154,10 @@ def test_theorem2_complete_graph_tight():
     # diam = 1 collapses the denominator: bound = n - 1, met with equality
     for n in (2, 4, 7):
         g = complete(n)
+        rep = boundary(g)
         assert theorem2_bound(n, n - 1, 1) == n - 1
         for v in range(n):
-            entry = check_theorem2(g, v)
+            entry = check_theorem2(g, v, rep)
             assert entry.observed == n - 1
             assert entry.margin == 0
 
@@ -160,32 +168,25 @@ def test_theorem2_complete_graph_tight():
     ids=["K4", "K18", "P2"],
 )
 def test_mps_examples(g, cejz_size, delta):
-    entry = check_mps(g)
+    entry = check_mps(g, boundary(g))
     assert entry.observed == cejz_size
     assert entry.bound == delta + 2
     assert entry.passed
     assert 2**entry.observed >= delta + 2
 
 
-def test_inequality_report_fields():
-    rep = inequality_report(grid(5, 5).graph)
-    assert (rep.n, rep.m, rep.delta, rep.diam) == (25, 40, 4, 8)
-    assert rep.boundary_size == 16 and rep.cejz_size == 4
-    assert rep.min_slice_size >= 1
-    assert rep.all_passed
-    assert rep.mps_bound_log2 == pytest.approx(2.584962500721156)
-
-
 def test_margins_are_exact_rationals():
-    rep = inequality_report(cycle(7))
-    for entry in (rep.theorem1, rep.theorem2_min, rep.mps):
+    g = cycle(7)
+    rep = boundary(g)
+    for entry in (check_theorem1(g, rep), check_theorem2_min(g, rep), check_mps(g, rep)):
         assert isinstance(entry.bound, Fraction)
         assert isinstance(entry.margin, Fraction)
         assert entry.bound > 0
 
 
 def test_slice_overlap_stats_path():
-    stats = slice_overlap_stats(path(5))
+    g = path(5)
+    stats = slice_overlap_stats(g, boundary(g))
     # every source except an endpoint itself certifies that endpoint
     assert stats["boundary_size"] == 2
     assert stats["certifier_counts"] == {0: 4, 4: 4}
@@ -193,8 +194,13 @@ def test_slice_overlap_stats_path():
 
 
 def test_sweep_rows_columns_and_checks():
-    rows = sweep_rows("grid", "5,5", grid(5, 5).graph)
+    g = grid(5, 5).graph
+    rep = boundary(g)
+    rows = sweep_rows("grid", "5,5", g, rep)
     assert [r["check"] for r in rows] == ["theorem1", "theorem2", "mps"]
+    assert check_theorem2_min(g, rep).observed >= 1
     for row in rows:
         assert list(row) == list(SWEEP_COLUMNS)
+        assert (row["n"], row["m"], row["delta"], row["diam"]) == (25, 40, 4, 8)
+        assert row["boundary_size"] == 16 and row["cejz_size"] == 4
         assert row["pass"] is True

@@ -10,6 +10,8 @@ every name it imports. Only ``core.py`` and ``boundary.py`` read
 ``reduceat``, ``unique``, ``argsort`` and ``searchsorted``: on its padded
 layout each was measured slower, or raised the peak RSS of
 ``verify --checks all`` on G(400, 0.02) and an annulus lattice.
+``layers.py`` and ``euclid.py`` never name the ``boundary()`` function:
+their checks read the report they are handed and never build one.
 """
 
 import ast
@@ -63,6 +65,17 @@ def _slow_kernel_calls(tree: ast.AST) -> list[int]:
     )
 
 
+def _boundary_function_uses(tree: ast.AST) -> list[int]:
+    """Lines naming boundary in code: bare, as graphboundary.boundary, or imported."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "boundary"
+        or isinstance(node, ast.Attribute) and node.attr == "boundary"
+        and isinstance(node.value, ast.Name) and node.value.id == "graphboundary"
+        or isinstance(node, ast.alias) and node.name == "boundary"
+    )
+
+
 def test_package_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "boundary.py", "cli.py", "core.py"}
 
@@ -113,3 +126,17 @@ def test_rule_sees_slow_kernel_calls():
                      "k = a.argsort()\nfrom numpy import searchsorted as ss\n"
                      "s = 'unique'\nu = unique(a)\nlen(a)\n")
     assert _slow_kernel_calls(tree) == [3, 4, 5, 7]
+
+
+def test_checks_never_build_a_report():
+    found = {p.name: _boundary_function_uses(ast.parse(p.read_text(), filename=str(p)))
+             for p in SOURCES if p.name in ("layers.py", "euclid.py")}
+    assert found == {"layers.py": [], "euclid.py": []}
+
+
+def test_rule_sees_boundary_function_uses():
+    tree = ast.parse("# boundary(g) in a comment\nfrom .boundary import BoundaryReport\n"
+                     "from .boundary import boundary as b\nr = boundary(g)\n"
+                     "s = 'boundary'\nx = report.boundary\nimport graphboundary\n"
+                     "y = graphboundary.boundary(g)\nfrom . import boundary\n")
+    assert _boundary_function_uses(tree) == [3, 4, 8, 9]
