@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,17 @@ def test_mps_examples(g, cejz_size, delta):
     assert 2**entry.observed >= delta + 2
 
 
+def test_inequality_report_fields():
+    g = grid(5, 5).graph
+    rep = boundary(g)
+    assert (rep.n, rep.m, rep.max_degree, rep.diameter) == (25, 40, 4, 8)
+    assert len(rep.boundary) == 16 and len(rep.cejz_boundary) == 4
+    entries = (check_theorem1(g, rep), check_theorem2_min(g, rep), check_mps(g, rep))
+    assert entries[1].observed >= 1
+    assert all(entry.passed for entry in entries)
+    assert math.log2(entries[2].bound) == pytest.approx(2.584962500721156)
+
+
 def test_margins_are_exact_rationals():
     g = cycle(7)
     rep = boundary(g)
@@ -198,7 +210,6 @@ def test_sweep_rows_columns_and_checks():
     rep = boundary(g)
     rows = sweep_rows("grid", "5,5", g, rep)
     assert [r["check"] for r in rows] == ["theorem1", "theorem2", "mps"]
-    assert check_theorem2_min(g, rep).observed >= 1
     for row in rows:
         assert list(row) == list(SWEEP_COLUMNS)
         assert (row["n"], row["m"], row["delta"], row["diam"]) == (25, 40, 4, 8)
