@@ -238,7 +238,8 @@ def _load_input(path_str: str) -> Graph | GridGraph:
     """The edge list, as a GridGraph when a coordinate sidecar sits beside it.
 
     The sidecar must give each vertex a distinct point of ``dimension``
-    integers, and the edges must be exactly their unit-step relation.
+    integers, ``dimension`` itself a JSON integer, and the edges must be
+    exactly their unit-step relation.
     ``scale`` is null or finite and positive, ``offset`` null or ``dimension`` finite numbers.
     """
     g = _load_graph(path_str)
@@ -251,12 +252,14 @@ def _load_input(path_str: str) -> Graph | GridGraph:
         gg = GridGraph(
             graph=g,
             coordinates=coords,
-            dimension=int(meta["dimension"]),
+            dimension=meta["dimension"],
             scale=meta.get("scale"),
             offset=None if meta.get("offset") is None else tuple(meta["offset"]),
         )
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise _CliError(f"bad coordinate sidecar {sidecar}: {exc!r}") from exc
+    if type(gg.dimension) is not int:  # a JSON integer: bool, float and string are refused
+        raise _CliError(f"sidecar {sidecar}: dimension must be an integer")
     if len(coords) != g.n:
         raise _CliError(f"sidecar {sidecar} does not match {path_str}")
     if any(len(c) != gg.dimension or any(type(x) is not int for x in c) for c in coords):

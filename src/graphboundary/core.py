@@ -50,8 +50,10 @@ class InvariantViolation(GraphError):
 
 ROW_BLOCK = 32  # distance rows per block in bulk passes: scratch is O(ROW_BLOCK * (n + m))
 MAX_VERTICES = 32767  # largest n whose distance matrix fits int16: n * n * 2 bytes, about 2 GiB
-# verify --checks all on K_600 (179 700 edges) peaks at 196 MiB RSS, about 1.1 KiB per
-# edge, so this edge budget is about 1.1 GiB, of the order of the largest distance matrix
+# set when verify --checks all on K_600 (179 700 edges) peaked at 196 MiB RSS, about 1.1 KiB
+# per edge, so about 1.1 GiB, of the order of the largest distance matrix; with the battery's
+# edge scratch bounded (verify.EDGE_BUDGET) that run peaks at 92 MiB, what boundary() alone
+# takes, so the same cap now stands for about 0.5 GiB
 MAX_EDGES = 2**20
 BIT_ROUTE_RATIO = 2  # distance_matrix goes bit-parallel when ecc(0) * ceil(n / 64) <= this * (n + m)
 TREE_ROUTE_ECC = 16  # a tree with n >= 64 takes the row recurrence when ecc(0) >= this
@@ -376,8 +378,16 @@ def is_path_graph(g: Graph) -> bool:
 
 
 # --- canonical edge-list text format ---
-# First line "n m", then m lines "u v" (0-indexed, whitespace separated).
+# First line "n m", then m lines "u v" (0-indexed, whitespace separated), each
+# number an ASCII integer [+-]?[0-9]+.
 # Lines starting with '#' are comments and ignored.
+
+def _ascii_int(token: str) -> int:
+    """The int of a token matching [+-]?[0-9]+; int() alone also takes '_' and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
 
 def parse_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines()]
@@ -388,7 +398,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise EdgeListParseError(f"header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _ascii_int(head[0]), _ascii_int(head[1])
     except ValueError as exc:
         raise EdgeListParseError(f"non-integer header {lines[0]!r}") from exc
     if n > MAX_VERTICES:
@@ -404,7 +414,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise EdgeListParseError(f"bad edge line {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_ascii_int(parts[0]), _ascii_int(parts[1])))
         except ValueError as exc:
             raise EdgeListParseError(f"non-integer edge line {ln!r}") from exc
     return validate(edges, n)

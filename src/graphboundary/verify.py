@@ -82,6 +82,12 @@ def _check_mps(g, report, gg):
     return CheckOutcome("mps", entry.passed, f"cejz={entry.observed} delta+2={entry.bound}")
 
 
+# row x edge entries that the laplacian and dichotomy checks gather at once; the
+# scratch of a check is then bounded whatever m is, and stays inside the heap that
+# the allocator reuses from one block to the next
+EDGE_BUDGET = 2**15
+
+
 def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The ends (u, w) of every edge with u < w, as two arrays read off ``g.csr``."""
     indptr, indices = g.csr
@@ -93,23 +99,35 @@ def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 def _check_laplacian(g, report, gg):
     # incidence route L = B B^T: edge (u, w) adds f(u) - f(w) to (L f)(u) and subtracts it
     # at w; the positive entries of L f_v must be the slice of v
-    # int32 is exact, since adjacent distances differ by at most 1 and so |(L f)(u)| <= deg(u);
-    # at half the scratch of int64, a block's arrays stay inside the allocator's reused heap
+    # int32 is exact, since adjacent distances differ by at most 1 and so |(L f)(u)| <= deg(u).
+    # Each block is walked in sub-blocks of max(1, EDGE_BUDGET // m) sources. The flat keys
+    # r * n + u of both edge ends, the two gathers and L f are allocated once, sized by the
+    # first, longest sub-block, so each edge buffer holds max(EDGE_BUDGET, m) entries at most
+    n, m = g.n, g.m
     for start, dist, member in report.row_blocks():
-        b = len(dist)
-        if not start:  # flat keys r * n + u of both edge ends, sized by the first, longest block
-            rows = np.arange(0, b * g.n, g.n)[:, None]
-            tail_keys, head_keys = ((rows + ends).ravel() for ends in _edge_ends(g))
-        f = dist.astype(np.int32).ravel()
-        tail, head = tail_keys[:b * g.m], head_keys[:b * g.m]
-        diff = f[tail] - f[head]
-        lf = np.zeros_like(f)
-        np.add.at(lf, tail, diff)
-        np.subtract.at(lf, head, diff)
-        bad = np.flatnonzero((lf > 0) != member.ravel())
-        if bad.size:
-            return CheckOutcome("laplacian", False, f"mismatch at source {start + bad[0] // g.n}")
-    return CheckOutcome("laplacian", True, f"sources={g.n}")
+        if not start:
+            rows = min(len(dist), max(1, EDGE_BUDGET // max(m, 1)))
+            offsets = np.arange(0, rows * n, n)[:, None]
+            tail_keys, head_keys = ((offsets + ends).ravel() for ends in _edge_ends(g))
+            f_buf, lf_buf = np.empty(rows * n, np.int32), np.empty(rows * n, np.int32)
+            diff_buf, head_buf = np.empty(rows * m, np.int32), np.empty(rows * m, np.int32)
+            positive_buf = np.empty(rows * n, bool)
+        for lo in range(0, len(dist), rows):
+            b = min(rows, len(dist) - lo)
+            f, lf = f_buf[:b * n], lf_buf[:b * n]
+            f.reshape(b, n)[:] = dist[lo:lo + b]
+            tail, head = tail_keys[:b * m], head_keys[:b * m]
+            diff = np.take(f, tail, out=diff_buf[:b * m], mode="clip")  # keys are in range
+            diff -= np.take(f, head, out=head_buf[:b * m], mode="clip")
+            lf.fill(0)
+            np.add.at(lf, tail, diff)
+            np.subtract.at(lf, head, diff)
+            positive = np.greater(lf, 0, out=positive_buf[:b * n])
+            bad = np.flatnonzero(np.not_equal(positive, member[lo:lo + b].ravel(), out=positive))
+            if bad.size:
+                return CheckOutcome("laplacian", False,
+                                    f"mismatch at source {start + lo + bad[0] // n}")
+    return CheckOutcome("laplacian", True, f"sources={n}")
 
 
 def _layer_keys(dist) -> tuple[np.ndarray, np.ndarray, int]:
@@ -119,18 +137,17 @@ def _layer_keys(dist) -> tuple[np.ndarray, np.ndarray, int]:
     return np.arange(len(dist), dtype=np.int32)[:, None] * width + dist, ell, width
 
 
-def _broken_rows(keys, outer, member, ell, width, delta) -> np.ndarray:
+def _broken_rows(keys, cross, member, ell, width, delta) -> np.ndarray:
     """Bool per row of ``keys``: True where the row's layers break the dichotomy.
 
     For each row r, column j of the counts is layer j's cross edges (those joining
-    A_{j-1} and A_j, counted at their outer end as layer_decompose does; ``outer``
-    holds the key of that end once per edge), size and slice members: one integer
-    bincount each over the keys r * width + j. ``delta`` is one maximum degree, or
-    one per row.
+    A_{j-1} and A_j, counted at their outer end as layer_decompose does), size and
+    slice members. ``cross`` holds the first at index r * width + j; the other two
+    are one integer bincount each over the keys r * width + j. ``delta`` is one
+    maximum degree, or one per row.
     """
     b = len(keys)
     delta = np.reshape(delta, (-1, 1))
-    cross = np.bincount(outer, minlength=b * width)
     size = np.bincount(keys.ravel(), minlength=b * width)
     members = np.bincount(keys[member], minlength=b * width)
     last = np.arange(b) * width + ell
@@ -147,22 +164,40 @@ def _broken_rows(keys, outer, member, ell, width, delta) -> np.ndarray:
     return (cross > slack).any(axis=1) | last_bad
 
 
-def _dichotomy_flags(dist, member, tails, heads, delta) -> np.ndarray:
-    """Rows of a block of sources whose layers break the dichotomy, in increasing order."""
-    keys, ell, width = _layer_keys(dist)  # keys < ROW_BLOCK * n
-    k_tail, k_head = keys[:, tails], keys[:, heads]
-    outer = np.maximum(k_tail, k_head)[k_tail != k_head]  # each cross edge, at its outer end
-    # freed before bincount copies outer to intp: a block's scratch then stays small enough
-    # for the allocator to reuse it, instead of trimming the heap and faulting it in again
-    del k_tail, k_head
-    return np.flatnonzero(_broken_rows(keys, outer, member, ell, width, delta))
+def _dichotomy_flags(dist, member, tails, heads, delta, scratch) -> np.ndarray:
+    """Rows of a block of sources whose layers break the dichotomy, in increasing order.
+
+    The edges are gathered max(1, EDGE_BUDGET // rows) at a time into the two int32
+    buffers and the bool buffer of ``scratch``, and each chunk's cross edges are added
+    into one count per row and layer.
+    """
+    keys, ell, width = _layer_keys(dist)
+    b = len(dist)
+    chunk = max(1, EDGE_BUDGET // b)
+    cross = np.zeros(b * width, np.intp)
+    for lo in range(0, len(tails), chunk):
+        hi = min(lo + chunk, len(tails))
+        size = b * (hi - lo)
+        k_tail = np.take(keys, tails[lo:hi], axis=1, mode="clip",  # keys are in range
+                         out=scratch[0][:size].reshape(b, hi - lo))
+        k_head = np.take(keys, heads[lo:hi], axis=1, mode="clip",
+                         out=scratch[1][:size].reshape(b, hi - lo))
+        cut = np.not_equal(k_tail, k_head, out=scratch[2][:size].reshape(b, hi - lo))
+        outer = np.maximum(k_tail, k_head, out=k_tail)[cut]  # each cross edge, at its outer end
+        cross += np.bincount(outer, minlength=b * width)
+    return np.flatnonzero(_broken_rows(keys, cross, member, ell, width, delta))
 
 
 def _check_dichotomy(g, report, gg):
     tails, heads = _edge_ends(g)
     delta = g.max_degree
     for start, dist, member in report.row_blocks():
-        flagged = _dichotomy_flags(dist, member, tails, heads, delta)
+        if not start:
+            # a chunk of b rows, b at most this first block's, has at most
+            # min(b * m, max(EDGE_BUDGET, b)) entries
+            size = min(len(dist) * g.m, max(EDGE_BUDGET, len(dist)))
+            scratch = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size, bool)
+        flagged = _dichotomy_flags(dist, member, tails, heads, delta, scratch)
         if flagged.size:  # the per-source reference writes the detail of the first one
             r = int(flagged[0])
             members = np.flatnonzero(member[r]).tolist()
@@ -279,8 +314,8 @@ def _batch_dichotomy(r: BatchReport) -> np.ndarray:
     nearer = (r.adjacency[:, None] & (r.distances[:, :, None] < r.distances[..., None])).sum(
         axis=3, dtype=np.int8)
     keys, ell, width = _layer_keys(r.distances.reshape(b * n, n))
-    outer = np.repeat(keys.ravel(), nearer.ravel())
-    broken = _broken_rows(keys, outer, r.slices.reshape(b * n, n), ell, width,
+    cross = np.bincount(np.repeat(keys.ravel(), nearer.ravel()), minlength=b * n * width)
+    broken = _broken_rows(keys, cross, r.slices.reshape(b * n, n), ell, width,
                           np.repeat(r.max_degree, n))
     return ~broken.reshape(b, n).any(axis=1)
 

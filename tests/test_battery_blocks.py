@@ -2,7 +2,9 @@
 at a time, against their per-source references: ``laplacian_slice`` through
 the literal matrix, and ``layer_decompose`` plus ``check_dichotomy``. Slices
 are flipped at random so that failing outcomes, detail strings included,
-are compared too."""
+are compared too, at several block sizes and edge budgets: the budget cuts
+laplacian blocks into sub-blocks of sources and dichotomy edge lists into
+chunks."""
 
 import tracemalloc
 from unittest import mock
@@ -52,11 +54,18 @@ def flipped(rep, rng, flips):
     return flip_bits(rep, rng.integers(rep.n, size=(flips, 2)).tolist())
 
 
+# edge budgets: one source per laplacian sub-block and one edge per dichotomy chunk;
+# 7, which splits blocks and edge lists unevenly on these small graphs; the default
+BUDGETS = (1, 7, verify.EDGE_BUDGET)
+
+
 def block_outcomes(g, rep, block):
-    with mock.patch.object(core, "ROW_BLOCK", block):
-        got = run_battery(g, CHECKS, report=rep)
-    assert got == [laplacian_reference(g, rep), dichotomy_reference(g, rep)]
-    return got
+    want = [laplacian_reference(g, rep), dichotomy_reference(g, rep)]
+    for budget in BUDGETS:
+        with mock.patch.object(core, "ROW_BLOCK", block), \
+                mock.patch.object(verify, "EDGE_BUDGET", budget):
+            assert run_battery(g, CHECKS, report=rep) == want
+    return want
 
 
 def test_block_checks_equal_references_on_all_small_graphs():
@@ -120,16 +129,26 @@ def test_block_checks_hold_no_n_by_n_int64_array():
     assert peak < g.n ** 2 * 8 // 4
 
 
-def test_dichotomy_builds_no_flat_edge_keys():
-    # flat intp keys of both ends of every edge, for a whole block of sources, peaked at
-    # 39.8 MiB traced on this graph; gathering the int32 layer keys by column takes 18.6 MiB
-    g = complete(300)
+def traced_peak(g, checks):
     rep = boundary(g)
     tracemalloc.start()
     try:
-        (outcome,) = run_battery(g, ("dichotomy",), report=rep)
+        outcomes = run_battery(g, checks, report=rep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert outcome.passed
-    assert peak < 25 * 2**20
+    assert all(oc.passed for oc in outcomes)
+    return peak
+
+
+def test_laplacian_scratch_is_bounded_on_dense_graphs():
+    # flat intp keys of both ends of every edge for a block of 32 sources traced 38.4 MiB
+    # on this graph; sub-blocks of EDGE_BUDGET // m sources (here one) trace about 1.5 MiB
+    assert traced_peak(complete(300), ("laplacian",)) < 4 * 2**20
+
+
+def test_dichotomy_builds_no_flat_edge_keys():
+    # flat intp keys of both ends of every edge, for a whole block of sources, peaked at
+    # 39.8 MiB traced on this graph, and int32 layer keys gathered for all edges at once
+    # at 18.6 MiB; chunks of EDGE_BUDGET // rows edges trace about 1.5 MiB
+    assert traced_peak(complete(300), ("dichotomy",)) < 4 * 2**20

@@ -369,6 +369,11 @@ SIDECAR_CORRUPTIONS = {
     "offset_empty": ("3,3", lambda meta: json.dumps({**meta, "offset": []})),
     "offset_number": ("3,3", lambda meta: json.dumps({**meta, "offset": 0})),
     "dimension_inf": ("3,3", lambda meta: json.dumps({**meta, "dimension": float("inf")})),
+    "dimension_str": ("3,3", lambda meta: json.dumps({**meta, "dimension": "2"})),
+    # the 1x3 grid written as a line: with dimension 1 the sidecar is valid
+    "dimension_bool": ("1,3", lambda meta: json.dumps(
+        {**meta, "dimension": True, "coordinates": [[0], [1], [2]]})),
+    "dimension_float": ("3,3", lambda meta: json.dumps({**meta, "dimension": 2.0})),
     # nested past the interpreter's recursion limit: json.loads raises RecursionError
     "deeply_nested": ("3,3", lambda meta: "[" * 200_000 + "]" * 200_000),
 }
@@ -397,6 +402,26 @@ def test_edge_list_not_utf8_exit2_with_one_line(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {el}: ")
     assert captured.err.count("\n") == 1
+
+
+# vertex ids are ASCII integers: int() alone would read U+0661 (ARABIC-INDIC DIGIT ONE)
+# as 1 and "1_0" as 10, and so a different graph
+@pytest.mark.parametrize("text, line", [("2 1\n0 \u0661\n", "0 \u0661"),
+                                        ("3 2\n0 1_0\n1 2\n", "0 1_0")])
+@pytest.mark.parametrize("command", ["boundary", "verify"])
+def test_non_ascii_integer_edge_line_exit2(text, line, command, tmp_path, capsys):
+    el = tmp_path / "g.el"
+    el.write_text(text, encoding="utf-8")
+    assert run(command, "--in", el) == 2
+    err = f"error: bad edge list {el}: non-integer edge line {line!r}\n"
+    assert capsys.readouterr() == ("", err)
+
+
+def test_negative_vertex_id_reaches_the_range_check(tmp_path, capsys):
+    el = tmp_path / "g.el"
+    el.write_text("2 1\n0 -1\n")
+    assert run("verify", "--in", el) == 2
+    assert capsys.readouterr() == ("", f"error: bad edge list {el}: edge (0, -1) outside 0..1\n")
 
 
 def test_sidecar_integer_scale_and_offset_accepted(tmp_path, capsys):

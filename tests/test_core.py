@@ -166,6 +166,10 @@ def test_edge_list_format_exact():
         "2 1\n0 1 2\n",
         "x y\n",
         "2 1\na b\n",
+        "2 1\n0 \u0661\n",  # ARABIC-INDIC DIGIT ONE
+        "3 2\n0 1_0\n1 2\n",
+        "\uff12 1\n0 1\n",  # FULLWIDTH DIGIT TWO in the header
+        "2 1_0\n0 1\n",
     ],
 )
 def test_edge_list_parse_errors(text):

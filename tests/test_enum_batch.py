@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from exhaustive import CHECKS, per_graph_pass
-from graphboundary import InvariantViolation, distance_matrix, run_battery, validate
+from test_battery_blocks import BUDGETS
+from graphboundary import InvariantViolation, distance_matrix, run_battery, validate, verify
 from graphboundary.boundary import BoundaryReport, batch_boundary
 from graphboundary.cli import main
 from graphboundary.generators import (
@@ -104,15 +105,18 @@ def corruptions(batch, b):
     yield dataclasses.replace(batch, slices=slices)
 
 
-def test_batch_verdicts_equal_the_battery_on_corrupted_arrays():
+def test_batch_verdicts_equal_the_battery_on_corrupted_arrays(monkeypatch):
     failing = Counter()
     for n, masks, adjacency, distances in connected_chunks(4):
         batch = batch_boundary(adjacency, distances)
         for b, g in enumerate(graphs_of(n, masks)):
             for bad in corruptions(batch, b):
                 passed = run_batch(bad, CHECKS)
-                outcomes = run_battery(g, CHECKS, report=report_of(bad, b, g))
-                assert [oc.passed for oc in outcomes] == [bool(passed[c][b]) for c in CHECKS]
+                rep = report_of(bad, b, g)
+                for budget in BUDGETS:  # the battery's block checks, however they split
+                    monkeypatch.setattr(verify, "EDGE_BUDGET", budget)
+                    outcomes = run_battery(g, CHECKS, report=rep)
+                    assert [oc.passed for oc in outcomes] == [bool(passed[c][b]) for c in CHECKS]
                 failing.update(oc.check for oc in outcomes if not oc.passed)
     assert set(failing) == set(CHECKS)
 
