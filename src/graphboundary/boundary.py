@@ -277,7 +277,8 @@ class BatchReport:
     Index b of every array is graph b: ``adjacency`` is (B, n, n) bool,
     ``distances`` (B, n, n) int8, ``slices`` (B, n, n) bool with [b, v, u]
     true iff u is in the slice of v, and ``cejz`` (B, n) bool. Built by
-    :func:`batch_boundary`; the other quantities are read off these four.
+    :func:`batch_boundary`; the other quantities are read off these four,
+    each once per report: a ``dataclasses.replace`` copy starts with none.
     """
 
     adjacency: np.ndarray
@@ -292,23 +293,23 @@ class BatchReport:
     def n(self) -> int:
         return self.adjacency.shape[1]
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=2)
 
-    @property
+    @cached_property
     def max_degree(self) -> np.ndarray:
         return self.degrees.max(axis=1)
 
-    @property
+    @cached_property
     def m(self) -> np.ndarray:
         return self.degrees.sum(axis=1) // 2
 
-    @property
+    @cached_property
     def diameter(self) -> np.ndarray:
         return self.distances.max(axis=(1, 2))
 
-    @property
+    @cached_property
     def boundary(self) -> np.ndarray:
         """(B, n) bool: u is in some slice of graph b."""
         return self.slices.any(axis=1)
@@ -319,15 +320,27 @@ def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
 
     u is in the slice of v iff sum_{w ~ u} d(v, w) < deg(u) * d(u, v), and in
     the CEJZ set iff it has a neighbor and, for some v, no neighbor is
-    farther from v than u. The neighbor distances are gathered as one
+    farther from v than u. The slices gather the neighbor distances as one
     (B, n, n, n) array, so this is meant for graphs of a handful of vertices.
+
+    ``distances`` must be the BFS (hop) distances of ``adjacency``, as
+    ``generators._dense_distances`` gives them: then every neighbor w of u
+    has e = d(v, w) - d(v, u) in {-1, 0, 1}, and e^2 + e is 2 if w is
+    farther from v than u and 0 otherwise. With s = D A, q = (D∘D) A and
+    dd = deg(u) d(v, u), all int32, the sum over w ~ u is
+    2 #farther = (q - 2 d s + dd d) + (s - dd), so CEJZ takes two integer
+    matmuls and no (B, n, n, n) array. Other arrays give other CEJZ sets.
     """
-    nbr = adjacency[:, None]  # [b, -, u, w]: w ~ u
-    gathered = distances[:, :, None]  # [b, v, -, w]: d(v, w)
     deg = adjacency.sum(axis=2, dtype=np.int16)  # int16 sums: at most (n - 1)^2
-    slices = (gathered * nbr).sum(axis=3, dtype=np.int16) < deg[:, None] * distances
-    farther = (nbr & (gathered > distances[..., None])).any(axis=3)
-    cejz = (~farther & (deg > 0)[:, None]).any(axis=1)
+    gathered = distances[:, :, None] * adjacency[:, None]  # [b, v, u, w]: d(v, w) if w ~ u
+    slices = gathered.sum(axis=3, dtype=np.int16) < deg[:, None] * distances
+    a, d = adjacency.astype(np.int32), distances.astype(np.int32)
+    s = d @ a
+    dd = deg[:, None] * d
+    twice_farther = (d * d) @ a
+    twice_farther += s - dd
+    twice_farther += d * (dd - 2 * s)
+    cejz = ((twice_farther == 0) & (deg > 0)[:, None]).any(axis=1)
     report = BatchReport(adjacency, distances, slices, cejz)
     if (cejz & ~report.boundary).any():
         raise InvariantViolation("CEJZ boundary escaped the averaged boundary")

@@ -384,17 +384,20 @@ def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
 def _dense_distances(adjacency: np.ndarray) -> np.ndarray:
     """Hop distances of a (B, n, n) bool adjacency stack as int8, -1 where unreachable.
 
-    Step k of the BFS is one boolean product, reach_k = reach_{k-1} | reach_{k-1} A, and
-    n - 1 steps reach every vertex of a connected graph.
+    Floyd-Warshall in int16 (Floyd, CACM 1962): step k relaxes every pair through
+    vertex k, d = min(d, d[:, k] + d[k, :]), as one (B, n, n) add and minimum, so a
+    stack takes n steps of n^2 work per graph. Unreachable pairs hold n, which no
+    path beats.
     """
     n = adjacency.shape[1]
-    reach = np.broadcast_to(np.eye(n, dtype=bool), adjacency.shape)
-    dist = np.where(reach, np.int8(0), np.int8(-1))
-    for step in range(1, n):
-        grown = reach | reach @ adjacency
-        dist[grown & ~reach] = step
-        reach = grown
-    return dist
+    dist = np.where(adjacency, np.int16(1), np.int16(n))
+    dist[:, range(n), range(n)] = 0
+    via = np.empty_like(dist)
+    for k in range(n):
+        np.add(dist[:, :, k, None], dist[:, None, k, :], out=via)
+        np.minimum(dist, via, out=dist)
+    dist[dist >= n] = -1
+    return dist.astype(np.int8)
 
 
 def connected_chunks(n_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:

@@ -297,7 +297,8 @@ def _batch_thm2(r: BatchReport) -> np.ndarray:
 
 
 def _batch_mps(r: BatchReport) -> np.ndarray:
-    return np.left_shift(1, r.cejz.sum(axis=1)) >= r.max_degree + 2
+    # the int64 shift wraps at 63; Delta + 2 <= n + 1 < 2^62, so clamping at 62 is exact
+    return np.left_shift(1, np.minimum(r.cejz.sum(axis=1), 62)) >= r.max_degree + 2
 
 
 def _batch_laplacian(r: BatchReport) -> np.ndarray:

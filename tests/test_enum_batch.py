@@ -15,10 +15,19 @@ import pytest
 
 from exhaustive import CHECKS, per_graph_pass
 from test_battery_blocks import BUDGETS
-from graphboundary import InvariantViolation, distance_matrix, run_battery, validate, verify
+from graphboundary import (
+    InvariantViolation,
+    boundary,
+    check_mps,
+    distance_matrix,
+    run_battery,
+    validate,
+    verify,
+)
 from graphboundary.boundary import BoundaryReport, batch_boundary
 from graphboundary.cli import main
 from graphboundary.generators import (
+    _dense_distances,
     connected_chunks,
     enumerate_connected,
     mask_edges,
@@ -30,6 +39,11 @@ from graphboundary.verify import _BATCH_RUNNERS, ALL_CHECKS, run_batch
 
 def graphs_of(n, masks):
     return [validate(mask_edges(n, mask), n) for mask in masks.tolist()]
+
+
+def adjacency_of(graphs):
+    """The (B, n, n) bool adjacency stack of graphs on the same n vertices."""
+    return np.array([[[w in nbrs for w in range(g.n)] for nbrs in g.adjacency] for g in graphs])
 
 
 def report_of(batch, b, g):
@@ -126,8 +140,7 @@ def test_two_member_boundaries_pass_prop3_only_on_paths():
     # two leaves and n - 3 twos: a triangle with two pendant vertices at one corner
     graphs = [path(5), validate([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)], 5), star(4),
               validate([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)], 5)]
-    adjacency = np.array([[[w in nbrs for w in range(g.n)] for nbrs in g.adjacency]
-                          for g in graphs])
+    adjacency = adjacency_of(graphs)
     batch = batch_boundary(adjacency, np.array([distance_matrix(g) for g in graphs], np.int8))
     slices = np.zeros_like(batch.slices)
     slices[:, 0, 3] = slices[:, 0, 4] = True
@@ -136,6 +149,69 @@ def test_two_member_boundaries_pass_prop3_only_on_paths():
     assert got == [run_battery(g, ("prop3",), report=report_of(batch, b, g))[0].passed
                    for b, g in enumerate(graphs)]
     assert got == [True, False, False, False]
+
+
+def random_connected(n, rng):
+    """A random tree on n vertices plus edges of a random density, randomly relabeled."""
+    label = rng.permutation(n)
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    extra = np.triu(rng.random((n, n)) < rng.uniform(0, 0.5), 1)
+    edges.update(zip(*np.nonzero(extra)))
+    return validate([(int(label[u]), int(label[w])) for u, w in sorted(edges)], n)
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_batch_route_equals_the_per_graph_route_past_the_exhaustive_range(n):
+    rng = np.random.default_rng(n)
+    graphs = [random_connected(n, rng) for _ in range(12)]
+    adjacency = adjacency_of(graphs)
+    distances = _dense_distances(adjacency)
+    batch = batch_boundary(adjacency, distances)
+    passed = run_batch(batch, CHECKS)
+    for b, g in enumerate(graphs):
+        rep = boundary(g)
+        assert (distances[b] == distance_matrix(g)).all()
+        assert (batch.slices[b] == rep.slice_rows(0, n)).all()
+        assert np.flatnonzero(batch.cejz[b]).tolist() == list(rep.cejz_boundary)
+        outcomes = run_battery(g, CHECKS, report=rep)
+        assert [oc.passed for oc in outcomes] == [bool(passed[c][b]) for c in CHECKS]
+    assert len({g.m for g in graphs}) > 1
+
+
+@pytest.mark.parametrize("leaves", range(61, 71))
+def test_batch_mps_passes_stars_with_more_than_62_cejz_members(leaves):
+    # the CEJZ set of a star is its leaves, so 2^|CEJZ| passes the int64 range at 63
+    g = star(leaves)
+    adjacency = adjacency_of([g])
+    batch = batch_boundary(adjacency, _dense_distances(adjacency))
+    assert batch.cejz.sum() == leaves
+    assert run_batch(batch, ("mps",))["mps"].tolist() == [True]
+    assert check_mps(g, boundary(g)).passed
+
+
+def test_replaced_copies_recompute_the_derived_arrays():
+    # a replaced copy must read its own arrays, or the corrupted-array sweep compares
+    # the runners against the original's cache
+    adjacency = adjacency_of([path(4), star(3)])
+    batch = batch_boundary(adjacency, _dense_distances(adjacency))
+    assert batch.boundary is batch.boundary  # computed once per report
+    before = {name: getattr(batch, name).copy()
+              for name in ("degrees", "max_degree", "m", "diameter", "boundary")}
+    cycle = batch.adjacency.copy()
+    cycle[0, 0, 3] = cycle[0, 3, 0] = True  # the path 0-1-2-3 closed into a 4-cycle
+    far = batch.distances.copy()
+    far[0, 0, 3] = far[0, 3, 0] = 5
+    empty = np.zeros_like(batch.slices)
+    closed = dataclasses.replace(batch, adjacency=cycle)
+    assert (closed.degrees == cycle.sum(axis=2)).all() and closed.degrees[0, 0] == 2
+    assert closed.m.tolist() == [4, 3] and closed.max_degree.tolist() == [2, 3]
+    stretched = dataclasses.replace(batch, distances=far)
+    assert stretched.diameter.tolist() == [5, 2]
+    cleared = dataclasses.replace(batch, slices=empty)
+    assert not cleared.boundary.any() and before["boundary"].any(axis=1).all()
+    for name, value in before.items():  # the original keeps its own values
+        assert (getattr(batch, name) == value).all()
+    assert batch.m.tolist() == [3, 3] and batch.diameter.tolist() == [3, 2]
 
 
 def test_cejz_outside_the_boundary_raises():

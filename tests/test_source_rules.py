@@ -11,7 +11,9 @@ every name it imports. Only ``core.py`` and ``boundary.py`` read
 layout each was measured slower, or raised the peak RSS of
 ``verify --checks all`` on G(400, 0.02) and an annulus lattice.
 ``layers.py`` and ``euclid.py`` never name the ``boundary()`` function:
-their checks read the report they are handed and never build one.
+their checks read the report they are handed and never build one. The
+``_batch_*`` runners of ``verify.py`` never rebuild an array that
+``BatchReport`` derives once per report (degrees, diameter, boundary).
 """
 
 import ast
@@ -74,6 +76,34 @@ def _boundary_function_uses(tree: ast.AST) -> list[int]:
         and isinstance(node.value, ast.Name) and node.value.id == "graphboundary"
         or isinstance(node, ast.alias) and node.name == "boundary"
     )
+
+
+# (array, reduction) pairs that rebuild a BatchReport derived array: the degrees (and
+# so m and Delta), the diameter, and with axis 1 the boundary
+DERIVED = {("adjacency", "sum"), ("distances", "max"), ("slices", "any")}
+
+
+def _axis(call: ast.Call):
+    """The constant axis of a reduction call, by keyword or first argument, else None."""
+    args = [k.value for k in call.keywords if k.arg == "axis"] + call.args[:1]
+    return next((a.value for a in args if isinstance(a, ast.Constant)), None)
+
+
+def _derived_array_rebuilds(tree: ast.AST) -> list[int]:
+    """Lines in ``_batch_*`` functions calling ``adjacency.sum``, ``distances.max`` or
+    ``slices.any(axis=1)``, on a name or an attribute."""
+    lines = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_batch_")):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = node.func.value
+            array = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if (array, node.func.attr) in DERIVED and (array != "slices" or _axis(node) == 1):
+                lines.append(node.lineno)
+    return sorted(lines)
 
 
 def test_package_sources_found():
@@ -140,3 +170,24 @@ def test_rule_sees_boundary_function_uses():
                      "s = 'boundary'\nx = report.boundary\nimport graphboundary\n"
                      "y = graphboundary.boundary(g)\nfrom . import boundary\n")
     assert _boundary_function_uses(tree) == [3, 4, 8, 9]
+
+
+def test_batch_runners_read_derived_arrays_from_the_report():
+    src = next(p for p in SOURCES if p.name == "verify.py")
+    tree = ast.parse(src.read_text(), filename=str(src))
+    assert any(isinstance(f, ast.FunctionDef) and f.name == "_batch_prop2" for f in ast.walk(tree))
+    assert _derived_array_rebuilds(tree) == []
+
+
+def test_rule_sees_derived_array_rebuilds():
+    tree = ast.parse("def _batch_x(r):\n"
+                     "    d = r.adjacency.sum(axis=2)\n"
+                     "    b = r.slices.any(axis=1)\n"
+                     "    c = r.slices.any(axis=2) | r.degrees.sum(axis=1)\n"
+                     "    e = r.distances.max(axis=(1, 2))\n"
+                     "    f = adjacency.sum(2) + r.slices.any(1)\n"
+                     "    # r.adjacency.sum(axis=2) in a comment\n"
+                     "    return r.boundary.sum(axis=1), r.distances.astype(int)\n"
+                     "def helper(r):\n"
+                     "    return r.adjacency.sum(axis=2)\n")
+    assert _derived_array_rebuilds(tree) == [2, 3, 5, 6, 6]
