@@ -270,7 +270,7 @@ def _check_report(report: BoundaryReport) -> None:
         raise InvariantViolation("witness map out of sync with boundary set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchReport:
     """Slices and CEJZ sets of B connected graphs on the same n vertices, as dense arrays.
 
@@ -279,6 +279,7 @@ class BatchReport:
     true iff u is in the slice of v, and ``cejz`` (B, n) bool. Built by
     :func:`batch_boundary`; the other quantities are read off these four,
     each once per report: a ``dataclasses.replace`` copy starts with none.
+    Reports compare by identity, since ``==`` on arrays is elementwise.
     """
 
     adjacency: np.ndarray

@@ -149,7 +149,7 @@ def _broken_rows(keys, cross, member, ell, width, delta) -> np.ndarray:
     b = len(keys)
     delta = np.reshape(delta, (-1, 1))
     size = np.bincount(keys.ravel(), minlength=b * width)
-    members = np.bincount(keys[member], minlength=b * width)
+    members = np.bincount(np.compress(member.ravel(), keys.ravel()), minlength=b * width)
     last = np.arange(b) * width + ell
     last_bad = (ell >= 1) & ((members[last] != size[last])
                              | (cross[last] > delta[:, 0] * size[last]))
@@ -169,22 +169,32 @@ def _dichotomy_flags(dist, member, tails, heads, delta, scratch) -> np.ndarray:
 
     The edges are gathered max(1, EDGE_BUDGET // rows) at a time into the two int32
     buffers and the bool buffer of ``scratch``, and each chunk's cross edges are added
-    into one count per row and layer.
+    into one count per row and layer. The layer keys are gathered from a vertex-major
+    copy, so each edge end copies one contiguous run of ``rows`` keys. A chunk whose
+    entries all cross layers, as every chunk does when the layers are bipartite, is
+    counted as it stands, one with no crossing entry is skipped, and any other is
+    compacted with ``np.compress``, whose cost, unlike a boolean mask's, does not jump
+    when the cut is irregular.
     """
     keys, ell, width = _layer_keys(dist)
     b = len(dist)
     chunk = max(1, EDGE_BUDGET // b)
     cross = np.zeros(b * width, np.intp)
+    by_vertex = np.ascontiguousarray(keys.T)
     for lo in range(0, len(tails), chunk):
         hi = min(lo + chunk, len(tails))
         size = b * (hi - lo)
-        k_tail = np.take(keys, tails[lo:hi], axis=1, mode="clip",  # keys are in range
-                         out=scratch[0][:size].reshape(b, hi - lo))
-        k_head = np.take(keys, heads[lo:hi], axis=1, mode="clip",
-                         out=scratch[1][:size].reshape(b, hi - lo))
-        cut = np.not_equal(k_tail, k_head, out=scratch[2][:size].reshape(b, hi - lo))
-        outer = np.maximum(k_tail, k_head, out=k_tail)[cut]  # each cross edge, at its outer end
-        cross += np.bincount(outer, minlength=b * width)
+        k_tail = np.take(by_vertex, tails[lo:hi], axis=0, mode="clip",  # keys are in range
+                         out=scratch[0][:size].reshape(hi - lo, b))
+        k_head = np.take(by_vertex, heads[lo:hi], axis=0, mode="clip",
+                         out=scratch[1][:size].reshape(hi - lo, b))
+        cut = np.not_equal(k_tail, k_head, out=scratch[2][:size].reshape(hi - lo, b))
+        outer = np.maximum(k_tail, k_head, out=k_tail).ravel()  # each edge, at its outer end
+        crossing = np.count_nonzero(cut)
+        if crossing == size:
+            cross += np.bincount(outer, minlength=b * width)
+        elif crossing:
+            cross += np.bincount(np.compress(cut.ravel(), outer), minlength=b * width)
     return np.flatnonzero(_broken_rows(keys, cross, member, ell, width, delta))
 
 

@@ -26,7 +26,7 @@ from graphboundary import (
     run_battery,
 )
 from graphboundary import core, verify
-from graphboundary.generators import complete, grid, path
+from graphboundary.generators import complete, cycle, erdos_renyi, grid, path, random_tree
 from graphboundary.verify import CheckOutcome
 
 CHECKS = ("laplacian", "dichotomy")
@@ -94,6 +94,39 @@ def test_block_checks_equal_references_on_all_small_graphs():
 def test_block_checks_equal_references_at_any_block_size(g, block, flips, seed):
     rep = boundary(g)
     block_outcomes(g, flipped(rep, np.random.default_rng(seed), flips), block)
+
+
+# the dichotomy pass counts a chunk of (source, edge) entries whole when every entry
+# crosses layers and compacts it otherwise. Bipartite layers cross on every entry; C_9
+# and G(30, 0.3) mix crossing and internal entries; in K_7 an edge crosses layers only
+# from its own two ends. With one source per block and budget 1, each chunk is a single
+# entry, so the all-cross graphs take only the first branch, and K_7 has chunks that
+# cross nowhere
+CHUNK_KINDS = {
+    "all cross": (grid(4, 5).graph, random_tree(12, 5), cycle(8)),
+    "mixed": (cycle(9), erdos_renyi(30, 0.3, 7)),
+    "almost none": (complete(7),),
+}
+
+
+def cross_share(g, rep):
+    """The share of (source, edge) pairs whose ends lie in different layers."""
+    tails, heads = np.array(list(g.edges())).T
+    return np.mean(rep.distances[:, tails] != rep.distances[:, heads])
+
+
+@pytest.mark.parametrize("kind", CHUNK_KINDS)
+def test_dichotomy_chunks_of_every_kind_equal_the_reference(kind):
+    rng = np.random.default_rng(2102)
+    for g in CHUNK_KINDS[kind]:
+        rep = boundary(g)
+        share = cross_share(g, rep)
+        assert {"all cross": share == 1, "mixed": 0 < share < 1,
+                "almost none": share == 2 / g.n}[kind]
+        for flips in range(4):
+            bad = flipped(rep, rng, flips)
+            for block in (1, 3, core.ROW_BLOCK):
+                block_outcomes(g, bad, block)
 
 
 def test_dichotomy_mid_layer_failure_names_the_layer():

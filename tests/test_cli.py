@@ -181,6 +181,26 @@ def test_verify_byte_identical_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # the parser is built once per process; calls that exit 2 in between, one from the
+    # parser and one from the command, leave the next call's bytes as they were
+    from graphboundary.cli import build_parser
+
+    assert build_parser() is build_parser()
+    el = tmp_path / "g.el"
+    run("gen", "--family", "grid", "--params", "4,4", "--out", el)
+    capsys.readouterr()
+    assert run("verify", "--in", el, "--checks", "thm1,dichotomy") == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("verify", "--in", el, "--no-such-flag")
+    assert exc.value.code == 2
+    assert run("verify", "--in", el, "--checks", "nope") == 2
+    capsys.readouterr()
+    assert run("verify", "--in", el, "--checks", "thm1,dichotomy") == 0
+    assert capsys.readouterr() == first and first.out
+
+
 def test_sweep_grid_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--family", "grid", "--sizes", "5,10,20", "--out", out) == 0

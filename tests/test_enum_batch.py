@@ -214,6 +214,16 @@ def test_replaced_copies_recompute_the_derived_arrays():
     assert batch.m.tolist() == [3, 3] and batch.diameter.tolist() == [3, 2]
 
 
+def test_reports_compare_by_identity():
+    # the generated eq compared the array fields as tuples, and so raised on the
+    # truth value of an elementwise comparison of more than one graph
+    _, _, adjacency, distances = next(chunk for chunk in connected_chunks(3) if chunk[0] == 3)
+    first, second = batch_boundary(adjacency, distances), batch_boundary(adjacency, distances)
+    assert len(first) > 1
+    assert first == first and first != second and first != dataclasses.replace(first)
+    assert len({first, second}) == 2
+
+
 def test_cejz_outside_the_boundary_raises():
     adjacency = np.array([[[False, True], [True, False]]])
     with pytest.raises(InvariantViolation, match="CEJZ boundary escaped"):
