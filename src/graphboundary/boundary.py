@@ -15,7 +15,7 @@ Both criteria are evaluated over one distance matrix, a block of sources at
 a time, on a padded fixed-width neighbor layout in the style of ELLPACK
 (Bell and Garland, SC 2009). Each neighbor list is padded with its own
 vertex u up to a width, and the vertices are grouped into classes of equal
-width. One gather of a block's distance rows per class gives it as a dense
+width. A gather of a chunk of distance rows per class gives it as a dense
 (rows, width, class size) array that reduces along one axis, and the
 class's verdicts are written straight into their vertices' columns. The
 padding is exact. Each pad adds d(v, u) to u's neighbor sum, so with S the
@@ -149,9 +149,13 @@ def cejz_boundary(g: Graph) -> frozenset[int]:
     return frozenset(boundary(g).cejz_boundary)
 
 
-# entries of padded neighbor distances a block may gather past ROW_BLOCK rows; 2^17 and 2^18
-# were no faster on path 600, tree 600, a lattice and G(400, 0.02), with up to 4x the scratch
+# entries of padded neighbor distances a chunk of one class may gather past ROW_BLOCK rows;
+# 2^17 and 2^18 were no faster on path 600, tree 600, a lattice and G(400, 0.02), with up to
+# 4x the scratch
 GATHER_BUDGET = 2**16
+# bool slice entries a staging block may hold past ROW_BLOCK rows (1 MiB); GATHER_BUDGET // n
+# rows split the large classes of G(1500, 0.01) into chunks of 32 + 11 rows and lost 15% there
+_STAGE_BUDGET = 2**20
 
 
 def _width(d: int) -> int:
@@ -193,10 +197,10 @@ def _padded_layout(g: Graph) -> list[tuple[np.ndarray | slice, int, np.ndarray]]
 def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> BoundaryReport:
     """Compute the full boundary report from one distance pass, O(n(n+m)) time.
 
-    Sources are evaluated a block of rows at a time on the classes of
-    :func:`_padded_layout`. For each class, one gather ``blk[:, slots]``
-    gives the distances from the block's sources to its padded slots as a
-    (rows, width, class size) array, and ``blk[:, members]`` gives d(u, v)
+    Sources are evaluated a chunk of rows at a time on the classes of
+    :func:`_padded_layout`. For each class, the gather ``part[:, slots]``
+    gives the distances from the chunk's sources to its padded slots as a
+    (rows, width, class size) array, and ``part[:, members]`` gives d(u, v)
     for its members. One int32 sum and one max along the width then decide
     the class's columns, which are written straight into vertex order. u
     is in the slice of v iff the padded sum is below width * d(u, v), that
@@ -207,39 +211,53 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
     5/4 (n - 1)^2 < 1.35e9 < 2^31 for n <= core.MAX_VERTICES, and it is
     computed in int32.
 
-    A block has ``core.ROW_BLOCK`` rows, or more on sparse graphs, as many
-    as keep its gathers within ``GATHER_BUDGET`` entries, and never more
-    than n. The layout has at most 5/2 m + 2n slots, and one class is
-    gathered at a time, so the scratch of a block is its bool slice rows
-    plus O(max(ROW_BLOCK * (n + m), GATHER_BUDGET)) entries. The int16
-    matrix is kept on the report, so memory is Theta(n^2) while the report
-    lives: 2 bytes per vertex pair (200 MB on a path of 10 000 vertices)
-    plus n^2 / 8 bytes for the slices packed as bit rows (12.5 MB on that
-    path). ``include_slices`` and ``threads`` are accepted and ignored:
-    every report carries its slices.
+    Sources are staged in blocks of ``core.ROW_BLOCK`` rows, or more, as
+    many as keep the block's bool slice rows within ``_STAGE_BUDGET``
+    entries (1 MiB), and never more than n: a graph with n <= 1024 is one
+    staging block, and one of ``core.MAX_VERTICES`` vertices has blocks of
+    ``ROW_BLOCK`` rows. Within a staging block the classes are taken one at
+    a time, and each class is gathered in chunks of ``ROW_BLOCK`` rows, or
+    more, as many as keep a chunk within ``GATHER_BUDGET`` entries. So a
+    small class is gathered once per staging block, not once per
+    ``ROW_BLOCK`` rows, and a graph of many classes pays their per-call
+    cost far fewer times. The diameter is the running maximum of the
+    staged rows. The scratch of a staging block is its bool slice rows, at
+    most max(2^20, ROW_BLOCK * n) entries, as many again for the witness
+    step, and one chunk's gather, at most
+    max(GATHER_BUDGET, ROW_BLOCK * (5/2 m + 2n)) entries, since the layout
+    has at most 5/2 m + 2n slots. The int16 matrix is kept on the report,
+    so memory is Theta(n^2) while the report lives: 2 bytes per vertex
+    pair (200 MB on a path of 10 000 vertices) plus n^2 / 8 bytes for the
+    slices packed as bit rows (12.5 MB on that path). ``include_slices``
+    and ``threads`` are accepted and ignored: every report carries its
+    slices.
 
     Raises DisconnectedError on disconnected input (boundaries of
     disconnected graphs are deliberately not defined here).
     """
     dm = distance_matrix(g)
     n = g.n
-    classes = _padded_layout(g)
-    size = sum(slots.size for _, _, slots in classes)
-    rows = min(n, max(core.ROW_BLOCK, GATHER_BUDGET // max(size, 1)))
+    classes = [(members, width, slots, max(core.ROW_BLOCK, GATHER_BUDGET // max(slots.size, 1)))
+               for members, width, slots in _padded_layout(g)]
+    rows = min(n, max(core.ROW_BLOCK, _STAGE_BUDGET // n))
     in_slice = np.empty((rows, n), dtype=bool)  # [v - start, u]: u is in the slice of v
     first = np.full(n, -1, dtype=np.int64)  # smallest certifying source per vertex
     in_cejz = np.zeros(n, dtype=bool)
     slice_bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    diameter = 0
     for start in range(0, n if g.m else 0, rows):  # K_1: its one slice is empty
         blk = dm[start:start + rows]
+        diameter = max(diameter, int(blk.max()))
         member = in_slice[:len(blk)]
-        for members, width, slots in classes:
-            nb = blk[:, slots]
-            d = blk[:, members]
-            mean = nb.sum(axis=1, dtype=np.int32)
-            mean //= width  # in place: one more temporary made path 8000 refault its heap per block
-            member[:, members] = mean < d
-            in_cejz[members] |= (nb.max(axis=1) <= d).any(axis=0)
+        for members, width, slots, step in classes:
+            for top in range(0, len(blk), step):
+                part = blk[top:top + step]
+                nb = part[:, slots]
+                d = part[:, members]
+                mean = nb.sum(axis=1, dtype=np.int32)
+                mean //= width  # in place: one more temporary made path 8000 refault its heap
+                member[top:top + step, members] = mean < d
+                in_cejz[members] |= (nb.max(axis=1) <= d).any(axis=0)
         new = member.any(axis=0) & (first < 0)
         first[new] = start + member[:, new].argmax(axis=0)
         slice_bits[start:start + rows] = np.packbits(member, axis=1, bitorder="little")
@@ -251,7 +269,7 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
         n=n,
         m=g.m,
         max_degree=g.max_degree,
-        diameter=int(dm.max()),
+        diameter=diameter,
         boundary=tuple(members),
         cejz_boundary=tuple(np.nonzero(in_cejz)[0].tolist()),
         witness=dict(zip(members, first[hit].tolist())),

@@ -3,13 +3,17 @@
 Every neighbor list is padded with its own vertex up to the width of its
 class, and the pads must change no slice, no CEJZ verdict and no witness.
 The pinned graphs put vertices on both sides of the class edges (degrees
-4 | 5, 8 | 9, 16 | 17 and 33), and every graph runs with one row per block,
-three rows per block and the default block, so that several blocks and a
-short last block are evaluated. A star of 300 leaves and a random tree of
-300 vertices put the members of several classes in scattered vertex order.
+4 | 5, 8 | 9, 16 | 17 and 33), and every graph runs with staging blocks of
+one row and of three rows, with staging blocks of seven rows gathered two
+rows at a time, and with the defaults, so that several staging blocks, a
+short last staging block, several chunks of one class within a staging
+block and a short last chunk are evaluated. A star of 300 leaves and a
+random tree of 300 vertices put the members of several classes in
+scattered vertex order.
 """
 
 import importlib
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -33,7 +37,9 @@ from graphboundary.generators import complete, grid, path, star
 
 kernel = importlib.import_module("graphboundary.boundary")
 
-BLOCKS = [(1, 0), (3, 0), (core.ROW_BLOCK, kernel.GATHER_BUDGET)]  # (ROW_BLOCK, GATHER_BUDGET)
+# (ROW_BLOCK, GATHER_BUDGET, staging rows): None keeps _STAGE_BUDGET, and a GATHER_BUDGET of 0
+# gathers each class ROW_BLOCK rows at a time, so (2, 0, 7) stages 2 + 2 + 2 + 1 rows per block
+BLOCKS = [(1, 0, 0), (3, 0, 0), (2, 0, 7), (core.ROW_BLOCK, kernel.GATHER_BUDGET, None)]
 
 
 def hub_chain(degrees):
@@ -88,9 +94,11 @@ def hubbed_graphs(draw):
 
 def reports_at_every_block(g):
     """``boundary(g)`` with each of the BLOCKS settings."""
-    for block, budget in BLOCKS:
+    for block, budget, rows in BLOCKS:
+        stage = kernel._STAGE_BUDGET if rows is None else rows * g.n
         with mock.patch.object(core, "ROW_BLOCK", block), \
-                mock.patch.object(kernel, "GATHER_BUDGET", budget):
+                mock.patch.object(kernel, "GATHER_BUDGET", budget), \
+                mock.patch.object(kernel, "_STAGE_BUDGET", stage):
             yield boundary(g)
 
 
@@ -104,9 +112,10 @@ def first_certifiers(slices):
 
 
 def assert_exact(g):
-    """Every block size gives the slices, CEJZ set and witnesses of the references."""
+    """Every block size gives the slices, CEJZ set, witnesses and diameter of the references."""
     edges = list(g.edges())
     dist = oracle.floyd_warshall(g.n, edges)
+    diameter = max(max(row) for row in dist)
     slices = [boundary_slice(g, bfs_distances(g, v)) for v in range(g.n)]
     assert slices == [oracle.slice_members(g.n, edges, v, dist) for v in range(g.n)]
     witness = first_certifiers(slices)
@@ -116,6 +125,7 @@ def assert_exact(g):
         assert rep.witness == witness
         assert rep.boundary == tuple(sorted(witness))
         assert rep.cejz_boundary == cejz
+        assert rep.diameter == diameter
 
 
 @pytest.mark.parametrize("name", PINNED)
@@ -192,18 +202,67 @@ def test_skewed_degrees_take_several_classes(g):
     assert all(isinstance(members, np.ndarray) for members, _, _ in classes)
 
 
-def test_sparse_graphs_take_more_rows_per_block():
-    gathered = []
+def staging_and_gathers(g, stage=kernel._STAGE_BUDGET):
+    """The rows of each staging block and (rows, class size) of each gather in ``boundary(g)``."""
+    staged, gathers = [], []
     packbits = np.packbits
 
-    def spy(member, *args, **kwargs):  # one call per block, on its slice rows
-        gathered.append(len(member))
+    class Logged(np.ndarray):  # logs the gathers of padded slots, the one 2-D index
+        def __getitem__(self, key):
+            if isinstance(key, tuple) and getattr(key[-1], "ndim", 0) == 2:
+                gathers.append((len(self), key[-1].shape[1]))
+            return super().__getitem__(key)
+
+    def spy(member, *args, **kwargs):  # one call per staging block, on its slice rows
+        staged.append(len(member))
         return packbits(member, *args, **kwargs)
 
-    with mock.patch.object(np, "packbits", spy):
-        boundary(path(600))
-    assert gathered == [54] * 11 + [6]  # 2^16 // (2 * 600) rows, then what is left
-    gathered.clear()
-    with mock.patch.object(np, "packbits", spy):
-        boundary(complete(40))
-    assert gathered == [40]
+    dm = kernel.distance_matrix(g).view(Logged)
+    with mock.patch.object(kernel, "distance_matrix", lambda _: dm), \
+            mock.patch.object(np, "packbits", spy), \
+            mock.patch.object(kernel, "_STAGE_BUDGET", stage):
+        boundary(g)
+    return staged, gathers
+
+
+def test_sparse_graphs_take_more_rows_per_block():
+    # one staging block of n <= 2^20 // n rows, then chunks of 2^16 // (2 * 600) = 54 rows
+    assert staging_and_gathers(path(600)) == ([600], [(54, 600)] * 11 + [(6, 600)])
+    assert staging_and_gathers(complete(40)) == ([40], [(40, 40)])
+    # 100 rows a staging block, each gathered as 54 + 46
+    assert staging_and_gathers(path(600), 100 * 600) == ([100] * 6, [(54, 600), (46, 600)] * 6)
+
+
+def test_each_class_is_gathered_in_chunks_sized_to_the_class():
+    # classes of width 1, 2, 3, 4, 5, 6 with 209, 234, 119, 28, 8, 2 members: chunks of
+    # 2^16 // slots = 313, 140, 183, 585, 1638, 5461 rows, the last two cut at the staging
+    # block's 600: 15 gathers, where 54-row blocks of every class would take 12 * 6 = 72
+    g = random_tree(600, 1)
+    assert [(w, slots.shape[1]) for _, w, slots in kernel._padded_layout(g)] == [
+        (1, 209), (2, 234), (3, 119), (4, 28), (5, 8), (6, 2)]
+    assert staging_and_gathers(g) == ([600], [
+        (313, 209), (287, 209),
+        *[(140, 234)] * 4, (40, 234),
+        *[(183, 119)] * 3, (51, 119),
+        (585, 28), (15, 28), (600, 8), (600, 2)])
+
+
+SCRATCH_BOUND = 3 * 2**20  # twice the 1 MiB of staged slice rows, plus 1 MiB
+
+
+@pytest.mark.parametrize("g", [erdos_renyi(400, 0.02, 12345), random_tree(600, 1),
+                               grid(30, 30).graph, path(2000), star(1999)],
+                         ids=["gnp_400", "random_tree_600", "grid_30x30", "path_2000", "star_2000"])
+def test_block_scratch_stays_within_a_fixed_bound(g):
+    # the staged slice rows, their copy in the witness step and one chunk's gather; the matrix
+    # is computed beforehand, and only the packed slices outlive the call
+    dm = kernel.distance_matrix(g)
+    with mock.patch.object(kernel, "distance_matrix", lambda _: dm):
+        boundary(g)  # the graph's cached adjacency arrays
+        tracemalloc.start()
+        try:
+            rep = boundary(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - rep.slice_bits.nbytes < SCRATCH_BOUND
