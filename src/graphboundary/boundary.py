@@ -339,23 +339,22 @@ def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
 
     u is in the slice of v iff sum_{w ~ u} d(v, w) < deg(u) * d(u, v), and in
     the CEJZ set iff it has a neighbor and, for some v, no neighbor is
-    farther from v than u. The slices gather the neighbor distances as one
-    (B, n, n, n) array, so this is meant for graphs of a handful of vertices.
+    farther from v than u. With s = D A and dd = deg(u) d(v, u), both int32,
+    the left side is s[v, u], so the slices are s < dd: exact for any integer
+    ``distances`` of a symmetric ``adjacency``, hop distances or not.
 
-    ``distances`` must be the BFS (hop) distances of ``adjacency``, as
-    ``generators._dense_distances`` gives them: then every neighbor w of u
-    has e = d(v, w) - d(v, u) in {-1, 0, 1}, and e^2 + e is 2 if w is
-    farther from v than u and 0 otherwise. With s = D A, q = (D∘D) A and
-    dd = deg(u) d(v, u), all int32, the sum over w ~ u is
-    2 #farther = (q - 2 d s + dd d) + (s - dd), so CEJZ takes two integer
-    matmuls and no (B, n, n, n) array. Other arrays give other CEJZ sets.
+    Only CEJZ needs ``distances`` to be the BFS (hop) distances of
+    ``adjacency``, as ``generators._dense_distances`` gives them: then every
+    neighbor w of u has e = d(v, w) - d(v, u) in {-1, 0, 1}, and e^2 + e is 2
+    if w is farther from v than u and 0 otherwise. With q = (D∘D) A, the sum
+    over w ~ u is 2 #farther = (q - 2 d s + dd d) + (s - dd), so CEJZ takes
+    one more integer matmul. Other arrays give other CEJZ sets.
     """
     deg = adjacency.sum(axis=2, dtype=np.int16)  # int16 sums: at most (n - 1)^2
-    gathered = distances[:, :, None] * adjacency[:, None]  # [b, v, u, w]: d(v, w) if w ~ u
-    slices = gathered.sum(axis=3, dtype=np.int16) < deg[:, None] * distances
     a, d = adjacency.astype(np.int32), distances.astype(np.int32)
-    s = d @ a
+    s = d @ a  # [b, v, u]: sum of d(v, w) over w ~ u
     dd = deg[:, None] * d
+    slices = s < dd
     twice_farther = (d * d) @ a
     twice_farther += s - dd
     twice_farther += d * (dd - 2 * s)

@@ -373,7 +373,10 @@ def lattice_discretize(spec: DomainSpec) -> GridGraph:
 
 # labeled connected graph counts by n: 1, 1, 4, 38, 728, 26704
 
-ENUM_CHUNK = 256  # edge masks per dense pass; larger chunks run no faster and raise the peak RSS
+# edge masks per dense pass: 2^10 makes each n <= 5 one pass (n = 6 takes 32), since
+# per-chunk call overhead is most of an nmax-5 sweep; 2048 ran no faster there and
+# doubled the traced peak of an nmax-6 sweep to 2.9 MiB
+ENUM_CHUNK = 1024
 
 
 def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
@@ -387,9 +390,12 @@ def _dense_distances(adjacency: np.ndarray) -> np.ndarray:
     Floyd-Warshall in int16 (Floyd, CACM 1962): step k relaxes every pair through
     vertex k, d = min(d, d[:, k] + d[k, :]), as one (B, n, n) add and minimum, so a
     stack takes n steps of n^2 work per graph. Unreachable pairs hold n, which no
-    path beats.
+    path beats. A distance is at most n - 1, so int8 holds it up to n = 128, and a
+    larger n raises ``ValueError``.
     """
     n = adjacency.shape[1]
+    if n > 128:
+        raise ValueError(f"dense int8 distances hold at most 128 vertices, got {n}")
     dist = np.where(adjacency, np.int16(1), np.int16(n))
     dist[:, range(n), range(n)] = 0
     via = np.empty_like(dist)

@@ -69,6 +69,67 @@ def test_chunks_follow_the_enumeration_order():
     assert [validate(mask_edges(n, mask), n) for n, mask in masks] == list(enumerate_connected(6))
 
 
+def test_chunks_are_one_dense_pass_per_size_up_to_5():
+    # 1024 masks a chunk: every n <= 5 (at most 2^10 masks) is one pass, n = 6 is 32
+    layout = [(n, masks) for n, masks, _, _ in connected_chunks(6)]
+    assert Counter(n for n, _ in layout) == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 32}
+    for k, masks in enumerate(masks for n, masks in layout if n == 6):
+        assert (masks // 1024 == k).all()
+    for n in range(1, 7):
+        order = np.concatenate([masks for size, masks in layout if size == n])
+        assert (np.diff(order) > 0).all()
+
+
+def test_dense_distances_are_exact_up_to_128_vertices():
+    # int8 holds n - 1 <= 127; past it the entries would wrap negative without an error
+    adjacency = adjacency_of([path(128)])
+    far = np.arange(128)
+    assert (_dense_distances(adjacency)[0] == abs(far[:, None] - far[None, :])).all()
+    with pytest.raises(ValueError, match="at most 128 vertices"):
+        _dense_distances(adjacency_of([path(129)]))
+
+
+def reference_arrays(adjacency, distances):
+    """sigma = sum_{w ~ u} d(v, w) - deg(u) d(v, u) and the CEJZ sets, straight from sums.
+
+    u is in the slice of v iff sigma[b, v, u] < 0, with the sum over a (B, n, n, n)
+    gather. On any integer array, twice the number of farther neighbors of the
+    CEJZ identity is the sum of e^2 + e, e = d(v, w) - d(v, u), which is 0 iff every
+    neighbor has e in {-1, 0}: that is the CEJZ test for arrays other than hop
+    distances.
+    """
+    gathered = distances[:, :, None] * adjacency[:, None]  # [b, v, u, w]: d(v, w) if w ~ u
+    deg = adjacency.sum(axis=2)
+    sigma = gathered.sum(axis=3, dtype=np.int64) - deg[:, None] * distances.astype(np.int64)
+    step = distances[:, :, None, :].astype(np.int16) - distances[:, :, :, None]
+    level = (~adjacency[:, None] | (step == 0) | (step == -1)).all(axis=3)
+    return sigma, (level & (deg > 0)[:, None]).any(axis=1)
+
+
+def test_batch_slices_equal_the_defining_sum_on_any_int8_distances():
+    # the slices are exact for any distances of a symmetric adjacency; only CEJZ reads
+    # them as hop distances, and a CEJZ member outside the boundary raises
+    rng = np.random.default_rng(2201)
+    values = [np.arange(-1, 3), np.arange(5), np.arange(-128, 128), np.array([-128, 127])]
+    outcomes = Counter()
+    for trial in range(240):
+        n = int(rng.integers(1, 10))
+        upper = np.triu(rng.random((4, n, n)) < rng.uniform(0.1, 0.9), 1)
+        adjacency = upper | upper.transpose(0, 2, 1)
+        distances = rng.choice(values[trial % 4], size=(4, n, n)).astype(np.int8)
+        sigma, cejz = reference_arrays(adjacency, distances)
+        if (cejz & ~(sigma < 0).any(axis=1)).any():
+            with pytest.raises(InvariantViolation, match="CEJZ boundary escaped"):
+                batch_boundary(adjacency, distances)
+            outcomes["raised"] += 1
+            continue
+        batch = batch_boundary(adjacency, distances)
+        assert (batch.slices == (sigma < 0)).all() and (batch.cejz == cejz).all()
+        outcomes["equal"] += 1
+        outcomes["ties"] += int(((sigma == 0) & adjacency.any(axis=2)[:, None]).any())
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_batch_rows_equal_per_graph_reports_on_all_graphs_up_to_6():
     # row b of a chunk is the graph after ``seen[n]`` earlier ones of its size in the
     # enumeration order, and so the row of the per-graph pass at that index
@@ -178,6 +239,21 @@ def test_batch_route_equals_the_per_graph_route_past_the_exhaustive_range(n):
     assert len({g.m for g in graphs}) > 1
 
 
+def test_batch_boundary_builds_no_n_cubed_array():
+    # 256 graphs of 24 vertices: the old (B, n, n, n) gather traced 7.5 MiB, the
+    # matmuls' (B, n, n) int32 arrays trace about 4.1
+    rng = np.random.default_rng(24)
+    adjacency = adjacency_of([random_connected(24, rng) for _ in range(256)])
+    distances = _dense_distances(adjacency)
+    tracemalloc.start()
+    try:
+        batch_boundary(adjacency, distances)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 @pytest.mark.parametrize("leaves", range(61, 71))
 def test_batch_mps_passes_stars_with_more_than_62_cejz_members(leaves):
     # the CEJZ set of a star is its leaves, so 2^|CEJZ| passes the int64 range at 63
@@ -231,7 +307,7 @@ def test_cejz_outside_the_boundary_raises():
 
 
 def test_enum_sweep_to_6_stays_chunked(tmp_path, capsys):
-    # all 32768 masks of n = 6 in one pass trace 43 MiB; chunks of ENUM_CHUNK trace under 1 MiB
+    # all 32768 masks of n = 6 in one pass trace 43 MiB; chunks of ENUM_CHUNK trace 1.5 MiB
     tracemalloc.start()
     try:
         out = str(tmp_path / "o")
