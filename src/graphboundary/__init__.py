@@ -11,10 +11,6 @@ from .boundary import (
     BoundaryReport,
     BoundarySlice,
     boundary,
-    boundary_slice,
-    cejz_boundary,
-    laplacian_matrix,
-    laplacian_slice,
     report_to_dict,
 )
 from .core import (
@@ -23,6 +19,7 @@ from .core import (
     EdgeListParseError,
     Graph,
     GraphError,
+    InvariantViolation,
     SelfLoopError,
     SingleVertexError,
     VertexOutOfRangeError,
@@ -34,7 +31,6 @@ from .core import (
     parse_edge_list,
     read_edge_list,
     validate,
-    write_edge_list,
 )
 from .euclid import (
     CASE_ANTIPODAL_DESCENT,
@@ -69,13 +65,9 @@ from .generators import (
 )
 from .layers import (
     BoundEntry,
-    InvariantViolation,
-    LayerDecomposition,
-    check_dichotomy,
     check_mps,
     check_theorem1,
     check_theorem2,
-    layer_decompose,
     slice_overlap_stats,
     sweep_rows,
     theorem2_bound,

@@ -27,7 +27,7 @@ which is the CEJZ test.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -107,46 +107,6 @@ def slice_row_iter(report: BoundaryReport) -> Iterator[np.ndarray]:
     """The bool slice row of every source in order, a block at a time."""
     for _, _, rows in report.row_blocks():
         yield from rows
-
-
-def boundary_slice(g: Graph, dist: Sequence[int]) -> frozenset[int]:
-    """Members u with  sum_{w ~ u} d(w, v) < deg(u) * d(u, v)  for the distance row of v."""
-    dist = [int(x) for x in dist]  # Python ints: sums over a numpy row would wrap in its dtype
-    members = []
-    for u, nbrs in enumerate(g.adjacency):
-        s = 0
-        for w in nbrs:
-            s += dist[w]
-        d = len(nbrs) * dist[u]
-        if s < d:
-            members.append(u)
-    return frozenset(members)
-
-
-def laplacian_matrix(g: Graph) -> np.ndarray:
-    """L = D - A as an int64 matrix (degree matrix minus adjacency matrix)."""
-    indptr, indices = g.csr
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    a[np.arange(g.n).repeat(indptr[1:] - indptr[:-1]), indices] = 1
-    return np.diag(a.sum(axis=1)) - a
-
-
-def laplacian_slice(g: Graph, dist: Sequence[int], lap: np.ndarray | None = None) -> frozenset[int]:
-    """{u : (L f_v)(u) > 0} computed literally through the matrix route.
-
-    Cross-check oracle for :func:`boundary_slice`: the two must agree on
-    every input, since (L f_v)(u) = deg(u) d(u, v) - sum_{w ~ u} d(w, v).
-    Pass a precomputed ``lap`` when checking many sources on one graph.
-    """
-    if lap is None:
-        lap = laplacian_matrix(g)
-    f = np.asarray(dist, dtype=np.int64)
-    return frozenset(int(u) for u in np.nonzero(lap @ f > 0)[0])
-
-
-def cejz_boundary(g: Graph) -> frozenset[int]:
-    """CEJZ boundary, read off :func:`boundary`."""
-    return frozenset(boundary(g).cejz_boundary)
 
 
 # entries of padded neighbor distances a chunk of one class may gather past ROW_BLOCK rows;

@@ -428,7 +428,3 @@ def format_edge_list(g: Graph) -> str:
 
 def read_edge_list(path: str | Path) -> Graph:
     return parse_edge_list(Path(path).read_text())
-
-
-def write_edge_list(path: str | Path, g: Graph) -> None:
-    Path(path).write_text(format_edge_list(g))

@@ -27,7 +27,7 @@ import numpy as np
 from .core import Graph, GraphError, is_connected, validate
 
 _MASK = (1 << 64) - 1
-ENUM_NMAX = 6  # largest n that enumerate_connected accepts
+ENUM_NMAX = 6  # largest n_max of connected_chunks, which enforces it; verify --nmax reads it
 _GOLDEN = 0x9E3779B97F4A7C15
 
 

@@ -1,7 +1,7 @@
-"""Distance-layer decomposition and the isoperimetric inequality checks.
+"""The isoperimetric inequality checks, read off a boundary report.
 
-The layer decomposition from a source v0 partitions the vertex set by hop
-distance: A_i = {v : d(v, v0) = i}. Two theorems are verified here:
+Two theorems on the distance layers A_i = {v : d(v, v0) = i} are verified
+here (``verify`` counts the per-layer dichotomy behind the second):
 
 * global bound:      |boundary|            >= |V| / (2 * Delta * diam)
 * per-source bound:  |slice of any v|      >= (|V| - 1) / (2 * Delta * (diam - 1) + 1)
@@ -10,7 +10,7 @@ plus the cited lower bound |CEJZ boundary| >= log2(Delta + 2).
 
 Each check reads the diameter, boundary and slices off the BoundaryReport
 it is handed, so one ``boundary(g)`` feeds all of them; nothing here
-computes distances except ``layer_decompose`` when given no row.
+computes distances.
 
 Every pass/fail decision is made in exact rational arithmetic: Fraction
 comparisons for the two size bounds, and the log2 bound rewritten as the
@@ -20,30 +20,13 @@ values, never in a decision.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundaryReport, boundary_slice
-from .core import Graph, InvariantViolation, SingleVertexError, bfs_distances
-
-
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """Layers A_0..A_ell from a source, with inter-layer edge counts.
-
-    ``cross_edges[i-1]`` is |E(A_{i-1}, A_i)| for 1 <= i <= ell.
-    ``slice_per_layer[i]`` counts members of the source's boundary slice
-    inside A_i, for 0 <= i <= ell.
-    """
-
-    source: int
-    ell: int
-    layers: tuple[tuple[int, ...], ...]
-    cross_edges: tuple[int, ...]
-    slice_per_layer: tuple[int, ...]
+from .boundary import BoundaryReport
+from .core import Graph, SingleVertexError
 
 
 @dataclass(frozen=True)
@@ -63,75 +46,6 @@ class BoundEntry:
     bound: Fraction
     margin: Fraction
     passed: bool
-
-
-def layer_decompose(g: Graph, v0: int, dist: Sequence[int] | None = None,
-                    members: Iterable[int] | None = None) -> LayerDecomposition:
-    """Decompose the connected graph into distance layers from v0.
-
-    Pass ``dist`` (a distance row of v0) and ``members`` (v0's slice) to
-    skip the BFS and the slice evaluation; the result is the same.
-    """
-    if dist is None:
-        dist = bfs_distances(g, v0)
-    if members is None:
-        members = boundary_slice(g, dist)
-    ell = max(dist)
-    layer_lists: list[list[int]] = [[] for _ in range(ell + 1)]
-    for u, d in enumerate(dist):
-        layer_lists[d].append(u)
-    cross = [0] * ell
-    for nbrs, du in zip(g.adjacency, dist):
-        # BFS layers differ by at most 1: count each cross edge at its outer end
-        inner = 0
-        for w in nbrs:
-            if dist[w] < du:
-                inner += 1
-        if inner:
-            cross[du - 1] += inner
-    per_layer = [0] * (ell + 1)
-    for u in members:
-        per_layer[dist[u]] += 1
-    return LayerDecomposition(
-        source=v0,
-        ell=ell,
-        layers=tuple(map(tuple, layer_lists)),  # filled in increasing vertex id
-        cross_edges=tuple(cross),
-        slice_per_layer=tuple(per_layer),
-    )
-
-
-def check_dichotomy(ld: LayerDecomposition, delta: int) -> list[bool]:
-    """Verify the per-layer edge/boundary dichotomy of the decomposition.
-
-    For 1 <= i <= ell - 1:
-        |E(A_{i-1}, A_i)| <= |E(A_i, A_{i+1})| + delta * |slice ∩ A_i|
-    and for the last layer:
-        |E(A_{ell-1}, A_ell)| <= delta * |A_ell|  with  A_ell ⊆ slice.
-
-    These hold for every connected graph; a failure raises
-    InvariantViolation naming the offending layer, because it can only
-    mean a bug.
-    """
-    ell = ld.ell
-    passes = []
-    for i in range(1, ell):
-        ok = ld.cross_edges[i - 1] <= ld.cross_edges[i] + delta * ld.slice_per_layer[i]
-        if not ok:
-            raise InvariantViolation(f"dichotomy failed at layer {i} (source {ld.source})")
-        passes.append(ok)
-    if ell >= 1:
-        last = len(ld.layers[ell])
-        if ld.slice_per_layer[ell] != last:
-            raise InvariantViolation(
-                f"outermost layer not fully in the slice (source {ld.source})"
-            )
-        if ld.cross_edges[ell - 1] > delta * last:
-            raise InvariantViolation(
-                f"too many edges into the outermost layer (source {ld.source})"
-            )
-        passes.append(True)
-    return passes
 
 
 def _size_entry(check: str, source: int | None, observed: int, bound: Fraction) -> BoundEntry:

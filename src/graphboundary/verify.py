@@ -12,17 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BatchReport, BoundaryReport, batch_boundary, boundary
-from .core import Graph, is_path_graph, validate
+from .core import Graph, InvariantViolation, is_path_graph, validate
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph, connected_chunks, mask_edges
-from .layers import (
-    InvariantViolation,
-    check_dichotomy,
-    check_mps,
-    check_theorem1,
-    check_theorem2_min,
-    layer_decompose,
-)
+from .layers import check_mps, check_theorem1, check_theorem2_min
 
 
 @dataclass(frozen=True)
@@ -141,10 +134,9 @@ def _broken_rows(keys, cross, member, ell, width, delta) -> np.ndarray:
     """Bool per row of ``keys``: True where the row's layers break the dichotomy.
 
     For each row r, column j of the counts is layer j's cross edges (those joining
-    A_{j-1} and A_j, counted at their outer end as layer_decompose does), size and
-    slice members. ``cross`` holds the first at index r * width + j; the other two
-    are one integer bincount each over the keys r * width + j. ``delta`` is one
-    maximum degree, or one per row.
+    A_{j-1} and A_j, each counted once at its outer end), size and slice members.
+    ``cross`` holds the first at r * width + j; the other two are one integer bincount
+    each over the keys r * width + j. ``delta`` is one maximum degree, or one per row.
     """
     b = len(keys)
     delta = np.reshape(delta, (-1, 1))
@@ -198,6 +190,29 @@ def _dichotomy_flags(dist, member, tails, heads, delta, scratch) -> np.ndarray:
     return np.flatnonzero(_broken_rows(keys, cross, member, ell, width, delta))
 
 
+def _dichotomy_detail(row, member, tails, heads, delta, source) -> str | None:
+    """The failure detail of one source's layers, or None where they pass.
+
+    Recounts the row on its own with three bincounts (cross edges at their outer
+    end, layer sizes, slice members) and tests, in this order, each mid layer
+    |E(A_{i-1}, A_i)| <= |E(A_i, A_{i+1})| + delta |slice ∩ A_i|, then that the
+    slice holds all of A_ell, then |E(A_{ell-1}, A_ell)| <= delta |A_ell|.
+    """
+    ell = int(row.max())
+    lo, hi = row[tails], row[heads]
+    cross = np.bincount(np.maximum(lo, hi)[lo != hi], minlength=ell + 1)
+    size = np.bincount(row, minlength=ell + 1)
+    members = np.bincount(row[member], minlength=ell + 1)
+    for i in range(1, ell):
+        if cross[i] > cross[i + 1] + delta * members[i]:
+            return f"dichotomy failed at layer {i} (source {source})"
+    if ell and members[ell] != size[ell]:
+        return f"outermost layer not fully in the slice (source {source})"
+    if ell and cross[ell] > delta * size[ell]:
+        return f"too many edges into the outermost layer (source {source})"
+    return None
+
+
 def _check_dichotomy(g, report, gg):
     tails, heads = _edge_ends(g)
     delta = g.max_degree
@@ -208,15 +223,13 @@ def _check_dichotomy(g, report, gg):
             size = min(len(dist) * g.m, max(EDGE_BUDGET, len(dist)))
             scratch = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size, bool)
         flagged = _dichotomy_flags(dist, member, tails, heads, delta, scratch)
-        if flagged.size:  # the per-source reference writes the detail of the first one
+        if flagged.size:  # the first flagged row, recounted on its own, writes the detail
             r = int(flagged[0])
-            members = np.flatnonzero(member[r]).tolist()
-            try:
-                check_dichotomy(layer_decompose(g, start + r, dist[r].tolist(), members), delta)
-            except InvariantViolation as exc:
-                return CheckOutcome("dichotomy", False, str(exc))
-            raise InvariantViolation(f"dichotomy: the block count flags source {start + r}, "
-                                     "the per-source count passes it")
+            detail = _dichotomy_detail(dist[r], member[r], tails, heads, delta, start + r)
+            if detail is None:
+                raise InvariantViolation(f"dichotomy: the block count flags source {start + r}, "
+                                         "the per-source count passes it")
+            return CheckOutcome("dichotomy", False, detail)
     return CheckOutcome("dichotomy", True, f"sources={g.n}")
 
 

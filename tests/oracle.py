@@ -1,17 +1,28 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here works on a raw (n, edges) pair and stays deliberately
+The first part works on a raw (n, edges) pair and stays deliberately
 separate from the package code paths: distances come from Floyd-Warshall
 instead of BFS, the boundary criteria are evaluated with fractions.Fraction
 averages instead of integer cross-multiplication, and the Laplacian route
 goes through an explicit numpy matrix product.
+
+The last part holds the per-source references on a ``Graph``: one slice by
+the integer neighbor sum, one by the Laplacian matrix, and the layer
+decomposition with the per-layer dichotomy of Theorem 2. They read the
+package's ``Graph`` and BFS, and are the references that the block passes
+of ``boundary()`` and of the check battery are compared with.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+import graphboundary
+from graphboundary import Graph, InvariantViolation, bfs_distances
 
 INF = float("inf")
 
@@ -137,3 +148,130 @@ def grid_edges(rows, cols):
             if r + 1 < rows:
                 edges.append((u, u + cols))
     return rows * cols, edges
+
+
+# --- per-source references on a Graph ---
+
+def boundary_slice(g: Graph, dist: Sequence[int]) -> frozenset[int]:
+    """Members u with  sum_{w ~ u} d(w, v) < deg(u) * d(u, v)  for the distance row of v."""
+    dist = [int(x) for x in dist]  # Python ints: sums over a numpy row would wrap in its dtype
+    members = []
+    for u, nbrs in enumerate(g.adjacency):
+        s = 0
+        for w in nbrs:
+            s += dist[w]
+        d = len(nbrs) * dist[u]
+        if s < d:
+            members.append(u)
+    return frozenset(members)
+
+
+def laplacian_matrix(g: Graph) -> np.ndarray:
+    """L = D - A as an int64 matrix (degree matrix minus adjacency matrix)."""
+    indptr, indices = g.csr
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    a[np.arange(g.n).repeat(indptr[1:] - indptr[:-1]), indices] = 1
+    return np.diag(a.sum(axis=1)) - a
+
+
+def laplacian_slice(g: Graph, dist: Sequence[int], lap: np.ndarray | None = None) -> frozenset[int]:
+    """{u : (L f_v)(u) > 0} computed literally through the matrix route.
+
+    Cross-check for :func:`boundary_slice`: the two must agree on every
+    input, since (L f_v)(u) = deg(u) d(u, v) - sum_{w ~ u} d(w, v).
+    Pass a precomputed ``lap`` when checking many sources on one graph.
+    """
+    if lap is None:
+        lap = laplacian_matrix(g)
+    f = np.asarray(dist, dtype=np.int64)
+    return frozenset(int(u) for u in np.nonzero(lap @ f > 0)[0])
+
+
+def cejz_boundary(g: Graph) -> frozenset[int]:
+    """CEJZ boundary, read off the package's ``boundary()`` report."""
+    return frozenset(graphboundary.boundary(g).cejz_boundary)
+
+
+@dataclass(frozen=True)
+class LayerDecomposition:
+    """Layers A_0..A_ell from a source, with inter-layer edge counts.
+
+    ``cross_edges[i-1]`` is |E(A_{i-1}, A_i)| for 1 <= i <= ell.
+    ``slice_per_layer[i]`` counts members of the source's boundary slice
+    inside A_i, for 0 <= i <= ell.
+    """
+
+    source: int
+    ell: int
+    layers: tuple[tuple[int, ...], ...]
+    cross_edges: tuple[int, ...]
+    slice_per_layer: tuple[int, ...]
+
+
+def layer_decompose(g: Graph, v0: int, dist: Sequence[int] | None = None,
+                    members: Iterable[int] | None = None) -> LayerDecomposition:
+    """Decompose the connected graph into distance layers from v0.
+
+    Pass ``dist`` (a distance row of v0) and ``members`` (v0's slice) to
+    skip the BFS and the slice evaluation; the result is the same.
+    """
+    if dist is None:
+        dist = bfs_distances(g, v0)
+    if members is None:
+        members = boundary_slice(g, dist)
+    ell = max(dist)
+    layer_lists: list[list[int]] = [[] for _ in range(ell + 1)]
+    for u, d in enumerate(dist):
+        layer_lists[d].append(u)
+    cross = [0] * ell
+    for nbrs, du in zip(g.adjacency, dist):
+        # BFS layers differ by at most 1: count each cross edge at its outer end
+        inner = 0
+        for w in nbrs:
+            if dist[w] < du:
+                inner += 1
+        if inner:
+            cross[du - 1] += inner
+    per_layer = [0] * (ell + 1)
+    for u in members:
+        per_layer[dist[u]] += 1
+    return LayerDecomposition(
+        source=v0,
+        ell=ell,
+        layers=tuple(map(tuple, layer_lists)),  # filled in increasing vertex id
+        cross_edges=tuple(cross),
+        slice_per_layer=tuple(per_layer),
+    )
+
+
+def check_dichotomy(ld: LayerDecomposition, delta: int) -> list[bool]:
+    """Verify the per-layer edge/boundary dichotomy of the decomposition.
+
+    For 1 <= i <= ell - 1:
+        |E(A_{i-1}, A_i)| <= |E(A_i, A_{i+1})| + delta * |slice ∩ A_i|
+    and for the last layer:
+        |E(A_{ell-1}, A_ell)| <= delta * |A_ell|  with  A_ell ⊆ slice.
+
+    These hold for every connected graph; a failure raises
+    InvariantViolation naming the offending layer, because it can only
+    mean a bug.
+    """
+    ell = ld.ell
+    passes = []
+    for i in range(1, ell):
+        ok = ld.cross_edges[i - 1] <= ld.cross_edges[i] + delta * ld.slice_per_layer[i]
+        if not ok:
+            raise InvariantViolation(f"dichotomy failed at layer {i} (source {ld.source})")
+        passes.append(ok)
+    if ell >= 1:
+        last = len(ld.layers[ell])
+        if ld.slice_per_layer[ell] != last:
+            raise InvariantViolation(
+                f"outermost layer not fully in the slice (source {ld.source})"
+            )
+        if ld.cross_edges[ell - 1] > delta * last:
+            raise InvariantViolation(
+                f"too many edges into the outermost layer (source {ld.source})"
+            )
+        passes.append(True)
+    return passes

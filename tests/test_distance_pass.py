@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 
 import oracle
+from oracle import boundary_slice, layer_decompose
 from test_properties import connected_graphs
 from graphboundary import (
     ALL_CHECKS,
@@ -20,11 +21,9 @@ from graphboundary import (
     InvariantViolation,
     BoundarySlice,
     boundary,
-    boundary_slice,
     distance_matrix,
     enumerate_connected,
     lattice_discretize,
-    layer_decompose,
     random_tree,
     run_battery,
 )
@@ -179,8 +178,7 @@ def test_battery_runs_one_distance_pass():
         return real(g, source)
 
     with mock.patch.object(boundary_module, "distance_matrix", counting), \
-            mock.patch.object(core, "bfs_distances", counting_bfs), \
-            mock.patch.object(layers, "bfs_distances", counting_bfs):
+            mock.patch.object(core, "bfs_distances", counting_bfs):
         outcomes = run_battery(gg.graph, ALL_CHECKS, gg=gg)
     assert [oc.check for oc in outcomes] == list(ALL_CHECKS)
     assert all(oc.passed for oc in outcomes)
@@ -216,8 +214,7 @@ def test_python_route_runs_one_bfs_per_source():
         calls.append(source)
         return real(g, source)
 
-    with mock.patch.object(core, "bfs_distances", counting), \
-            mock.patch.object(layers, "bfs_distances", counting):
+    with mock.patch.object(core, "bfs_distances", counting):
         outcomes = run_battery(gg.graph, ALL_CHECKS, gg=gg)
     assert [oc.check for oc in outcomes] == list(ALL_CHECKS)
     assert all(oc.passed for oc in outcomes)

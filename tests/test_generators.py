@@ -4,12 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from oracle import cejz_boundary
 from graphboundary import (
     DisconnectedDiscretizationWarning,
     DomainSpec,
     EmptyDomainError,
     boundary,
-    cejz_boundary,
     complete,
     cycle,
     enumerate_connected,

@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 
 import oracle
+from oracle import check_dichotomy, layer_decompose
 from graphboundary import (
     SingleVertexError,
     VertexOutOfRangeError,
     boundary,
-    check_dichotomy,
     check_mps,
     check_theorem1,
     check_theorem2,
-    layer_decompose,
     slice_overlap_stats,
     sweep_rows,
     theorem2_bound,

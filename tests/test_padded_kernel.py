@@ -22,11 +22,11 @@ import pytest
 from hypothesis import given, settings
 
 import oracle
+from oracle import boundary_slice
 from graphboundary import (
     DomainSpec,
     bfs_distances,
     boundary,
-    boundary_slice,
     core,
     erdos_renyi,
     lattice_discretize,

