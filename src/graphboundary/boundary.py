@@ -255,9 +255,13 @@ class BatchReport:
     Index b of every array is graph b: ``adjacency`` is (B, n, n) bool,
     ``distances`` (B, n, n) int8, ``slices`` (B, n, n) bool with [b, v, u]
     true iff u is in the slice of v, and ``cejz`` (B, n) bool. Built by
-    :func:`batch_boundary`; the other quantities are read off these four,
-    each once per report: a ``dataclasses.replace`` copy starts with none.
-    Reports compare by identity, since ``==`` on arrays is elementwise.
+    :func:`batch_boundary`, which stores every stack batch-inner: b is the
+    contiguous axis, so a reduction over v or u, and each step of a loop over
+    one vertex, runs over contiguous runs of B entries. The arrays of a
+    ``dataclasses.replace`` copy may be in any memory order; only speed
+    depends on it. The other quantities are read off these four, each once
+    per report: a replaced copy starts with none. Reports compare by
+    identity, since ``==`` on arrays is elementwise.
     """
 
     adjacency: np.ndarray
@@ -294,6 +298,28 @@ class BatchReport:
         return self.slices.any(axis=1)
 
 
+def _batch_inner(stack: np.ndarray) -> np.ndarray:
+    """The (B, n, n) values of ``stack`` with b as the contiguous axis, copied only if needed."""
+    return np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def _contract(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The int32 product left · right of each graph, as a batch-inner (B, n, n) stack.
+
+    A loop over the contraction vertex w adds left[:, v, w] right[:, w, u] for every
+    v and u as one broadcast multiply into one preallocated buffer and one add, with
+    b innermost: n steps of B n^2 work. numpy runs an int32 ``@`` without BLAS, one
+    small n x n product per graph. Both factors must already be int32.
+    """
+    b, n, _ = left.shape
+    out = np.zeros((n, n, b), np.int32).transpose(2, 0, 1)
+    term = np.empty_like(out)
+    for w in range(n):
+        np.multiply(left[:, :, w, None], right[:, None, w, :], out=term)
+        out += term
+    return out
+
+
 def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
     """The slices and CEJZ sets of a stack of connected graphs, in one dense pass.
 
@@ -308,14 +334,23 @@ def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
     neighbor w of u has e = d(v, w) - d(v, u) in {-1, 0, 1}, and e^2 + e is 2
     if w is farther from v than u and 0 otherwise. With q = (D∘D) A, the sum
     over w ~ u is 2 #farther = (q - 2 d s + dd d) + (s - dd), so CEJZ takes
-    one more integer matmul. Other arrays give other CEJZ sets.
+    one more product. Other arrays give other CEJZ sets.
+
+    Both stacks must have one shape (B, n, n), in any memory order; the report
+    holds them batch-inner (see :class:`BatchReport`), copied if they are not
+    already, and s and q come from :func:`_contract`'s loop over w.
     """
+    if adjacency.ndim != 3 or adjacency.shape != distances.shape \
+            or adjacency.shape[1] != adjacency.shape[2]:
+        raise ValueError("batch_boundary takes two (B, n, n) stacks of one shape, got "
+                         f"{adjacency.shape} and {distances.shape}")
+    adjacency, distances = _batch_inner(adjacency), _batch_inner(distances)
     deg = adjacency.sum(axis=2, dtype=np.int16)  # int16 sums: at most (n - 1)^2
     a, d = adjacency.astype(np.int32), distances.astype(np.int32)
-    s = d @ a  # [b, v, u]: sum of d(v, w) over w ~ u
+    s = _contract(d, a)  # [b, v, u]: sum of d(v, w) over w ~ u
     dd = deg[:, None] * d
     slices = s < dd
-    twice_farther = (d * d) @ a
+    twice_farther = _contract(d * d, a)
     twice_farther += s - dd
     twice_farther += d * (dd - 2 * s)
     cejz = ((twice_farther == 0) & (deg > 0)[:, None]).any(axis=1)

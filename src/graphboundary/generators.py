@@ -374,8 +374,10 @@ def lattice_discretize(spec: DomainSpec) -> GridGraph:
 # labeled connected graph counts by n: 1, 1, 4, 38, 728, 26704
 
 # edge masks per dense pass: 2^10 makes each n <= 5 one pass (n = 6 takes 32), since
-# per-chunk call overhead is most of an nmax-5 sweep; 2048 ran no faster there and
-# doubled the traced peak of an nmax-6 sweep to 2.9 MiB
+# per-chunk call overhead is most of an nmax-5 sweep. Re-measured on batch-inner stacks,
+# 2048 leaves nmax 5 as it is (every n <= 5 is one pass either way), runs nmax 6 only
+# 1-5% faster (61-87 ms against 62-91 ms, best of 7) and raises its traced peak from
+# 1.75 to 2.5 MiB
 ENUM_CHUNK = 1024
 
 
@@ -391,7 +393,8 @@ def _dense_distances(adjacency: np.ndarray) -> np.ndarray:
     vertex k, d = min(d, d[:, k] + d[k, :]), as one (B, n, n) add and minimum, so a
     stack takes n steps of n^2 work per graph. Unreachable pairs hold n, which no
     path beats. A distance is at most n - 1, so int8 holds it up to n = 128, and a
-    larger n raises ``ValueError``.
+    larger n raises ``ValueError``. Every array keeps the memory order of
+    ``adjacency``, so a batch-inner stack, b the contiguous axis, gives one.
     """
     n = adjacency.shape[1]
     if n > 128:
@@ -412,8 +415,9 @@ def connected_chunks(n_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, 
     Edge masks run in increasing order, ENUM_CHUNK at a time, and bit i of a
     mask is pair i of combinations(range(n), 2), as in :func:`mask_edges`.
     Row b of the (B, n, n) bool ``adjacency`` and int8 ``distances`` is the
-    graph of ``masks[b]``; only connected graphs are kept. Capped at
-    n_max <= ENUM_NMAX (32768 masks at n = 6).
+    graph of ``masks[b]``; only connected graphs are kept. Both stacks are
+    built batch-inner, with b the contiguous axis, as ``batch_boundary``
+    stores them. Capped at n_max <= ENUM_NMAX (32768 masks at n = 6).
     """
     if not 1 <= n_max <= ENUM_NMAX:
         raise ValueError(f"exhaustive enumeration is capped at n_max <= {ENUM_NMAX}")
@@ -422,13 +426,14 @@ def connected_chunks(n_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, 
         total = 1 << len(rows)
         for lo in range(0, total, ENUM_CHUNK):
             masks = np.arange(lo, min(lo + ENUM_CHUNK, total), dtype=np.int32)
-            bits = (masks[:, None] >> np.arange(len(rows), dtype=np.int32) & 1).astype(bool)
-            adjacency = np.zeros((len(masks), n, n), dtype=bool)
-            adjacency[:, rows, cols] = bits
-            adjacency[:, cols, rows] = bits
-            dist = _dense_distances(adjacency)
-            keep = (dist[:, 0] >= 0).all(axis=1)
-            yield n, masks[keep], adjacency[keep], dist[keep]
+            bits = (masks >> np.arange(len(rows), dtype=np.int32)[:, None] & 1).astype(bool)
+            stack = np.zeros((n, n, len(masks)), dtype=bool)  # [v, u, b]
+            stack[rows, cols] = bits
+            stack[cols, rows] = bits
+            dist = _dense_distances(stack.transpose(2, 0, 1)).transpose(1, 2, 0)
+            keep = (dist[0] >= 0).all(axis=0)
+            yield (n, masks[keep], np.compress(keep, stack, axis=2).transpose(2, 0, 1),
+                   np.compress(keep, dist, axis=2).transpose(2, 0, 1))
 
 
 def enumerate_connected(n_max: int) -> Iterator[Graph]:

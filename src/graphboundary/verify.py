@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BatchReport, BoundaryReport, batch_boundary, boundary
+from .boundary import BatchReport, BoundaryReport, _contract, batch_boundary, boundary
 from .core import Graph, InvariantViolation, is_path_graph, validate
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph, connected_chunks, mask_edges
@@ -124,36 +124,39 @@ def _check_laplacian(g, report, gg):
 
 
 def _layer_keys(dist) -> tuple[np.ndarray, np.ndarray, int]:
-    """(keys r * width + d, ell per row, width) for a stack of distance rows."""
+    """(keys d * rows + r, ell per row, width) for a stack of distance rows."""
     ell = dist.max(axis=1)
     width = int(ell.max()) + 1
-    return np.arange(len(dist), dtype=np.int32)[:, None] * width + dist, ell, width
+    keys = dist * np.int32(len(dist))
+    keys += np.arange(len(dist), dtype=np.int32)[:, None]  # in place: no second key array
+    return keys, ell, width
 
 
 def _broken_rows(keys, cross, member, ell, width, delta) -> np.ndarray:
-    """Bool per row of ``keys``: True where the row's layers break the dichotomy.
+    """Bool per row: True where the row's layers break the dichotomy.
 
-    For each row r, column j of the counts is layer j's cross edges (those joining
-    A_{j-1} and A_j, each counted once at its outer end), size and slice members.
-    ``cross`` holds the first at r * width + j; the other two are one integer bincount
-    each over the keys r * width + j. ``delta`` is one maximum degree, or one per row.
+    The counts are layer-major: row r's layer j is entry j * rows + r, so each layer
+    is one contiguous run over the rows. Per row and layer they are the cross edges
+    (those joining A_{j-1} and A_j, each counted once at its outer end), the size and
+    the slice members. ``cross`` holds the first; the other two are one integer
+    bincount each over the keys j * rows + r, which ``keys`` and ``member`` hold in
+    the same ravel order, in any shape. ``ell`` holds each row's outermost layer, and
+    ``delta`` is one maximum degree, or one per row.
     """
-    b = len(keys)
-    delta = np.reshape(delta, (-1, 1))
+    b = len(ell)
     size = np.bincount(keys.ravel(), minlength=b * width)
     members = np.bincount(np.compress(member.ravel(), keys.ravel()), minlength=b * width)
-    last = np.arange(b) * width + ell
-    last_bad = (ell >= 1) & ((members[last] != size[last])
-                             | (cross[last] > delta[:, 0] * size[last]))
+    last = ell.astype(np.intp) * b + np.arange(b)
+    last_bad = (ell >= 1) & ((members[last] != size[last]) | (cross[last] > delta * size[last]))
     # mid-layer test |E(A_{j-1}, A_j)| <= |E(A_j, A_{j+1})| + delta |slice ∩ A_j| on every
-    # column: it cannot fail at j = 0, which has no cross edges, nor past ell, where all
+    # layer: it cannot fail at j = 0, which has no cross edges, nor past ell, where all
     # is empty, and at j = ell it fails only where last_bad holds; so it flags the same
     # rows as the test on layers 1..ell-1
-    cross = cross.reshape(b, width)
-    slack = members.reshape(b, width)
+    cross = cross.reshape(width, b)
+    slack = members.reshape(width, b)
     slack *= delta
-    slack[:, :-1] += cross[:, 1:]
-    return (cross > slack).any(axis=1) | last_bad
+    slack[:-1] += cross[1:]
+    return (cross > slack).any(axis=0) | last_bad
 
 
 def _dichotomy_flags(dist, member, tails, heads, delta, scratch) -> np.ndarray:
@@ -326,22 +329,37 @@ def _batch_mps(r: BatchReport) -> np.ndarray:
 
 def _batch_laplacian(r: BatchReport) -> np.ndarray:
     # the matrix route: row v of D L is L f_v, whose positive entries must be v's slice
-    lap = np.where(r.adjacency, -1, 0).astype(np.int32)
+    lap = r.adjacency * np.int32(-1)
     lap[:, range(r.n), range(r.n)] = r.degrees
-    return ((r.distances.astype(np.int32) @ lap > 0) == r.slices).all(axis=(1, 2))
+    return ((_contract(r.distances.astype(np.int32), lap) > 0) == r.slices).all(axis=(1, 2))
 
 
 def _batch_dichotomy(r: BatchReport) -> np.ndarray:
-    # row b * n + v is source v of graph b; each u counts its nearer neighbors, which are
-    # the cross edges that have u as their outer end
+    # each u counts its nearer neighbors w, d(v, w) < d(v, u), which are the cross edges
+    # that have u as their outer end: a loop over w, b innermost, with no (B, n, n, n) array
     b, n = len(r), r.n
-    nearer = (r.adjacency[:, None] & (r.distances[:, :, None] < r.distances[..., None])).sum(
-        axis=3, dtype=np.int8)
-    keys, ell, width = _layer_keys(r.distances.reshape(b * n, n))
-    cross = np.bincount(np.repeat(keys.ravel(), nearer.ravel()), minlength=b * n * width)
-    broken = _broken_rows(keys, cross, r.slices.reshape(b * n, n), ell, width,
-                          np.repeat(r.max_degree, n))
-    return ~broken.reshape(b, n).any(axis=1)
+    dist, adjacency = r.distances, r.adjacency
+    nearer = np.zeros((n, n, b), np.int16).transpose(2, 0, 1)  # a count is at most a degree
+    closer = np.empty_like(nearer, dtype=bool)
+    for w in range(n):
+        np.less(dist[:, :, w, None], dist, out=closer)
+        closer &= adjacency[:, None, w, :]
+        nearer += closer
+    # the layers are tallied one source v at a time, row g being graph g, so a tally holds
+    # B * width counts whatever n is; v's [u, b] slab of a batch-inner view is contiguous
+    by_source, near, member = (x.transpose(1, 2, 0) for x in (dist, nearer, r.slices))
+    ell = by_source.max(axis=1)
+    width = int(ell.max(initial=0)) + 1  # initial: an empty stack has no layers
+    rows = np.arange(b, dtype=np.int32)
+    broken = np.zeros(b, bool)
+    for v in range(n):
+        keys = by_source[v] * np.int32(b)
+        keys += rows
+        cross = np.zeros(b * width, np.intp)
+        # add.at is fast only on values of the accumulator's dtype (about 25 times here)
+        np.add.at(cross, keys.ravel(), near[v].astype(np.intp).ravel())
+        broken |= _broken_rows(keys, cross, member[v], ell[v], width, r.max_degree)
+    return ~broken
 
 
 _BATCH_RUNNERS = {

@@ -3,10 +3,12 @@
 ``connected_chunks`` + ``batch_boundary`` + ``run_batch`` evaluate a whole
 graph size at once; every row must equal what ``boundary`` and
 ``run_battery`` give for the same graph, on true data and on corrupted
-arrays, and the sweep must stay chunked.
+arrays, whatever the memory order of the stacks, and the sweep must stay
+chunked.
 """
 
 import dataclasses
+import re
 import tracemalloc
 from collections import Counter
 
@@ -57,6 +59,53 @@ def report_of(batch, b, g):
         distances=batch.distances[b].astype(np.int16),
         slice_bits=np.packbits(slices, axis=1, bitorder="little"),
     )
+
+
+def layouts(stack):
+    """The values of a (B, n, n) stack in C order, batch-inner and as a non-contiguous view."""
+    wide = np.zeros(stack.shape[:2] + (2 * stack.shape[2],), stack.dtype)
+    wide[:, :, ::2] = stack
+    inner = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return {"C": np.ascontiguousarray(stack), "batch-inner": inner, "view": wide[:, :, ::2]}
+
+
+def batch_inner(stack):
+    """True iff the graph index b is the contiguous axis of ``stack``, its [v, u] C-ordered."""
+    return stack.transpose(1, 2, 0).flags.c_contiguous
+
+
+def layout_free_pass(adjacency, distances):
+    """(batch, verdicts) of the stacks, after checking that every layout gives the same."""
+    ref = batch_boundary(np.ascontiguousarray(adjacency), np.ascontiguousarray(distances))
+    verdicts = run_batch(ref, CHECKS)
+    for (name, a), d in zip(layouts(adjacency).items(), layouts(distances).values()):
+        batch = batch_boundary(a, d)
+        assert (batch.slices == ref.slices).all() and (batch.cejz == ref.cejz).all(), name
+        assert all(batch_inner(x) for x in (batch.adjacency, batch.distances, batch.slices)), name
+        passed = run_batch(batch, CHECKS)
+        assert all((passed[c] == verdicts[c]).all() for c in CHECKS), name
+    return ref, verdicts
+
+
+def relaid(batch):
+    """Copies of ``batch`` whose three stacks are in each layout of :func:`layouts`."""
+    for a, d, s in zip(*(layouts(x).values() for x in (batch.adjacency, batch.distances,
+                                                         batch.slices))):
+        yield dataclasses.replace(batch, adjacency=a, distances=d, slices=s)
+
+
+def test_connected_chunks_are_batch_inner():
+    # b is the contiguous axis of both stacks, as batch_boundary stores them
+    for n, masks, adjacency, distances in connected_chunks(6):
+        for stack in (adjacency, distances):
+            assert stack.shape == (len(masks), n, n) and batch_inner(stack)
+            assert len(masks) == 1 or stack.strides[0] == stack.itemsize
+
+
+def test_batch_route_is_layout_free_on_every_chunk_up_to_5():
+    for n, masks, adjacency, distances in connected_chunks(5):
+        _, verdicts = layout_free_pass(adjacency, distances)
+        assert all(ok.all() for ok in verdicts.values())
 
 
 def test_batch_runners_cover_every_check_but_prop4():
@@ -187,6 +236,9 @@ def test_batch_verdicts_equal_the_battery_on_corrupted_arrays(monkeypatch):
         for b, g in enumerate(graphs_of(n, masks)):
             for bad in corruptions(batch, b):
                 passed = run_batch(bad, CHECKS)
+                for copy in relaid(bad):  # the same verdicts in every memory order
+                    again = run_batch(copy, CHECKS)
+                    assert all((again[c] == passed[c]).all() for c in CHECKS)
                 rep = report_of(bad, b, g)
                 for budget in BUDGETS:  # the battery's block checks, however they split
                     monkeypatch.setattr(verify, "EDGE_BUDGET", budget)
@@ -227,8 +279,7 @@ def test_batch_route_equals_the_per_graph_route_past_the_exhaustive_range(n):
     graphs = [random_connected(n, rng) for _ in range(12)]
     adjacency = adjacency_of(graphs)
     distances = _dense_distances(adjacency)
-    batch = batch_boundary(adjacency, distances)
-    passed = run_batch(batch, CHECKS)
+    batch, passed = layout_free_pass(adjacency, distances)
     for b, g in enumerate(graphs):
         rep = boundary(g)
         assert (distances[b] == distance_matrix(g)).all()
@@ -239,9 +290,31 @@ def test_batch_route_equals_the_per_graph_route_past_the_exhaustive_range(n):
     assert len({g.m for g in graphs}) > 1
 
 
+@pytest.mark.parametrize("shapes", [
+    ((3, 4, 4), (1, 4, 4)),  # broadcast, and reported as a failed theorem before
+    ((4, 4), (4, 4)),  # an AxisError before
+    ((3, 4, 4), (3, 4)),
+    ((3, 4, 5), (3, 4, 5)),
+])
+def test_batch_boundary_takes_only_two_equal_b_n_n_stacks(shapes):
+    a_shape, d_shape = shapes
+    adjacency = np.zeros(a_shape, bool)
+    adjacency[..., 0, 1] = adjacency[..., 1, 0] = True  # one edge: K_2 plus isolated vertices
+    message = re.escape(f"two (B, n, n) stacks of one shape, got {a_shape} and {d_shape}")
+    with pytest.raises(ValueError, match=message):
+        batch_boundary(adjacency, np.zeros(d_shape, np.int8))
+
+
+def test_an_empty_stack_gives_empty_verdicts():
+    # the dichotomy's layer width took the maximum of no distances and raised
+    empty = batch_boundary(np.zeros((0, 4, 4), bool), np.zeros((0, 4, 4), np.int8))
+    assert {c: v.shape for c, v in run_batch(empty, CHECKS).items()} == dict.fromkeys(CHECKS, (0,))
+
+
 def test_batch_boundary_builds_no_n_cubed_array():
-    # 256 graphs of 24 vertices: the old (B, n, n, n) gather traced 7.5 MiB, the
-    # matmuls' (B, n, n) int32 arrays trace about 4.1
+    # 256 graphs of 24 vertices: the old (B, n, n, n) gather traced 7.5 MiB; the
+    # contraction loops' (B, n, n) int32 arrays, with the batch-inner copies of these
+    # graph-major stacks, trace about 4.4
     rng = np.random.default_rng(24)
     adjacency = adjacency_of([random_connected(24, rng) for _ in range(256)])
     distances = _dense_distances(adjacency)
@@ -252,6 +325,32 @@ def test_batch_boundary_builds_no_n_cubed_array():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("family", ["random", "path flips"])
+def test_batch_dichotomy_builds_no_n_cubed_array(family):
+    # 256 graphs of 48 vertices: the (B, n, n, n) nearer compare traced 54 MiB; the
+    # loop over w and the layer tallies of one source at a time trace under 2 MiB. The
+    # flips of a path have up to 47 layers, the random graphs a dozen or so
+    rng = np.random.default_rng(48)
+    if family == "random":
+        graphs = [random_connected(48, rng) for _ in range(256)]
+    else:
+        extra = [(u, w) for u in range(48) for w in range(u + 2, 48)]
+        graphs = [validate([(v, v + 1) for v in range(47)] + [extra[k]], 48)
+                  for k in rng.choice(len(extra), 256, replace=False)]
+    adjacency = adjacency_of(graphs)
+    batch = batch_boundary(adjacency, _dense_distances(adjacency))
+    expected = [run_battery(g, ("dichotomy",), report=report_of(batch, b, g))[0].passed
+                for b, g in enumerate(graphs[:8])]
+    tracemalloc.start()
+    try:
+        passed = _BATCH_RUNNERS["dichotomy"](batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert passed.all() and passed[:8].tolist() == expected
 
 
 @pytest.mark.parametrize("leaves", range(61, 71))
@@ -307,7 +406,7 @@ def test_cejz_outside_the_boundary_raises():
 
 
 def test_enum_sweep_to_6_stays_chunked(tmp_path, capsys):
-    # all 32768 masks of n = 6 in one pass trace 43 MiB; chunks of ENUM_CHUNK trace 1.5 MiB
+    # all 32768 masks of n = 6 in one pass trace 32 MiB; chunks of ENUM_CHUNK trace 1.75 MiB
     tracemalloc.start()
     try:
         out = str(tmp_path / "o")
