@@ -259,9 +259,9 @@ class BatchReport:
     contiguous axis, so a reduction over v or u, and each step of a loop over
     one vertex, runs over contiguous runs of B entries. The arrays of a
     ``dataclasses.replace`` copy may be in any memory order; only speed
-    depends on it. The other quantities are read off these four, each once
-    per report: a replaced copy starts with none. Reports compare by
-    identity, since ``==`` on arrays is elementwise.
+    depends on it. The other quantities, the nearer counts among them, are read
+    off these four, each once per report: a replaced copy starts with none.
+    Reports compare by identity, since ``==`` on arrays is elementwise.
     """
 
     adjacency: np.ndarray
@@ -297,64 +297,53 @@ class BatchReport:
         """(B, n) bool: u is in some slice of graph b."""
         return self.slices.any(axis=1)
 
+    @cached_property
+    def nearer(self) -> np.ndarray:
+        """(B, n, n) int16: [b, v, u] counts the neighbors w of u with d(v, w) < d(v, u)."""
+        return _sigma_pass(self.adjacency, self.distances)[2]
 
-def _batch_inner(stack: np.ndarray) -> np.ndarray:
-    """The (B, n, n) values of ``stack`` with b as the contiguous axis, copied only if needed."""
-    return np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
 
+def _sigma_pass(adjacency: np.ndarray, distances: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(slices, CEJZ, nearer counts) of a stack in any memory order, as batch-inner arrays.
 
-def _contract(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The int32 product left · right of each graph, as a batch-inner (B, n, n) stack.
-
-    A loop over the contraction vertex w adds left[:, v, w] right[:, w, u] for every
-    v and u as one broadcast multiply into one preallocated buffer and one add, with
-    b innermost: n steps of B n^2 work. numpy runs an int32 ``@`` without BLAS, one
-    small n x n product per graph. Both factors must already be int32.
+    Step w of one loop over the vertices forms e[b, v, u] = [w ~ u] (d(v, w) - d(v, u))
+    in int16. u is in the slice of v iff the sum of e, sigma, is negative, and
+    CEJZ-certified by v iff it has a neighbor and no e is positive; a negative e is a
+    nearer neighbor. With int8 distances and n <= 128, |sigma| <= 127 * 255 < 2^15.
     """
-    b, n, _ = left.shape
-    out = np.zeros((n, n, b), np.int32).transpose(2, 0, 1)
-    term = np.empty_like(out)
+    b, n, _ = adjacency.shape
+    sigma, top, nearer = (np.zeros((n, n, b), np.int16).transpose(2, 0, 1) for _ in range(3))
+    e = np.empty_like(sigma)
     for w in range(n):
-        np.multiply(left[:, :, w, None], right[:, None, w, :], out=term)
-        out += term
-    return out
+        np.subtract(distances[:, :, w, None], distances, out=e, dtype=np.int16)
+        e *= adjacency[:, None, w, :]
+        sigma += e
+        np.maximum(top, e, out=top)
+        nearer += e < 0
+    cejz = ((top <= 0) & adjacency.any(axis=2)[:, None]).any(axis=1)
+    return sigma < 0, cejz, nearer
 
 
 def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
-    """The slices and CEJZ sets of a stack of connected graphs, in one dense pass.
+    """The slices and CEJZ sets of a stack of connected graphs, from :func:`_sigma_pass`.
 
-    u is in the slice of v iff sum_{w ~ u} d(v, w) < deg(u) * d(u, v), and in
-    the CEJZ set iff it has a neighbor and, for some v, no neighbor is
-    farther from v than u. With s = D A and dd = deg(u) d(v, u), both int32,
-    the left side is s[v, u], so the slices are s < dd: exact for any integer
-    ``distances`` of a symmetric ``adjacency``, hop distances or not.
-
-    Only CEJZ needs ``distances`` to be the BFS (hop) distances of
-    ``adjacency``, as ``generators._dense_distances`` gives them: then every
-    neighbor w of u has e = d(v, w) - d(v, u) in {-1, 0, 1}, and e^2 + e is 2
-    if w is farther from v than u and 0 otherwise. With q = (D∘D) A, the sum
-    over w ~ u is 2 #farther = (q - 2 d s + dd d) + (s - dd), so CEJZ takes
-    one more product. Other arrays give other CEJZ sets.
-
-    Both stacks must have one shape (B, n, n), in any memory order; the report
-    holds them batch-inner (see :class:`BatchReport`), copied if they are not
-    already, and s and q come from :func:`_contract`'s loop over w.
+    Exact on any int8 ``distances`` of a symmetric ``adjacency``, hop distances or not.
+    Both stacks must have one shape (B, n, n) with n <= 128, in any memory order; the
+    report holds them batch-inner (see :class:`BatchReport`), copied if they are not
+    already, with the nearer counts of the same pass.
     """
     if adjacency.ndim != 3 or adjacency.shape != distances.shape \
             or adjacency.shape[1] != adjacency.shape[2]:
         raise ValueError("batch_boundary takes two (B, n, n) stacks of one shape, got "
                          f"{adjacency.shape} and {distances.shape}")
-    adjacency, distances = _batch_inner(adjacency), _batch_inner(distances)
-    deg = adjacency.sum(axis=2, dtype=np.int16)  # int16 sums: at most (n - 1)^2
-    a, d = adjacency.astype(np.int32), distances.astype(np.int32)
-    s = _contract(d, a)  # [b, v, u]: sum of d(v, w) over w ~ u
-    dd = deg[:, None] * d
-    slices = s < dd
-    twice_farther = _contract(d * d, a)
-    twice_farther += s - dd
-    twice_farther += d * (dd - 2 * s)
-    cejz = ((twice_farther == 0) & (deg > 0)[:, None]).any(axis=1)
+    if distances.dtype != np.int8 or adjacency.shape[1] > 128:
+        raise ValueError("batch_boundary takes int8 distances on at most 128 vertices, got "
+                         f"{distances.dtype} on {adjacency.shape[1]}")
+    adjacency, distances = (np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+                            for x in (adjacency, distances))  # copied only if not batch-inner
+    slices, cejz, nearer = _sigma_pass(adjacency, distances)
     report = BatchReport(adjacency, distances, slices, cejz)
+    report.__dict__["nearer"] = nearer  # the property's cache, filled from the same pass
     if (cejz & ~report.boundary).any():
         raise InvariantViolation("CEJZ boundary escaped the averaged boundary")
     return report

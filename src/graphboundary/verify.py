@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BatchReport, BoundaryReport, _contract, batch_boundary, boundary
+from .boundary import BatchReport, BoundaryReport, batch_boundary, boundary
 from .core import Graph, InvariantViolation, is_path_graph, validate
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph, connected_chunks, mask_edges
@@ -327,6 +327,23 @@ def _batch_mps(r: BatchReport) -> np.ndarray:
     return np.left_shift(1, np.minimum(r.cejz.sum(axis=1), 62)) >= r.max_degree + 2
 
 
+def _contract(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The int32 product left · right of each graph, as a batch-inner (B, n, n) stack.
+
+    A loop over the contraction vertex w adds left[:, v, w] right[:, w, u] for every
+    v and u as one broadcast multiply into one preallocated buffer and one add, with
+    b innermost: n steps of B n^2 work. numpy runs an int32 ``@`` without BLAS, one
+    small n x n product per graph. Both factors must already be int32.
+    """
+    b, n, _ = left.shape
+    out = np.zeros((n, n, b), np.int32).transpose(2, 0, 1)
+    term = np.empty_like(out)
+    for w in range(n):
+        np.multiply(left[:, :, w, None], right[:, None, w, :], out=term)
+        out += term
+    return out
+
+
 def _batch_laplacian(r: BatchReport) -> np.ndarray:
     # the matrix route: row v of D L is L f_v, whose positive entries must be v's slice
     lap = r.adjacency * np.int32(-1)
@@ -335,24 +352,17 @@ def _batch_laplacian(r: BatchReport) -> np.ndarray:
 
 
 def _batch_dichotomy(r: BatchReport) -> np.ndarray:
-    # each u counts its nearer neighbors w, d(v, w) < d(v, u), which are the cross edges
-    # that have u as their outer end: a loop over w, b innermost, with no (B, n, n, n) array
-    b, n = len(r), r.n
-    dist, adjacency = r.distances, r.adjacency
-    nearer = np.zeros((n, n, b), np.int16).transpose(2, 0, 1)  # a count is at most a degree
-    closer = np.empty_like(nearer, dtype=bool)
-    for w in range(n):
-        np.less(dist[:, :, w, None], dist, out=closer)
-        closer &= adjacency[:, None, w, :]
-        nearer += closer
-    # the layers are tallied one source v at a time, row g being graph g, so a tally holds
-    # B * width counts whatever n is; v's [u, b] slab of a batch-inner view is contiguous
-    by_source, near, member = (x.transpose(1, 2, 0) for x in (dist, nearer, r.slices))
+    # the nearer neighbors w of u, d(v, w) < d(v, u), are the cross edges that have u as
+    # their outer end. The layers are tallied one source v at a time, row g being graph g,
+    # so a tally holds B * width counts whatever n is; v's [u, b] slab of a batch-inner
+    # view is contiguous
+    b = len(r)
+    by_source, near, member = (x.transpose(1, 2, 0) for x in (r.distances, r.nearer, r.slices))
     ell = by_source.max(axis=1)
     width = int(ell.max(initial=0)) + 1  # initial: an empty stack has no layers
     rows = np.arange(b, dtype=np.int32)
     broken = np.zeros(b, bool)
-    for v in range(n):
+    for v in range(r.n):
         keys = by_source[v] * np.int32(b)
         keys += rows
         cross = np.zeros(b * width, np.intp)

@@ -142,22 +142,20 @@ def reference_arrays(adjacency, distances):
     """sigma = sum_{w ~ u} d(v, w) - deg(u) d(v, u) and the CEJZ sets, straight from sums.
 
     u is in the slice of v iff sigma[b, v, u] < 0, with the sum over a (B, n, n, n)
-    gather. On any integer array, twice the number of farther neighbors of the
-    CEJZ identity is the sum of e^2 + e, e = d(v, w) - d(v, u), which is 0 iff every
-    neighbor has e in {-1, 0}: that is the CEJZ test for arrays other than hop
-    distances.
+    gather in int64, and CEJZ-certified by v iff it has a neighbor and no neighbor w
+    has d(v, w) > d(v, u), the rule of ``boundary()``, on any integer array.
     """
     gathered = distances[:, :, None] * adjacency[:, None]  # [b, v, u, w]: d(v, w) if w ~ u
     deg = adjacency.sum(axis=2)
     sigma = gathered.sum(axis=3, dtype=np.int64) - deg[:, None] * distances.astype(np.int64)
-    step = distances[:, :, None, :].astype(np.int16) - distances[:, :, :, None]
-    level = (~adjacency[:, None] | (step == 0) | (step == -1)).all(axis=3)
+    step = distances[:, :, None, :].astype(np.int64) - distances[:, :, :, None]
+    level = (~adjacency[:, None] | (step <= 0)).all(axis=3)
     return sigma, (level & (deg > 0)[:, None]).any(axis=1)
 
 
 def test_batch_slices_equal_the_defining_sum_on_any_int8_distances():
-    # the slices are exact for any distances of a symmetric adjacency; only CEJZ reads
-    # them as hop distances, and a CEJZ member outside the boundary raises
+    # the slices and CEJZ sets are exact for any int8 distances of a symmetric
+    # adjacency, hop distances or not, and a CEJZ member outside the boundary raises
     rng = np.random.default_rng(2201)
     values = [np.arange(-1, 3), np.arange(5), np.arange(-128, 128), np.array([-128, 127])]
     outcomes = Counter()
@@ -177,6 +175,23 @@ def test_batch_slices_equal_the_defining_sum_on_any_int8_distances():
         outcomes["equal"] += 1
         outcomes["ties"] += int(((sigma == 0) & adjacency.any(axis=2)[:, None]).any())
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_batch_sums_are_exact_at_the_int16_edge():
+    # K_128 with distances of -128 and 127: a term d(v, w) - d(v, u) reaches +-255, past
+    # int8, and two rows drive sigma to +-127 * 255, the ends of what int16 must hold
+    rng = np.random.default_rng(128)
+    adjacency = ~np.eye(128, dtype=bool)[None]
+    distances = rng.choice(np.array([-128, 127], np.int8), size=(1, 128, 128))
+    distances[0, 0] = -128
+    distances[0, 0, 1] = 127  # sigma(0, 1) = -127 * 255
+    distances[0, 2] = 127
+    distances[0, 2, 3] = -128  # sigma(2, 3) = +127 * 255
+    sigma, cejz = reference_arrays(adjacency, distances)
+    assert sigma[0, 0, 1] == -127 * 255 and sigma[0, 2, 3] == 127 * 255
+    batch = batch_boundary(adjacency, distances)
+    assert (batch.slices == (sigma < 0)).all() and (batch.cejz == cejz).all()
+    assert batch.cejz.any() and not batch.slices.all()
 
 
 def test_batch_rows_equal_per_graph_reports_on_all_graphs_up_to_6():
@@ -305,6 +320,20 @@ def test_batch_boundary_takes_only_two_equal_b_n_n_stacks(shapes):
         batch_boundary(adjacency, np.zeros(d_shape, np.int8))
 
 
+@pytest.mark.parametrize("dtype, n", [
+    (np.int16, 4),  # the sums are int16, so the terms must come from int8 entries
+    (np.int64, 4),
+    (np.uint8, 4),
+    (np.int8, 129),  # |sigma| <= (n - 1) * 255 fits int16 only for n <= 128
+])
+def test_batch_boundary_takes_only_int8_distances_up_to_128_vertices(dtype, n):
+    adjacency = np.zeros((2, n, n), bool)
+    adjacency[:, 0, 1] = adjacency[:, 1, 0] = True
+    message = re.escape(f"int8 distances on at most 128 vertices, got {np.dtype(dtype)} on {n}")
+    with pytest.raises(ValueError, match=message):
+        batch_boundary(adjacency, np.zeros((2, n, n), dtype))
+
+
 def test_an_empty_stack_gives_empty_verdicts():
     # the dichotomy's layer width took the maximum of no distances and raised
     empty = batch_boundary(np.zeros((0, 4, 4), bool), np.zeros((0, 4, 4), np.int8))
@@ -312,9 +341,9 @@ def test_an_empty_stack_gives_empty_verdicts():
 
 
 def test_batch_boundary_builds_no_n_cubed_array():
-    # 256 graphs of 24 vertices: the old (B, n, n, n) gather traced 7.5 MiB; the
-    # contraction loops' (B, n, n) int32 arrays, with the batch-inner copies of these
-    # graph-major stacks, trace about 4.4
+    # 256 graphs of 24 vertices: the old (B, n, n, n) gather traced 7.5 MiB; the loop
+    # over w's (B, n, n) int16 arrays, with the batch-inner copies of these graph-major
+    # stacks, trace about 1.7
     rng = np.random.default_rng(24)
     adjacency = adjacency_of([random_connected(24, rng) for _ in range(256)])
     distances = _dense_distances(adjacency)
@@ -330,8 +359,9 @@ def test_batch_boundary_builds_no_n_cubed_array():
 @pytest.mark.parametrize("family", ["random", "path flips"])
 def test_batch_dichotomy_builds_no_n_cubed_array(family):
     # 256 graphs of 48 vertices: the (B, n, n, n) nearer compare traced 54 MiB; the
-    # loop over w and the layer tallies of one source at a time trace under 2 MiB. The
-    # flips of a path have up to 47 layers, the random graphs a dozen or so
+    # nearer counts now come from batch_boundary's loop over w, and the layer tallies
+    # of one source at a time trace under 2 MiB. The flips of a path have up to 47
+    # layers, the random graphs a dozen or so
     rng = np.random.default_rng(48)
     if family == "random":
         graphs = [random_connected(48, rng) for _ in range(256)]
@@ -371,7 +401,7 @@ def test_replaced_copies_recompute_the_derived_arrays():
     batch = batch_boundary(adjacency, _dense_distances(adjacency))
     assert batch.boundary is batch.boundary  # computed once per report
     before = {name: getattr(batch, name).copy()
-              for name in ("degrees", "max_degree", "m", "diameter", "boundary")}
+              for name in ("degrees", "max_degree", "m", "diameter", "boundary", "nearer")}
     cycle = batch.adjacency.copy()
     cycle[0, 0, 3] = cycle[0, 3, 0] = True  # the path 0-1-2-3 closed into a 4-cycle
     far = batch.distances.copy()
@@ -382,6 +412,10 @@ def test_replaced_copies_recompute_the_derived_arrays():
     assert closed.m.tolist() == [4, 3] and closed.max_degree.tolist() == [2, 3]
     stretched = dataclasses.replace(batch, distances=far)
     assert stretched.diameter.tolist() == [5, 2]
+    shortcut = batch.distances.copy()
+    shortcut[0, 0, 3] = 1  # from source 0, vertex 3 is now nearer than its neighbor 2
+    assert before["nearer"][0, 0, 2] == 1
+    assert dataclasses.replace(batch, distances=shortcut).nearer[0, 0, 2] == 2
     cleared = dataclasses.replace(batch, slices=empty)
     assert not cleared.boundary.any() and before["boundary"].any(axis=1).all()
     for name, value in before.items():  # the original keeps its own values
