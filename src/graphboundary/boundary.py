@@ -250,11 +250,22 @@ def _check_report(report: BoundaryReport) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BatchReport:
-    """Slices and CEJZ sets of B connected graphs on the same n vertices, as dense arrays.
+    """Slices and CEJZ sets of B connected graphs on n vertex slots each, as dense arrays.
 
     Index b of every array is graph b: ``adjacency`` is (B, n, n) bool,
     ``distances`` (B, n, n) int8, ``slices`` (B, n, n) bool with [b, v, u]
-    true iff u is in the slice of v, and ``cejz`` (B, n) bool. Built by
+    true iff u is in the slice of v, and ``cejz`` (B, n) bool. A graph of
+    fewer vertices than n sits on slots 0..order - 1, and its other slots are
+    absent: they have no edges, every row holds 0 in their columns, and each
+    absent row repeats the distance row of source 0. The absent slots are then
+    neutral, as the pads of :func:`boundary` are. No sum or neighbor reaches
+    an absent column, so it is in no slice and no CEJZ set and counts no
+    nearer neighbor; d = 0 puts it in layer 0 of every source, a layer the
+    dichotomy reads only for its cross edges and slice members, and leaves the
+    diameter as it is; an absent source's slice, CEJZ certificates, nearer
+    counts and layers repeat source 0's, so any minimum, maximum, any or all
+    over the sources is unchanged. ``order`` holds each graph's vertex count,
+    and the checks read it where a graph of n vertices reads n. Built by
     :func:`batch_boundary`, which stores every stack batch-inner: b is the
     contiguous axis, so a reduction over v or u, and each step of a loop over
     one vertex, runs over contiguous runs of B entries. The arrays of a
@@ -279,6 +290,11 @@ class BatchReport:
     @cached_property
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=2)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """(B,) the vertices of each graph: those of positive degree, or 1 for K_1."""
+        return np.maximum((self.degrees > 0).sum(axis=1), 1)
 
     @cached_property
     def max_degree(self) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BatchReport, BoundaryReport, batch_boundary, boundary
+from .boundary import GATHER_BUDGET, BatchReport, BoundaryReport, batch_boundary, boundary
 from .core import Graph, InvariantViolation, is_path_graph, validate
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph, connected_chunks, mask_edges
@@ -297,29 +297,25 @@ def _batch_prop1(r: BatchReport) -> np.ndarray:
 def _batch_prop2(r: BatchReport) -> np.ndarray:
     leaves = r.degrees == 1
     ok = ~(leaves & ~r.boundary).any(axis=1)
-    if r.n < 2:
-        return ok
-    tree = r.m == r.n - 1  # tree: boundary is exactly the leaf set
+    tree = (r.m == r.order - 1) & (r.order >= 2)  # tree: boundary is exactly the leaf set
     return ok & (~tree | (r.boundary == leaves).all(axis=1))
 
 
 def _batch_prop3(r: BatchReport) -> np.ndarray:
     size = r.boundary.sum(axis=1)
-    if r.n < 2:
-        return size == 0
     deg = r.degrees
-    path = ((deg == 1).sum(axis=1) == 2) & ((deg == 2).sum(axis=1) == r.n - 2)
-    return (size >= 2) & ((size != 2) | path)
+    path = ((deg == 1).sum(axis=1) == 2) & ((deg == 2).sum(axis=1) == r.order - 2)
+    return np.where(r.order < 2, size == 0, (size >= 2) & ((size != 2) | path))
 
 
 def _batch_thm1(r: BatchReport) -> np.ndarray:
     # |boundary| >= n / (2 Delta diam), times the positive denominator
-    return 2 * r.max_degree * r.diameter * r.boundary.sum(axis=1) >= r.n
+    return 2 * r.max_degree * r.diameter * r.boundary.sum(axis=1) >= r.order
 
 
 def _batch_thm2(r: BatchReport) -> np.ndarray:
     smallest = r.slices.sum(axis=2).min(axis=1)
-    return smallest * (2 * r.max_degree * (r.diameter - 1) + 1) >= r.n - 1
+    return smallest * (2 * r.max_degree * (r.diameter - 1) + 1) >= r.order - 1
 
 
 def _batch_mps(r: BatchReport) -> np.ndarray:
@@ -327,28 +323,28 @@ def _batch_mps(r: BatchReport) -> np.ndarray:
     return np.left_shift(1, np.minimum(r.cejz.sum(axis=1), 62)) >= r.max_degree + 2
 
 
-def _contract(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The int32 product left · right of each graph, as a batch-inner (B, n, n) stack.
-
-    A loop over the contraction vertex w adds left[:, v, w] right[:, w, u] for every
-    v and u as one broadcast multiply into one preallocated buffer and one add, with
-    b innermost: n steps of B n^2 work. numpy runs an int32 ``@`` without BLAS, one
-    small n x n product per graph. Both factors must already be int32.
-    """
-    b, n, _ = left.shape
-    out = np.zeros((n, n, b), np.int32).transpose(2, 0, 1)
-    term = np.empty_like(out)
-    for w in range(n):
-        np.multiply(left[:, :, w, None], right[:, None, w, :], out=term)
-        out += term
-    return out
-
-
 def _batch_laplacian(r: BatchReport) -> np.ndarray:
-    # the matrix route: row v of D L is L f_v, whose positive entries must be v's slice
-    lap = r.adjacency * np.int32(-1)
-    lap[:, range(r.n), range(r.n)] = r.degrees
-    return ((_contract(r.distances.astype(np.int32), lap) > 0) == r.slices).all(axis=(1, 2))
+    """The matrix route: row v of D L is L f_v, whose positive entries must be v's slice.
+
+    D L = deg * D - D A, with D A contracted on its own, not read off the sums of
+    batch_boundary. A loop over w adds d(v, w) [w ~ u] into an int32 accumulator, one
+    broadcast multiply of the int8 distances by the bool adjacency per step, with b
+    innermost. The rows v are taken in blocks of at most GATHER_BUDGET accumulator
+    entries, so that a step stays in cache past n = 32; an enum stack is one block.
+    """
+    b, n, _ = r.adjacency.shape
+    rows = max(1, GATHER_BUDGET // max(b * n, 1))
+    deg = r.degrees.astype(np.int32)[:, None, :]
+    ok = np.ones(b, bool)
+    for lo in range(0, n, rows):
+        dist = r.distances[:, lo:lo + rows]
+        total = np.zeros((dist.shape[1], n, b), np.int32).transpose(2, 0, 1)
+        term = np.empty_like(total)
+        for w in range(n):
+            np.multiply(dist[:, :, w, None], r.adjacency[:, None, w, :], out=term)
+            total += term
+        ok &= ((deg * dist > total) == r.slices[:, lo:lo + rows]).all(axis=(1, 2))
+    return ok
 
 
 def _batch_dichotomy(r: BatchReport) -> np.ndarray:
@@ -387,10 +383,12 @@ _BATCH_RUNNERS = {
 def run_batch(report: BatchReport, checks: tuple[str, ...]) -> dict[str, np.ndarray]:
     """The pass vector of each named check (prop4 excluded) over the graphs of ``report``.
 
-    Entry b is run_battery's verdict on graph b; the bounds pass on a single vertex.
+    Entry b is run_battery's verdict on graph b, whatever its order among the n slots
+    (see :class:`BatchReport` for why absent slots change no verdict); the bounds pass
+    on a single vertex.
     """
-    skip = _BOUNDS if report.n < 2 else ()
-    return {c: np.ones(len(report), dtype=bool) if c in skip else _BATCH_RUNNERS[c](report)
+    single = report.order < 2
+    return {c: _BATCH_RUNNERS[c](report) | single if c in _BOUNDS else _BATCH_RUNNERS[c](report)
             for c in checks}
 
 
@@ -413,21 +411,53 @@ def _replay(check: str, n: int, mask: int) -> tuple[Graph, CheckOutcome]:
     return g, outcome
 
 
+def _stacked(chunks, slots: int) -> tuple[np.ndarray, ...]:
+    """(sizes, masks, adjacency, distances) of chunks from connected_chunks, as one stack.
+
+    Graph b of the batch-inner (B, slots, slots) stacks is row b of the chunks in
+    order, on its first sizes[b] slots. Its other slots are absent: they have no
+    edges, 0 in their columns and source 0's distance row as their rows (see
+    :class:`BatchReport`).
+    """
+    counts = [len(masks) for _, masks, _, _ in chunks]
+    adjacency = np.zeros((slots, slots, sum(counts)), bool)  # [v, u, b]
+    distances = np.zeros((slots, slots, sum(counts)), np.int8)
+    lo = 0
+    for (n, _, a, d), count in zip(chunks, counts):
+        b = slice(lo, lo + count)
+        adjacency[:n, :n, b] = a.transpose(1, 2, 0)
+        distances[:n, :n, b] = d.transpose(1, 2, 0)
+        distances[n:, :, b] = distances[0, :, b]
+        lo += count
+    return (np.repeat([n for n, _, _, _ in chunks], counts),
+            np.concatenate([masks for _, masks, _, _ in chunks]),
+            adjacency.transpose(2, 0, 1), distances.transpose(2, 0, 1))
+
+
 def enum_sweep(n_max: int, checks: tuple[str, ...]) -> EnumSweep:
     """Run the checks (prop4 excluded) on every connected labeled graph with n <= n_max.
 
-    Each chunk of :func:`connected_chunks` is checked as one BatchReport. The
-    first failing graph of a check, in enumeration order, is rebuilt and run
-    through :func:`run_battery` for its detail.
+    Each chunk of n_max vertices from :func:`connected_chunks` is checked as one
+    BatchReport, and every graph of fewer vertices rides in front of the first
+    one, padded to n_max slots with absent slots that change no verdict (see
+    :class:`BatchReport`). So n_max <= 5 is one BatchReport and n_max = 6 is 32.
+    The first failing graph of a check, in enumeration order, is rebuilt from
+    its (n, mask) and run through :func:`run_battery` for its detail.
     """
     graphs = 0
     failures = dict.fromkeys(checks, 0)
     first: dict[str, tuple[Graph, CheckOutcome]] = {}
-    for n, masks, adjacency, distances in connected_chunks(n_max):
+    waiting = []
+    for chunk in connected_chunks(n_max):
+        waiting.append(chunk)
+        if chunk[0] < n_max:
+            continue
+        sizes, masks, adjacency, distances = _stacked(waiting, n_max)
+        waiting = []
         graphs += len(masks)
         for check, passed in run_batch(batch_boundary(adjacency, distances), checks).items():
             bad = np.flatnonzero(~passed)
             failures[check] += len(bad)
             if len(bad) and check not in first:
-                first[check] = _replay(check, n, int(masks[bad[0]]))
+                first[check] = _replay(check, int(sizes[bad[0]]), int(masks[bad[0]]))
     return EnumSweep(graphs, failures, first)

@@ -701,13 +701,14 @@ def test_gen_offset_moves_the_lattice(tmp_path):
 
 
 def _fail_prop3_batch_on_three(monkeypatch):
-    # the sweep reads one pass vector per graph size from _BATCH_RUNNERS
+    # the sweep reads one pass vector per stack from _BATCH_RUNNERS, and a stack holds
+    # graphs of several orders, so the failure is injected graph by graph
     from graphboundary import verify
 
     real = verify._BATCH_RUNNERS["prop3"]
 
     def failing_on_three(report):
-        return np.zeros(len(report), dtype=bool) if report.n == 3 else real(report)
+        return real(report) & (report.order != 3)
 
     monkeypatch.setitem(verify._BATCH_RUNNERS, "prop3", failing_on_three)
 

@@ -81,8 +81,17 @@ COMMANDS = {
         "7ddd1c28c63790eec6f8a9bc66e67f471ba020e452df39ff4007ad75aa4b2b5c"),
     "verify_complete2_all": (("verify", "--family", "complete", "--params", "2", "--checks", "all"),
         "554bd9fabd06ce073ced427c3633a5da77e1a8929b75f86a32e4db7b7a6546ff"),
+    # --nmax 1, 2, 3 and 5 put every smaller graph in the stack of the largest size
+    "verify_enum_1": (("verify", "--family", "enum", "--nmax", "1"),
+        "8b70cf41fd971d54ead0b166c3caf6eb06f9dcf87837eaab74bc89a8a1c12825"),
+    "verify_enum_2": (("verify", "--family", "enum", "--nmax", "2"),
+        "517322f2f7fedc8eb68ddcd76e4312d78aaae4012895a21805f64f9df8d2a2ae"),
+    "verify_enum_3": (("verify", "--family", "enum", "--nmax", "3"),
+        "5b2b2e1e25173ae779f3195760ba85e50812eb3040c340aedae734524502a04a"),
     "verify_enum_4": (("verify", "--family", "enum", "--nmax", "4"),
         "96065ff6b31bccd7a0037084176774eebe93a703f1996baab81e9477a6781889"),
+    "verify_enum_5": (("verify", "--family", "enum", "--nmax", "5"),
+        "df0e4384a587ebb224a16d094c9c061c9df67d0ba444e7b791af855838602fb9"),
     "verify_enum_6": (("verify", "--family", "enum", "--nmax", "6"),
         "389f69f8d5fa2b040cfadcd26862541ec8f92d30914a838ebe5b14cf97c37f7f"),
     "verify_enum_5_three_checks": (

@@ -1,10 +1,11 @@
 """The dense enum sweep against the per-graph path.
 
 ``connected_chunks`` + ``batch_boundary`` + ``run_batch`` evaluate a whole
-graph size at once; every row must equal what ``boundary`` and
+graph size at once, and ``enum_sweep`` pads the smaller sizes into the
+first stack of the largest; every row must equal what ``boundary`` and
 ``run_battery`` give for the same graph, on true data and on corrupted
-arrays, whatever the memory order of the stacks, and the sweep must stay
-chunked.
+arrays, whatever the memory order of the stacks and however many absent
+slots pad the graph, and the sweep must stay chunked.
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ from graphboundary.generators import (
     path,
     star,
 )
-from graphboundary.verify import _BATCH_RUNNERS, ALL_CHECKS, run_batch
+from graphboundary.verify import _BATCH_RUNNERS, ALL_CHECKS, _stacked, enum_sweep, run_batch
 
 
 def graphs_of(n, masks):
@@ -49,14 +50,15 @@ def adjacency_of(graphs):
 
 
 def report_of(batch, b, g):
-    """The BoundaryReport of graph b, built from the batch arrays as they stand."""
-    slices = batch.slices[b]
+    """The BoundaryReport of graph b, built from its first g.n slots as the arrays stand."""
+    n = g.n
+    slices, distances = batch.slices[b, :n, :n], batch.distances[b, :n, :n]
     members = np.flatnonzero(slices.any(axis=0)).tolist()
     return BoundaryReport(
-        n=g.n, m=g.m, max_degree=g.max_degree, diameter=int(batch.distances[b].max()),
-        boundary=tuple(members), cejz_boundary=tuple(np.flatnonzero(batch.cejz[b]).tolist()),
+        n=n, m=g.m, max_degree=g.max_degree, diameter=int(distances.max()),
+        boundary=tuple(members), cejz_boundary=tuple(np.flatnonzero(batch.cejz[b, :n]).tolist()),
         witness={u: int(slices[:, u].argmax()) for u in members},
-        distances=batch.distances[b].astype(np.int16),
+        distances=distances.astype(np.int16),
         slice_bits=np.packbits(slices, axis=1, bitorder="little"),
     )
 
@@ -217,24 +219,28 @@ def test_batch_rows_equal_per_graph_reports_on_all_graphs_up_to_6():
     assert sum(seen.values()) == 27476
 
 
-def corruptions(batch, b):
+def corruptions(batch, b, n=None):
     """Copies of ``batch`` with graph b's arrays corrupted in one place each.
 
-    One slice bit, one distance entry (up or down by one) or one CEJZ bit is
-    flipped. No single flip breaks Theorem 1: the boundary stays nonempty,
+    One slice bit, one distance entry (up or down by one) or one CEJZ bit of
+    graph b's first n slots (all of them by default) is flipped, and its
+    absent slots, if any, are kept absent: their rows repeat the corrupted
+    row 0. No single flip breaks Theorem 1: the boundary stays nonempty,
     the diameter cannot drop, and 2 Delta diam >= n holds for n <= 6, so the
     last copy clears all of graph b's slices.
     """
-    n = batch.n
+    n = batch.n if n is None else n
     for v in range(n):
         for u in range(n):
             slices = batch.slices.copy()
             slices[b, v, u] ^= True
+            slices[b, n:] = slices[b, 0]
             yield dataclasses.replace(batch, slices=slices)
             for step in (1, -1):
                 if batch.distances[b, v, u] + step >= 0:
                     dist = batch.distances.copy()
                     dist[b, v, u] += step
+                    dist[b, n:] = dist[b, 0]
                     yield dataclasses.replace(batch, distances=dist)
         cejz = batch.cejz.copy()
         cejz[b, v] ^= True
@@ -261,6 +267,92 @@ def test_batch_verdicts_equal_the_battery_on_corrupted_arrays(monkeypatch):
                     assert [oc.passed for oc in outcomes] == [bool(passed[c][b]) for c in CHECKS]
                 failing.update(oc.check for oc in outcomes if not oc.passed)
     assert set(failing) == set(CHECKS)
+
+
+def test_padded_graphs_equal_their_unpadded_chunks():
+    # every graph with n <= 5 on 6 slots: its first n slots hold its own arrays, an
+    # absent slot is in no slice and no CEJZ set and has no nearer neighbor, an absent
+    # source repeats source 0, and every verdict is the unpadded one
+    chunks = list(connected_chunks(5))
+    sizes, masks, adjacency, distances = _stacked(chunks, 6)
+    padded = batch_boundary(adjacency, distances)
+    verdicts = run_batch(padded, CHECKS)
+    assert len(padded) == 772 and padded.n == 6
+    lo = 0
+    for n, chunk_masks, a, d in chunks:
+        rows = slice(lo, lo + len(chunk_masks))
+        lo += len(chunk_masks)
+        assert (sizes[rows] == n).all() and (masks[rows] == chunk_masks).all()
+        batch = batch_boundary(a, d)
+        real = (rows, slice(n), slice(n))
+        assert (padded.adjacency[real] == a).all() and (padded.distances[real] == d).all()
+        assert (padded.slices[real] == batch.slices).all()
+        assert (padded.cejz[rows, :n] == batch.cejz).all() and not padded.cejz[rows, n:].any()
+        assert (padded.nearer[real] == batch.nearer).all()
+        assert not padded.slices[rows, :, n:].any() and not padded.nearer[rows, :, n:].any()
+        for name in ("distances", "slices", "nearer"):
+            rows_of = getattr(padded, name)[rows]
+            assert (rows_of[:, n:] == rows_of[:, :1]).all(), name
+        assert (padded.order[rows] == n).all()
+        assert (padded.diameter[rows] == batch.diameter).all()
+        unpadded = run_batch(batch, CHECKS)
+        assert all((verdicts[c][rows] == unpadded[c]).all() for c in CHECKS)
+    assert all(ok.all() for ok in verdicts.values())
+
+
+def test_bounds_are_skipped_on_the_single_vertex_of_a_mixed_stack():
+    # K_1 and K_2 among larger graphs on 5 slots, with every slice and CEJZ set
+    # cleared: thm1, thm2 and mps then fail on every graph of two or more vertices,
+    # K_2 included, as run_battery's do, and pass as skipped on K_1 alone
+    graphs = [validate([], 1), validate([(0, 1)], 2), path(4), star(4), path(5)]
+    chunks = [(g.n, np.array([b]), adjacency_of([g]),
+               np.array([distance_matrix(g)], np.int8)) for b, g in enumerate(graphs)]
+    sizes, _, adjacency, distances = _stacked(chunks, 5)
+    batch = batch_boundary(adjacency, distances)
+    assert sizes.tolist() == batch.order.tolist() == [1, 2, 4, 5, 5]
+    assert all(ok.all() for ok in run_batch(batch, CHECKS).values())
+    cleared = dataclasses.replace(batch, slices=np.zeros_like(batch.slices),
+                                  cejz=np.zeros_like(batch.cejz))
+    passed = run_batch(cleared, CHECKS)
+    for c in ("thm1", "thm2", "mps"):
+        assert passed[c].tolist() == [True, False, False, False, False], c
+    for b, g in enumerate(graphs):
+        outcomes = run_battery(g, CHECKS, report=report_of(cleared, b, g))
+        assert [oc.passed for oc in outcomes] == [bool(passed[c][b]) for c in CHECKS]
+    assert run_battery(graphs[0], ("thm1",))[0].detail == "skipped: single vertex"
+
+
+def test_padded_verdicts_equal_the_battery_on_corrupted_arrays():
+    # the corrupted-array sweep on every graph with n <= 3, padded into one stack of
+    # 4 slots: a corruption of a graph's own slots gets run_battery's verdicts
+    failing = Counter()
+    sizes, masks, adjacency, distances = _stacked(list(connected_chunks(3)), 4)
+    batch = batch_boundary(adjacency, distances)
+    for b, (n, mask) in enumerate(zip(sizes.tolist(), masks.tolist())):
+        g = validate(mask_edges(n, mask), n)
+        for bad in corruptions(batch, b, n):
+            passed = run_batch(bad, CHECKS)
+            outcomes = run_battery(g, CHECKS, report=report_of(bad, b, g))
+            assert [oc.passed for oc in outcomes] == [bool(passed[c][b]) for c in CHECKS]
+            for other in range(len(batch)):  # every other graph keeps its verdicts
+                assert other == b or all(passed[c][other] for c in CHECKS)
+            failing.update(oc.check for oc in outcomes if not oc.passed)
+    assert len(batch) == 6 and set(failing) == set(CHECKS)
+
+
+@pytest.mark.parametrize("n_max, stacks", [(1, 1), (2, 1), (3, 1), (5, 1), (6, 32)])
+def test_enum_sweep_makes_one_stack_per_chunk_of_the_largest_size(n_max, stacks, monkeypatch):
+    calls = []
+
+    def counted(adjacency, distances):
+        calls.append(adjacency.shape)
+        return batch_boundary(adjacency, distances)
+
+    monkeypatch.setattr(verify, "batch_boundary", counted)
+    sweep = enum_sweep(n_max, CHECKS)
+    assert len(calls) == stacks and {shape[1:] for shape in calls} == {(n_max, n_max)}
+    assert sweep.graphs == sum(shape[0] for shape in calls)
+    assert sum(sweep.failures.values()) == 0
 
 
 def test_two_member_boundaries_pass_prop3_only_on_paths():
