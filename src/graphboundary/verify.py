@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import GATHER_BUDGET, BatchReport, BoundaryReport, batch_boundary, boundary
+from .boundary import BatchReport, BoundaryReport, batch_boundary, boundary
 from .core import Graph, InvariantViolation, is_path_graph, validate
 from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
 from .generators import GridGraph, connected_chunks, mask_edges
@@ -329,22 +329,16 @@ def _batch_laplacian(r: BatchReport) -> np.ndarray:
     D L = deg * D - D A, with D A contracted on its own, not read off the sums of
     batch_boundary. A loop over w adds d(v, w) [w ~ u] into an int32 accumulator, one
     broadcast multiply of the int8 distances by the bool adjacency per step, with b
-    innermost. The rows v are taken in blocks of at most GATHER_BUDGET accumulator
-    entries, so that a step stays in cache past n = 32; an enum stack is one block.
+    innermost; deg * D then reuses the step's buffer.
     """
     b, n, _ = r.adjacency.shape
-    rows = max(1, GATHER_BUDGET // max(b * n, 1))
-    deg = r.degrees.astype(np.int32)[:, None, :]
-    ok = np.ones(b, bool)
-    for lo in range(0, n, rows):
-        dist = r.distances[:, lo:lo + rows]
-        total = np.zeros((dist.shape[1], n, b), np.int32).transpose(2, 0, 1)
-        term = np.empty_like(total)
-        for w in range(n):
-            np.multiply(dist[:, :, w, None], r.adjacency[:, None, w, :], out=term)
-            total += term
-        ok &= ((deg * dist > total) == r.slices[:, lo:lo + rows]).all(axis=(1, 2))
-    return ok
+    total = np.zeros((n, n, b), np.int32).transpose(2, 0, 1)
+    term = np.empty_like(total)
+    for w in range(n):
+        np.multiply(r.distances[:, :, w, None], r.adjacency[:, None, w, :], out=term)
+        total += term
+    np.multiply(r.degrees[:, None, :], r.distances, out=term)
+    return ((term > total) == r.slices).all(axis=(1, 2))
 
 
 def _batch_dichotomy(r: BatchReport) -> np.ndarray:
