@@ -371,11 +371,12 @@ def lattice_discretize(spec: DomainSpec) -> GridGraph:
     return gg
 
 
-# labeled connected graph counts by n: 1, 1, 4, 38, 728, 26704
+# connected labeled graphs of each order k: 1, 1, 4, 38, 728, 26704 (OEIS A001187), all
+# read off the masks of n_max vertices, 2^C(n_max, 2) of them (32768 at n_max = 6)
 
-# edge masks per dense pass: 2^10 makes each n <= 5 one pass (n = 6 takes 32), since
-# per-chunk call overhead is most of an nmax-5 sweep. Re-measured on batch-inner stacks,
-# 2048 leaves nmax 5 as it is (every n <= 5 is one pass either way), runs nmax 6 only
+# n_max-vertex edge masks per dense pass: 2^10 makes every n_max <= 5 one pass (n_max = 6
+# takes 32), since per-chunk call overhead is most of an nmax-5 sweep. Re-measured on
+# batch-inner stacks, 2048 leaves nmax 5 as it is (one pass either way), runs nmax 6 only
 # 1-5% faster (61-87 ms against 62-91 ms, best of 7) and raises its traced peak from
 # 1.75 to 2.5 MiB
 ENUM_CHUNK = 1024
@@ -409,39 +410,58 @@ def _dense_distances(adjacency: np.ndarray) -> np.ndarray:
     return dist.astype(np.int8)
 
 
-def connected_chunks(n_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(n, masks, adjacency, distances) of the connected labeled graphs on 1..n_max vertices.
+def connected_chunks(n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(sizes, masks, adjacency, distances) of the connected labeled graphs on 1..n_max vertices.
 
-    Edge masks run in increasing order, ENUM_CHUNK at a time, and bit i of a
-    mask is pair i of combinations(range(n), 2), as in :func:`mask_edges`.
-    Row b of the (B, n, n) bool ``adjacency`` and int8 ``distances`` is the
-    graph of ``masks[b]``; only connected graphs are kept. Both stacks are
-    built batch-inner, with b the contiguous axis, as ``batch_boundary``
-    stores them. Capped at n_max <= ENUM_NMAX (32768 masks at n = 6).
+    Every graph is read off the edge masks of n_max vertices, ENUM_CHUNK masks at a
+    time, with one :func:`_dense_distances` call per chunk; bit i of a mask is pair i
+    of combinations(range(n_max), 2), as in :func:`mask_edges`. A mask is kept when
+    the vertices reachable from 0 are exactly 0..k-1 and every other vertex is
+    isolated: its graph has order k, held in ``sizes``, and K_1 is the empty mask.
+    Those pairs inside 0..k-1 keep their combinations order, so each chunk, sorted by
+    (order, mask), lists its graphs in the order of their k-vertex masks, and every
+    graph appears once over the chunks. Row b of the (B, n_max, n_max) bool
+    ``adjacency`` and int8 ``distances`` is graph b on its first order slots. Its
+    other slots are absent: they have no edges, 0 in their columns and source 0's
+    distance row as their rows (see :class:`~graphboundary.boundary.BatchReport`).
+    Both stacks are built batch-inner, with b the contiguous axis, as
+    ``batch_boundary`` stores them. Capped at n_max <= ENUM_NMAX.
     """
     if not 1 <= n_max <= ENUM_NMAX:
         raise ValueError(f"exhaustive enumeration is capped at n_max <= {ENUM_NMAX}")
-    for n in range(1, n_max + 1):
-        rows, cols = np.triu_indices(n, 1)  # the pairs in combinations order
-        total = 1 << len(rows)
-        for lo in range(0, total, ENUM_CHUNK):
-            masks = np.arange(lo, min(lo + ENUM_CHUNK, total), dtype=np.int32)
-            bits = (masks >> np.arange(len(rows), dtype=np.int32)[:, None] & 1).astype(bool)
-            stack = np.zeros((n, n, len(masks)), dtype=bool)  # [v, u, b]
-            stack[rows, cols] = bits
-            stack[cols, rows] = bits
-            dist = _dense_distances(stack.transpose(2, 0, 1)).transpose(1, 2, 0)
-            keep = (dist[0] >= 0).all(axis=0)
-            yield (n, masks[keep], np.compress(keep, stack, axis=2).transpose(2, 0, 1),
-                   np.compress(keep, dist, axis=2).transpose(2, 0, 1))
+    rows, cols = np.triu_indices(n_max, 1)  # the pairs in combinations order
+    total = 1 << len(rows)
+    # leaving[k]: the bits of the pairs with an end in k..n_max - 1
+    leaving = np.array([np.sum(1 << np.flatnonzero(cols >= k)) for k in range(n_max + 1)])
+    for lo in range(0, total, ENUM_CHUNK):
+        masks = np.arange(lo, min(lo + ENUM_CHUNK, total), dtype=np.int32)
+        bits = (masks >> np.arange(len(rows), dtype=np.int32)[:, None] & 1).astype(bool)
+        stack = np.zeros((n_max, n_max, len(masks)), dtype=bool)  # [v, u, b]
+        stack[rows, cols] = bits
+        stack[cols, rows] = bits
+        dist = _dense_distances(stack.transpose(2, 0, 1)).transpose(1, 2, 0)
+        order = (dist[0] >= 0).sum(axis=0)  # the vertices reachable from 0
+        # kept when no edge leaves 0..order - 1, which are then those vertices
+        keep = np.flatnonzero((masks & leaving[order]) == 0)
+        keep = keep[np.argsort(order[keep], kind="stable")]
+        sizes = order[keep]
+        adjacency, dist = np.take(stack, keep, axis=2), np.take(dist, keep, axis=2)
+        first = np.searchsorted(sizes, range(1, n_max + 1))  # where each order starts
+        for k in range(1, n_max):  # slots k.. of the graphs of order k are absent
+            b = slice(first[k - 1], first[k])
+            dist[:, k:, b] = 0
+            dist[k:, :, b] = dist[0, :, b]
+        yield sizes, masks[keep], adjacency.transpose(2, 0, 1), dist.transpose(2, 0, 1)
 
 
 def enumerate_connected(n_max: int) -> Iterator[Graph]:
     """All connected labeled simple graphs on 1..n_max vertices.
 
-    Enumeration is by edge-subset bitmask in the fixed order of
-    :func:`connected_chunks`, so the stream is deterministic.
+    The stream runs by vertex count n, then by the edge mask of n vertices: the
+    (order, mask) keys of :func:`connected_chunks`, sorted over all chunks, so
+    it is deterministic.
     """
-    for n, masks, _, _ in connected_chunks(n_max):
-        for mask in masks.tolist():
-            yield validate(mask_edges(n, mask), n)
+    keys = sorted((n, mask) for sizes, masks, _, _ in connected_chunks(n_max)
+                  for n, mask in zip(sizes.tolist(), masks.tolist()))
+    for n, mask in keys:
+        yield validate(mask_edges(n_max, mask), n)

@@ -395,63 +395,39 @@ class EnumSweep:
     first_failures: dict[str, tuple[Graph, CheckOutcome]]
 
 
-def _replay(check: str, n: int, mask: int) -> tuple[Graph, CheckOutcome]:
-    """The graph of ``mask`` on n vertices and its per-graph outcome, which must fail."""
-    g = validate(mask_edges(n, mask), n)
+def _replay(check: str, n_max: int, order: int, mask: int) -> tuple[Graph, CheckOutcome]:
+    """The graph of ``mask`` and its per-graph outcome, which must fail.
+
+    ``mask`` is an edge mask of n_max vertices whose edges lie inside 0..order - 1.
+    """
+    g = validate(mask_edges(n_max, mask), order)
     [outcome] = run_battery(g, (check,))
     if outcome.passed:
-        raise InvariantViolation(f"{check}: the batch pass fails edge mask {mask} on {n} "
-                                 "vertices, the per-graph check passes it")
+        raise InvariantViolation(f"{check}: the batch pass fails edge mask {mask} on {order} "
+                                 f"vertices of {n_max}, the per-graph check passes it")
     return g, outcome
-
-
-def _stacked(chunks, slots: int) -> tuple[np.ndarray, ...]:
-    """(sizes, masks, adjacency, distances) of chunks from connected_chunks, as one stack.
-
-    Graph b of the batch-inner (B, slots, slots) stacks is row b of the chunks in
-    order, on its first sizes[b] slots. Its other slots are absent: they have no
-    edges, 0 in their columns and source 0's distance row as their rows (see
-    :class:`BatchReport`).
-    """
-    counts = [len(masks) for _, masks, _, _ in chunks]
-    adjacency = np.zeros((slots, slots, sum(counts)), bool)  # [v, u, b]
-    distances = np.zeros((slots, slots, sum(counts)), np.int8)
-    lo = 0
-    for (n, _, a, d), count in zip(chunks, counts):
-        b = slice(lo, lo + count)
-        adjacency[:n, :n, b] = a.transpose(1, 2, 0)
-        distances[:n, :n, b] = d.transpose(1, 2, 0)
-        distances[n:, :, b] = distances[0, :, b]
-        lo += count
-    return (np.repeat([n for n, _, _, _ in chunks], counts),
-            np.concatenate([masks for _, masks, _, _ in chunks]),
-            adjacency.transpose(2, 0, 1), distances.transpose(2, 0, 1))
 
 
 def enum_sweep(n_max: int, checks: tuple[str, ...]) -> EnumSweep:
     """Run the checks (prop4 excluded) on every connected labeled graph with n <= n_max.
 
-    Each chunk of n_max vertices from :func:`connected_chunks` is checked as one
-    BatchReport, and every graph of fewer vertices rides in front of the first
-    one, padded to n_max slots with absent slots that change no verdict (see
-    :class:`BatchReport`). So n_max <= 5 is one BatchReport and n_max = 6 is 32.
-    The first failing graph of a check, in enumeration order, is rebuilt from
-    its (n, mask) and run through :func:`run_battery` for its detail.
+    Each chunk of :func:`connected_chunks` is checked as one BatchReport on n_max
+    slots, so n_max <= 5 is one BatchReport and n_max = 6 is 32; a graph of fewer
+    vertices sits on absent slots that change no verdict (see :class:`BatchReport`).
+    The first failing graph of a check is its smallest (order, mask) over all
+    chunks, the enumeration order. It is rebuilt and run through
+    :func:`run_battery` for its detail.
     """
     graphs = 0
     failures = dict.fromkeys(checks, 0)
-    first: dict[str, tuple[Graph, CheckOutcome]] = {}
-    waiting = []
-    for chunk in connected_chunks(n_max):
-        waiting.append(chunk)
-        if chunk[0] < n_max:
-            continue
-        sizes, masks, adjacency, distances = _stacked(waiting, n_max)
-        waiting = []
+    first: dict[str, tuple[int, int]] = {}
+    for sizes, masks, adjacency, distances in connected_chunks(n_max):
         graphs += len(masks)
         for check, passed in run_batch(batch_boundary(adjacency, distances), checks).items():
             bad = np.flatnonzero(~passed)
             failures[check] += len(bad)
-            if len(bad) and check not in first:
-                first[check] = _replay(check, int(sizes[bad[0]]), int(masks[bad[0]]))
-    return EnumSweep(graphs, failures, first)
+            if len(bad):  # a chunk runs in (order, mask) order, so bad[0] is its smallest
+                key = (int(sizes[bad[0]]), int(masks[bad[0]]))
+                first[check] = min(first.get(check, key), key)
+    return EnumSweep(graphs, failures,
+                     {check: _replay(check, n_max, *key) for check, key in first.items()})

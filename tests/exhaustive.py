@@ -5,8 +5,8 @@ of ``enumerate_connected(NMAX)`` once per test session. The acceptance
 criterion on the exhaustive corpus and the agreement test of the batch
 evaluator both read it, so the 27 476 per-graph batteries run once, not
 twice. Each graph's fields are kept as rows of arrays stacked by graph
-size, in enumeration order, which is also the order of
-``connected_chunks``.
+size, in enumeration order: by edge mask within a size, the order in which
+the graphs of that size appear over the chunks of ``connected_chunks``.
 """
 
 from dataclasses import dataclass

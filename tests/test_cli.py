@@ -743,6 +743,50 @@ def test_verify_enum_counts_failures_with_exit1(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[1] == "check=prop3 pass=false forced"
 
 
+FORCED_STAR_AND_PATH_NMAX_6 = """\
+enum nmax=6 graphs=27476
+check=prop1 graphs=27476 failures=0
+check=prop2 graphs=27476 failures=0
+check=prop3 graphs=27476 failures=2
+check=prop3 first_failure n=5 m=4 edges=0-1,1-2,2-3,3-4 detail=forced
+check=thm1 graphs=27476 failures=0
+check=thm2 graphs=27476 failures=0
+check=mps graphs=27476 failures=0
+check=laplacian graphs=27476 failures=0
+check=dichotomy graphs=27476 failures=0
+summary failures=2
+"""
+
+
+def test_verify_enum_first_failure_is_the_smallest_order_and_mask(monkeypatch, capsys):
+    # prop3 fails, in both routes, on the star 0-1, ..., 0-5 (order 6, 6-vertex mask 31,
+    # the first chunk) and on the path 0-1-2-3-4 (order 5, 6-vertex mask 4641, the fifth
+    # chunk). The first failure is the path, the smaller (order, mask), not the graph of
+    # the first chunk that fails
+    from graphboundary import verify
+    from graphboundary.verify import CheckOutcome
+
+    forced = [[(0, k) for k in range(1, 6)], [(k, k + 1) for k in range(4)]]
+    targets = np.zeros((2, 6, 6), bool)
+    for t, edges in enumerate(forced):
+        for u, w in edges:
+            targets[t, u, w] = targets[t, w, u] = True
+    real_batch, real_graph = verify._BATCH_RUNNERS["prop3"], verify._RUNNERS["prop3"]
+
+    def batch_fails(report):
+        return real_batch(report) & ~(report.adjacency[:, None] == targets).all(axis=(2, 3)).any(1)
+
+    def graph_fails(g, report, gg):
+        if sorted(g.edges()) in forced:
+            return CheckOutcome("prop3", False, "forced")
+        return real_graph(g, report, gg)
+
+    monkeypatch.setitem(verify._BATCH_RUNNERS, "prop3", batch_fails)
+    monkeypatch.setitem(verify._RUNNERS, "prop3", graph_fails)
+    assert run("verify", "--family", "enum", "--nmax", 6) == 1
+    assert capsys.readouterr() == (FORCED_STAR_AND_PATH_NMAX_6, "")
+
+
 def test_verify_enum_batch_failure_the_graph_check_passes_raises(monkeypatch, capsys):
     from graphboundary import InvariantViolation
 

@@ -81,7 +81,7 @@ COMMANDS = {
         "7ddd1c28c63790eec6f8a9bc66e67f471ba020e452df39ff4007ad75aa4b2b5c"),
     "verify_complete2_all": (("verify", "--family", "complete", "--params", "2", "--checks", "all"),
         "554bd9fabd06ce073ced427c3633a5da77e1a8929b75f86a32e4db7b7a6546ff"),
-    # --nmax 1, 2, 3 and 5 put every smaller graph in the stack of the largest size
+    # each --nmax reads every smaller graph off its own masks, on --nmax slots
     "verify_enum_1": (("verify", "--family", "enum", "--nmax", "1"),
         "8b70cf41fd971d54ead0b166c3caf6eb06f9dcf87837eaab74bc89a8a1c12825"),
     "verify_enum_2": (("verify", "--family", "enum", "--nmax", "2"),

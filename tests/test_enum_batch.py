@@ -1,8 +1,8 @@
 """The dense enum sweep against the per-graph path.
 
-``connected_chunks`` + ``batch_boundary`` + ``run_batch`` evaluate a whole
-graph size at once, and ``enum_sweep`` pads the smaller sizes into the
-first stack of the largest; every row must equal what ``boundary`` and
+``connected_chunks`` reads every graph with n <= n_max off the masks of n_max
+vertices, each on n_max slots, and ``batch_boundary`` + ``run_batch`` evaluate
+a chunk of them at once; every row must equal what ``boundary`` and
 ``run_battery`` give for the same graph, on true data and on corrupted
 arrays, whatever the memory order of the stacks and however many absent
 slots pad the graph, and the sweep must stay chunked.
@@ -12,6 +12,7 @@ import dataclasses
 import re
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -37,11 +38,19 @@ from graphboundary.generators import (
     path,
     star,
 )
-from graphboundary.verify import _BATCH_RUNNERS, ALL_CHECKS, _stacked, enum_sweep, run_batch
+from graphboundary import generators
+from graphboundary.verify import _BATCH_RUNNERS, ALL_CHECKS, enum_sweep, run_batch
 
 
-def graphs_of(n, masks):
-    return [validate(mask_edges(n, mask), n) for mask in masks.tolist()]
+def graphs_of(n_max, sizes, masks):
+    """The graphs of a chunk of connected_chunks(n_max), from their (order, mask) keys."""
+    return [validate(mask_edges(n_max, mask), n) for n, mask in zip(sizes.tolist(), masks.tolist())]
+
+
+def mask_of(n_max, g):
+    """The edge mask of g's edges among the pairs of n_max vertices."""
+    pairs = {pair: i for i, pair in enumerate(combinations(range(n_max), 2))}
+    return sum(1 << pairs[edge] for edge in g.edges())
 
 
 def adjacency_of(graphs):
@@ -98,14 +107,16 @@ def relaid(batch):
 
 def test_connected_chunks_are_batch_inner():
     # b is the contiguous axis of both stacks, as batch_boundary stores them
-    for n, masks, adjacency, distances in connected_chunks(6):
+    for sizes, masks, adjacency, distances in connected_chunks(6):
         for stack in (adjacency, distances):
-            assert stack.shape == (len(masks), n, n) and batch_inner(stack)
+            assert stack.shape == (len(masks), 6, 6) and batch_inner(stack)
             assert len(masks) == 1 or stack.strides[0] == stack.itemsize
+        assert sizes.shape == masks.shape
 
 
 def test_batch_route_is_layout_free_on_every_chunk_up_to_5():
-    for n, masks, adjacency, distances in connected_chunks(5):
+    for n_max in range(1, 6):
+        [(_, _, adjacency, distances)] = connected_chunks(n_max)
         _, verdicts = layout_free_pass(adjacency, distances)
         assert all(ok.all() for ok in verdicts.values())
 
@@ -115,20 +126,41 @@ def test_batch_runners_cover_every_check_but_prop4():
 
 
 def test_chunks_follow_the_enumeration_order():
-    masks = [(n, mask) for n, ms, _, _ in connected_chunks(6) for mask in ms.tolist()]
-    assert len(masks) == 27476
-    assert [validate(mask_edges(n, mask), n) for n, mask in masks] == list(enumerate_connected(6))
+    # the (order, mask) keys, sorted over the chunks, give enumerate_connected's graphs
+    keys = sorted((n, mask) for sizes, masks, _, _ in connected_chunks(6)
+                  for n, mask in zip(sizes.tolist(), masks.tolist()))
+    assert len(keys) == 27476
+    assert [validate(mask_edges(6, mask), n) for n, mask in keys] == list(enumerate_connected(6))
 
 
 def test_chunks_are_one_dense_pass_per_size_up_to_5():
-    # 1024 masks a chunk: every n <= 5 (at most 2^10 masks) is one pass, n = 6 is 32
-    layout = [(n, masks) for n, masks, _, _ in connected_chunks(6)]
-    assert Counter(n for n, _ in layout) == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 32}
-    for k, masks in enumerate(masks for n, masks in layout if n == 6):
+    # 1024 masks of n_max vertices a chunk: every n_max <= 5 (at most 2^10 masks) is one
+    # pass, n_max = 6 is 32, and each chunk runs in (order, mask) order
+    assert [len(list(connected_chunks(n))) for n in range(1, 7)] == [1, 1, 1, 1, 1, 32]
+    for k, (sizes, masks, _, _) in enumerate(connected_chunks(6)):
         assert (masks // 1024 == k).all()
-    for n in range(1, 7):
-        order = np.concatenate([masks for size, masks in layout if size == n])
-        assert (np.diff(order) > 0).all()
+        keys = sizes.astype(np.int64) << 16 | masks
+        assert (np.diff(keys) > 0).all()
+
+
+def test_every_connected_graph_appears_once_on_its_first_order_slots():
+    # per order, 1, 1, 4, 38, 728 and 26 704 graphs (OEIS A001187), each key once; a
+    # graph's own slots hold _dense_distances of its own adjacency on order slots, and
+    # its absent slots have no edges, 0 in their columns and source 0's row as rows
+    keys = Counter()
+    for sizes, masks, adjacency, distances in connected_chunks(6):
+        assert batch_inner(adjacency) and batch_inner(distances)
+        keys.update(zip(sizes.tolist(), masks.tolist()))
+        for n in np.unique(sizes).tolist():
+            rows = sizes == n
+            own = np.ascontiguousarray(adjacency[rows, :n, :n])
+            assert (own == adjacency_of(graphs_of(6, sizes[rows], masks[rows]))).all()
+            assert (distances[rows, :n, :n] == _dense_distances(own)).all()
+            assert not adjacency[rows, n:].any() and not adjacency[rows, :, n:].any()
+            assert not distances[rows, :, n:].any()
+            assert (distances[rows, n:] == distances[rows, :1]).all()
+    assert max(keys.values()) == 1
+    assert Counter(n for n, _ in keys) == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
 
 def test_dense_distances_are_exact_up_to_128_vertices():
@@ -197,24 +229,28 @@ def test_batch_sums_are_exact_at_the_int16_edge():
 
 
 def test_batch_rows_equal_per_graph_reports_on_all_graphs_up_to_6():
-    # row b of a chunk is the graph after ``seen[n]`` earlier ones of its size in the
-    # enumeration order, and so the row of the per-graph pass at that index
+    # the graphs of order n in a chunk follow the ``seen[n]`` earlier ones of that order
+    # in the enumeration order, and so the rows of the per-graph pass at those indices;
+    # their first n slots hold the per-graph arrays
     reference = per_graph_pass()
     seen = Counter()
-    for n, masks, adjacency, distances in connected_chunks(6):
+    for sizes, masks, adjacency, distances in connected_chunks(6):
         batch = batch_boundary(adjacency, distances)
         passed = run_batch(batch, CHECKS)
         assert all(ok.all() for ok in passed.values())
-        rows = slice(seen[n], seen[n] + len(masks))
-        seen[n] += len(masks)
-        ref = reference[n]
-        assert (batch.distances == ref.distances[rows]).all()
-        assert (batch.slices == ref.slices[rows]).all()
-        assert (batch.cejz == ref.cejz[rows]).all()
-        assert (batch.boundary == ref.boundary[rows]).all()
-        assert (batch.diameter == ref.diameter[rows]).all()
-        assert (batch.max_degree == ref.max_degree[rows]).all() and (batch.m == ref.m[rows]).all()
-        assert (np.column_stack([passed[c] for c in CHECKS]) == ref.passed[rows]).all()
+        for n in np.unique(sizes).tolist():
+            own = np.flatnonzero(sizes == n)
+            rows = slice(seen[n], seen[n] + len(own))
+            seen[n] += len(own)
+            ref = reference[n]
+            assert (batch.distances[own, :n, :n] == ref.distances[rows]).all()
+            assert (batch.slices[own, :n, :n] == ref.slices[rows]).all()
+            assert (batch.cejz[own, :n] == ref.cejz[rows]).all()
+            assert (batch.boundary[own, :n] == ref.boundary[rows]).all()
+            assert (batch.diameter[own] == ref.diameter[rows]).all()
+            assert (batch.max_degree[own] == ref.max_degree[rows]).all()
+            assert (batch.m[own] == ref.m[rows]).all()
+            assert (np.column_stack([passed[c][own] for c in CHECKS]) == ref.passed[rows]).all()
     assert seen == {n: len(ref.passed) for n, ref in reference.items()}
     assert sum(seen.values()) == 27476
 
@@ -252,10 +288,10 @@ def corruptions(batch, b, n=None):
 
 def test_batch_verdicts_equal_the_battery_on_corrupted_arrays(monkeypatch):
     failing = Counter()
-    for n, masks, adjacency, distances in connected_chunks(4):
+    for sizes, masks, adjacency, distances in connected_chunks(4):
         batch = batch_boundary(adjacency, distances)
-        for b, g in enumerate(graphs_of(n, masks)):
-            for bad in corruptions(batch, b):
+        for b, g in enumerate(graphs_of(4, sizes, masks)):
+            for bad in corruptions(batch, b, g.n):
                 passed = run_batch(bad, CHECKS)
                 for copy in relaid(bad):  # the same verdicts in every memory order
                     again = run_batch(copy, CHECKS)
@@ -270,34 +306,39 @@ def test_batch_verdicts_equal_the_battery_on_corrupted_arrays(monkeypatch):
 
 
 def test_padded_graphs_equal_their_unpadded_chunks():
-    # every graph with n <= 5 on 6 slots: its first n slots hold its own arrays, an
-    # absent slot is in no slice and no CEJZ set and has no nearer neighbor, an absent
+    # every graph with n <= 5 on 6 slots: its first n slots hold its own arrays, those
+    # of the same graph on n slots, where connected_chunks(n) gives it no absent slot;
+    # an absent slot is in no slice and no CEJZ set and has no nearer neighbor, an absent
     # source repeats source 0, and every verdict is the unpadded one
-    chunks = list(connected_chunks(5))
-    sizes, masks, adjacency, distances = _stacked(chunks, 6)
-    padded = batch_boundary(adjacency, distances)
-    verdicts = run_batch(padded, CHECKS)
-    assert len(padded) == 772 and padded.n == 6
-    lo = 0
-    for n, chunk_masks, a, d in chunks:
-        rows = slice(lo, lo + len(chunk_masks))
-        lo += len(chunk_masks)
-        assert (sizes[rows] == n).all() and (masks[rows] == chunk_masks).all()
-        batch = batch_boundary(a, d)
-        real = (rows, slice(n), slice(n))
-        assert (padded.adjacency[real] == a).all() and (padded.distances[real] == d).all()
-        assert (padded.slices[real] == batch.slices).all()
-        assert (padded.cejz[rows, :n] == batch.cejz).all() and not padded.cejz[rows, n:].any()
-        assert (padded.nearer[real] == batch.nearer).all()
-        assert not padded.slices[rows, :, n:].any() and not padded.nearer[rows, :, n:].any()
-        for name in ("distances", "slices", "nearer"):
-            rows_of = getattr(padded, name)[rows]
-            assert (rows_of[:, n:] == rows_of[:, :1]).all(), name
-        assert (padded.order[rows] == n).all()
-        assert (padded.diameter[rows] == batch.diameter).all()
-        unpadded = run_batch(batch, CHECKS)
-        assert all((verdicts[c][rows] == unpadded[c]).all() for c in CHECKS)
-    assert all(ok.all() for ok in verdicts.values())
+    unpadded = {n: next(connected_chunks(n)) for n in range(1, 6)}
+    seen = Counter()
+    for sizes, masks, adjacency, distances in connected_chunks(6):
+        padded = batch_boundary(adjacency, distances)
+        verdicts = run_batch(padded, CHECKS)
+        assert all(ok.all() for ok in verdicts.values())
+        for n in np.unique(sizes[sizes < 6]).tolist():
+            rows = np.flatnonzero(sizes == n)
+            own_sizes, own_masks, a, d = unpadded[n]
+            full = np.flatnonzero(own_sizes == n)[seen[n]:seen[n] + len(rows)]
+            seen[n] += len(rows)
+            assert graphs_of(6, sizes[rows], masks[rows]) == graphs_of(n, own_sizes[full],
+                                                                        own_masks[full])
+            a, d = a[full], d[full]
+            batch = batch_boundary(a, d)
+            real = (rows, slice(n), slice(n))
+            assert (padded.adjacency[real] == a).all() and (padded.distances[real] == d).all()
+            assert (padded.slices[real] == batch.slices).all()
+            assert (padded.cejz[rows, :n] == batch.cejz).all() and not padded.cejz[rows, n:].any()
+            assert (padded.nearer[real] == batch.nearer).all()
+            assert not padded.slices[rows, :, n:].any() and not padded.nearer[rows, :, n:].any()
+            for name in ("distances", "slices", "nearer"):
+                rows_of = getattr(padded, name)[rows]
+                assert (rows_of[:, n:] == rows_of[:, :1]).all(), name
+            assert (padded.order[rows] == n).all()
+            assert (padded.diameter[rows] == batch.diameter).all()
+            own = run_batch(batch, CHECKS)
+            assert all((verdicts[c][rows] == own[c]).all() for c in CHECKS)
+    assert seen == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
 
 def test_bounds_are_skipped_on_the_single_vertex_of_a_mixed_stack():
@@ -305,9 +346,12 @@ def test_bounds_are_skipped_on_the_single_vertex_of_a_mixed_stack():
     # cleared: thm1, thm2 and mps then fail on every graph of two or more vertices,
     # K_2 included, as run_battery's do, and pass as skipped on K_1 alone
     graphs = [validate([], 1), validate([(0, 1)], 2), path(4), star(4), path(5)]
-    chunks = [(g.n, np.array([b]), adjacency_of([g]),
-               np.array([distance_matrix(g)], np.int8)) for b, g in enumerate(graphs)]
-    sizes, _, adjacency, distances = _stacked(chunks, 5)
+    [(sizes, masks, adjacency, distances)] = connected_chunks(5)
+    keys = list(zip(sizes.tolist(), masks.tolist()))
+    rows = [keys.index((g.n, mask_of(5, g))) for g in graphs]
+    sizes, adjacency, distances = sizes[rows], adjacency[rows], distances[rows]
+    for b, g in enumerate(graphs):  # the stack's rows are these graphs, on 5 slots
+        assert (distances[b, :g.n, :g.n] == distance_matrix(g)).all()
     batch = batch_boundary(adjacency, distances)
     assert sizes.tolist() == batch.order.tolist() == [1, 2, 4, 5, 5]
     assert all(ok.all() for ok in run_batch(batch, CHECKS).values())
@@ -326,10 +370,12 @@ def test_padded_verdicts_equal_the_battery_on_corrupted_arrays():
     # the corrupted-array sweep on every graph with n <= 3, padded into one stack of
     # 4 slots: a corruption of a graph's own slots gets run_battery's verdicts
     failing = Counter()
-    sizes, masks, adjacency, distances = _stacked(list(connected_chunks(3)), 4)
-    batch = batch_boundary(adjacency, distances)
-    for b, (n, mask) in enumerate(zip(sizes.tolist(), masks.tolist())):
-        g = validate(mask_edges(n, mask), n)
+    [(sizes, masks, adjacency, distances)] = connected_chunks(4)
+    small = sizes < 4  # the first rows, since a chunk runs in (order, mask) order
+    assert small[:small.sum()].all()
+    batch = batch_boundary(adjacency[small], distances[small])
+    for b, g in enumerate(graphs_of(4, sizes[small], masks[small])):
+        n = g.n
         for bad in corruptions(batch, b, n):
             passed = run_batch(bad, CHECKS)
             outcomes = run_battery(g, CHECKS, report=report_of(bad, b, g))
@@ -342,15 +388,23 @@ def test_padded_verdicts_equal_the_battery_on_corrupted_arrays():
 
 @pytest.mark.parametrize("n_max, stacks", [(1, 1), (2, 1), (3, 1), (5, 1), (6, 32)])
 def test_enum_sweep_makes_one_stack_per_chunk_of_the_largest_size(n_max, stacks, monkeypatch):
-    calls = []
+    # one distance pass and one batch_boundary per chunk of n_max-vertex masks, every
+    # graph order read off them: 1 at n_max 5 and 32 at n_max 6
+    calls, passes = [], []
 
     def counted(adjacency, distances):
         calls.append(adjacency.shape)
         return batch_boundary(adjacency, distances)
 
+    def counted_distances(adjacency):
+        passes.append(adjacency.shape)
+        return _dense_distances(adjacency)
+
     monkeypatch.setattr(verify, "batch_boundary", counted)
+    monkeypatch.setattr(generators, "_dense_distances", counted_distances)
     sweep = enum_sweep(n_max, CHECKS)
     assert len(calls) == stacks and {shape[1:] for shape in calls} == {(n_max, n_max)}
+    assert len(passes) == stacks and {shape[1:] for shape in passes} == {(n_max, n_max)}
     assert sweep.graphs == sum(shape[0] for shape in calls)
     assert sum(sweep.failures.values()) == 0
 
@@ -518,7 +572,7 @@ def test_replaced_copies_recompute_the_derived_arrays():
 def test_reports_compare_by_identity():
     # the generated eq compared the array fields as tuples, and so raised on the
     # truth value of an elementwise comparison of more than one graph
-    _, _, adjacency, distances = next(chunk for chunk in connected_chunks(3) if chunk[0] == 3)
+    [(_, _, adjacency, distances)] = connected_chunks(3)
     first, second = batch_boundary(adjacency, distances), batch_boundary(adjacency, distances)
     assert len(first) > 1
     assert first == first and first != second and first != dataclasses.replace(first)
