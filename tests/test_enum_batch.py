@@ -255,17 +255,16 @@ def test_batch_rows_equal_per_graph_reports_on_all_graphs_up_to_6():
     assert sum(seen.values()) == 27476
 
 
-def corruptions(batch, b, n=None):
+def corruptions(batch, b, n):
     """Copies of ``batch`` with graph b's arrays corrupted in one place each.
 
     One slice bit, one distance entry (up or down by one) or one CEJZ bit of
-    graph b's first n slots (all of them by default) is flipped, and its
-    absent slots, if any, are kept absent: their rows repeat the corrupted
-    row 0. No single flip breaks Theorem 1: the boundary stays nonempty,
-    the diameter cannot drop, and 2 Delta diam >= n holds for n <= 6, so the
-    last copy clears all of graph b's slices.
+    graph b's first n slots, its own, is flipped, and its absent slots, if
+    any, are kept absent: their rows repeat the corrupted row 0. No single
+    flip breaks Theorem 1: the boundary stays nonempty, the diameter cannot
+    drop, and 2 Delta diam >= n holds for n <= 6, so the last copy clears
+    all of graph b's slices.
     """
-    n = batch.n if n is None else n
     for v in range(n):
         for u in range(n):
             slices = batch.slices.copy()
@@ -287,12 +286,18 @@ def corruptions(batch, b, n=None):
 
 
 def test_batch_verdicts_equal_the_battery_on_corrupted_arrays(monkeypatch):
+    # every graph with n <= 4 on its own n slots and padded into every larger stack
+    # up to 4 slots: a corruption of its own slots gets run_battery's verdicts, and
+    # every other graph of the stack keeps its own
     failing = Counter()
-    for sizes, masks, adjacency, distances in connected_chunks(4):
+    for n_max in range(1, 5):
+        [(sizes, masks, adjacency, distances)] = connected_chunks(n_max)
         batch = batch_boundary(adjacency, distances)
-        for b, g in enumerate(graphs_of(4, sizes, masks)):
+        for b, g in enumerate(graphs_of(n_max, sizes, masks)):
             for bad in corruptions(batch, b, g.n):
                 passed = run_batch(bad, CHECKS)
+                others = np.arange(len(batch)) != b
+                assert all(passed[c][others].all() for c in CHECKS)
                 for copy in relaid(bad):  # the same verdicts in every memory order
                     again = run_batch(copy, CHECKS)
                     assert all((again[c] == passed[c]).all() for c in CHECKS)
@@ -367,21 +372,22 @@ def test_bounds_are_skipped_on_the_single_vertex_of_a_mixed_stack():
 
 
 def test_padded_verdicts_equal_the_battery_on_corrupted_arrays():
-    # the corrupted-array sweep on every graph with n <= 3, padded into one stack of
-    # 4 slots: a corruption of a graph's own slots gets run_battery's verdicts
+    # the corrupted-array sweep on every graph with n <= 3 in the first stack of
+    # connected_chunks(6), the widest the enum sweep builds, so 3 to 5 of its slots
+    # are absent: a corruption of a graph's own slots gets run_battery's verdicts
     failing = Counter()
-    [(sizes, masks, adjacency, distances)] = connected_chunks(4)
+    sizes, masks, adjacency, distances = next(connected_chunks(6))
     small = sizes < 4  # the first rows, since a chunk runs in (order, mask) order
     assert small[:small.sum()].all()
     batch = batch_boundary(adjacency[small], distances[small])
-    for b, g in enumerate(graphs_of(4, sizes[small], masks[small])):
+    for b, g in enumerate(graphs_of(6, sizes[small], masks[small])):
         n = g.n
         for bad in corruptions(batch, b, n):
             passed = run_batch(bad, CHECKS)
             outcomes = run_battery(g, CHECKS, report=report_of(bad, b, g))
             assert [oc.passed for oc in outcomes] == [bool(passed[c][b]) for c in CHECKS]
-            for other in range(len(batch)):  # every other graph keeps its verdicts
-                assert other == b or all(passed[c][other] for c in CHECKS)
+            others = np.arange(len(batch)) != b  # every other graph keeps its verdicts
+            assert all(passed[c][others].all() for c in CHECKS)
             failing.update(oc.check for oc in outcomes if not oc.passed)
     assert len(batch) == 6 and set(failing) == set(CHECKS)
 
