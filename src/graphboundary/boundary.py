@@ -56,10 +56,11 @@ class BoundaryReport:
     ``witness`` maps each boundary member to the smallest source id that
     certifies it, for reproducibility. ``distances`` is the read-only
     distance matrix the report was computed from, kept so that later checks
-    on the same graph need no further BFS. ``slice_bits`` holds the slices
-    as read-only packed bit rows, n x ceil(n / 8) bytes; read them through
-    :meth:`row_blocks`, :meth:`slice_rows` and :meth:`certifiers`, the only
-    code that knows the layout besides :func:`boundary`.
+    on the same graph need no further BFS; outside this module it is read
+    only through :meth:`row_blocks`, a block of rows at a time. ``slice_bits``
+    holds the slices as read-only packed bit rows, n x ceil(n / 8) bytes; read
+    them through :meth:`row_blocks`, :meth:`slice_rows` and :meth:`certifiers`,
+    the only code that knows the layout besides :func:`boundary`.
     """
 
     n: int

@@ -55,52 +55,63 @@ class NonUniquenessWitness:
     axis: int | None = None
 
 
-def verify_witness(w: NonUniquenessWitness, dm: np.ndarray) -> bool:
-    """Re-check the witness's defining distance equalities against the matrix ``dm``."""
-    du = dm[w.vertex, w.witness]
+def verify_witness(w: NonUniquenessWitness, row: np.ndarray) -> bool:
+    """Re-check the witness's defining equalities on ``row``, the distances from its source."""
+    du = row[w.vertex]
     if w.case == CASE_EQUAL_DISTANCE:
-        return len(w.neighbors) == 1 and bool(dm[w.neighbors[0], w.witness] == du)
+        return len(w.neighbors) == 1 and bool(row[w.neighbors[0]] == du)
     if w.case == CASE_ANTIPODAL_DESCENT:
-        return len(w.neighbors) == 2 and all(
-            dm[x, w.witness] == du - 1 for x in w.neighbors
-        )
+        return len(w.neighbors) == 2 and all(row[x] == du - 1 for x in w.neighbors)
     return False
 
 
-def _search(
-    u: int,
-    certifiers: list[int],
-    axis_pairs: list[tuple[int, int]],
-    nbrs: tuple[int, ...],
-    dm: np.ndarray,
-    collect_all: bool,
-) -> list[NonUniquenessWitness]:
-    """Antipodal-descent witnesses first, equal-distance ties second."""
-    found = []
-    for v in certifiers:
-        du = dm[u, v]
-        for axis, (a, b) in enumerate(axis_pairs):
-            if dm[a, v] == du - 1 and dm[b, v] == du - 1:
-                found.append(
-                    NonUniquenessWitness(u, v, CASE_ANTIPODAL_DESCENT, (a, b), axis)
-                )
-                if not collect_all:
-                    return found
-    for v in certifiers:
-        du = dm[u, v]
-        for w in nbrs:
-            if dm[w, v] == du:
-                found.append(NonUniquenessWitness(u, v, CASE_EQUAL_DISTANCE, (w,)))
-                if not collect_all:
-                    return found
-    return found
+def _witness_search(report: BoundaryReport, targets: list[int], ends: np.ndarray,
+                    all_witnesses: bool, label: str) -> list[tuple[int, NonUniquenessWitness]]:
+    """Witnesses of the vertices ``targets``, a block of certifying sources at a time.
+
+    Row t of ``ends`` holds target u's A axis pairs, then its 2A neighbors. A source v
+    that certifies u gives an antipodal descent on axis (a, b) if d(a, v) = d(b, v) =
+    d(u, v) - 1 and an equal-distance tie at neighbor w if d(w, v) = d(u, v). u keeps its
+    first descent in (source, axis) order, or, with none, its first tie in (source,
+    neighbor) order; with ``all_witnesses``, every descent in that order, then every tie.
+    A block tests, as arrays, only the targets it certifies that have no descent yet.
+    """
+    half = ends.shape[1] // 2
+    ids, listed = np.array(targets, dtype=np.intp), ends.tolist()
+    found = [([], []) for _ in targets]  # per target: descents, ties
+    pending = np.ones(len(targets), dtype=bool)
+    for start, dist, member in report.row_blocks():
+        idx = np.flatnonzero(pending)
+        cert = member[:, ids[idx]]
+        seen = cert.any(axis=0)
+        if not seen.any():
+            continue
+        idx, cert = idx[seen], cert[:, seen].T[:, :, None]  # (targets, rows, 1)
+        step = (dist[:, ends[idx]] - dist[:, ids[idx], None]).transpose(1, 0, 2)  # int16: exact
+        descent = (step[:, :, :half] == -1).reshape(len(idx), -1, half // 2, 2).all(axis=3)
+        for kind, hits in enumerate((descent & cert, (step[:, :, half:] == 0) & cert)):
+            t, r, j = np.nonzero(hits)  # in (target, source, axis or neighbor) order
+            if t.size and not all_witnesses:  # the first hit of each target
+                first = np.ones(t.size, dtype=bool)
+                first[1:] = t[1:] != t[:-1]
+                t, r, j = t[first], r[first], j[first]
+                pending[idx[t]] &= kind == 1  # a descent settles its target
+            for i, v, j in zip(idx[t].tolist(), (start + r).tolist(), j.tolist()):
+                found[i][kind].append(
+                    NonUniquenessWitness(targets[i], v, CASE_EQUAL_DISTANCE, (listed[i][half + j],))
+                    if kind else NonUniquenessWitness(targets[i], v, CASE_ANTIPODAL_DESCENT,
+                                                      tuple(listed[i][2 * j:2 * j + 2]), j))
+    out = []
+    for u, (descents, ties) in zip(targets, found):
+        hits = descents + ties if all_witnesses else (descents or ties)[:1]
+        if not hits:
+            raise WitnessNotFoundError(f"no witness for {label} {u}")
+        out.extend((u, h) for h in hits)
+    return out
 
 
-def classify_prop4(
-    gg: GridGraph,
-    report: BoundaryReport,
-    all_witnesses: bool = False,
-) -> list[tuple[int, NonUniquenessWitness]]:
+def classify_prop4(gg: GridGraph, report: BoundaryReport,
+                   all_witnesses: bool = False) -> list[tuple[int, NonUniquenessWitness]]:
     """Witness geodesic non-uniqueness for every full-degree boundary vertex.
 
     Returns (vertex, witness) pairs ordered by vertex id; with
@@ -108,35 +119,20 @@ def classify_prop4(
     the first one in the deterministic search order is kept. Raises
     WitnessNotFoundError if some full-degree boundary vertex has none,
     which would mean the classifier or the boundary computation is broken.
+    Axis a's pair is the neighbors one step up and one step down along a.
     """
-    g = gg.graph
-    dm = report.distances
-    index = {c: vid for vid, c in enumerate(gg.coordinates)}
-    full = 2 * gg.dimension
-    out = []
-    for u in report.boundary:
-        if g.degree(u) != full:
-            continue
-        cu = gg.coordinates[u]
-        pairs = []
-        for axis in range(gg.dimension):
-            plus = list(cu)
-            plus[axis] += 1
-            minus = list(cu)
-            minus[axis] -= 1
-            pairs.append((index[tuple(plus)], index[tuple(minus)]))
-        hits = _search(u, report.certifiers(u), pairs, g.adjacency[u], dm, all_witnesses)
-        if not hits:
-            raise WitnessNotFoundError(f"no witness for full-degree boundary vertex {u}")
-        out.extend((u, h) for h in hits)
-    return out
+    g, d = gg.graph, gg.dimension
+    targets = [u for u in report.boundary if g.degree(u) == 2 * d]
+    nbrs = np.array([g.adjacency[u] for u in targets], dtype=np.intp).reshape(-1, 2 * d)
+    coords = np.array(gg.coordinates)
+    step = coords[nbrs] - coords[targets][:, None]  # (k, 2d, d): one unit step each
+    slot = (step[..., None] == (1, -1)).argmax(axis=1).reshape(-1, 2 * d)
+    return _witness_search(report, targets, np.hstack((np.take_along_axis(nbrs, slot, 1), nbrs)),
+                           all_witnesses, "full-degree boundary vertex")
 
 
-def classify_cycle(
-    g: Graph,
-    report: BoundaryReport,
-    all_witnesses: bool = False,
-) -> list[tuple[int, NonUniquenessWitness]]:
+def classify_cycle(g: Graph, report: BoundaryReport,
+                   all_witnesses: bool = False) -> list[tuple[int, NonUniquenessWitness]]:
     """Cycle graphs viewed as one-dimensional lattice rings (2d = 2).
 
     Every vertex has exactly one antipodal neighbor pair: its two cycle
@@ -145,15 +141,9 @@ def classify_cycle(
     """
     if g.n < 3 or any(len(a) != 2 for a in g.adjacency):
         raise ValueError("not a cycle graph")
-    dm = report.distances
-    out = []
-    for u in report.boundary:
-        nbrs = g.adjacency[u]
-        hits = _search(u, report.certifiers(u), [nbrs], nbrs, dm, all_witnesses)
-        if not hits:
-            raise WitnessNotFoundError(f"no witness for cycle vertex {u}")
-        out.extend((u, h) for h in hits)
-    return out
+    nbrs = np.array([g.adjacency[u] for u in report.boundary], dtype=np.intp).reshape(-1, 2)
+    return _witness_search(report, list(report.boundary), np.hstack((nbrs, nbrs)), all_witnesses,
+                           "cycle vertex")
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,14 @@ def _check_prop4(g, report, gg):
         pairs = classify_prop4(gg, report)
     except WitnessNotFoundError as exc:
         return CheckOutcome("prop4", False, str(exc))
-    bad = [u for u, w in pairs if not verify_witness(w, report.distances)]
+    by_source = {}
+    for i, (_, w) in enumerate(pairs):
+        by_source.setdefault(w.witness, []).append(i)
+    good = set()
+    for start, dist, _ in report.row_blocks():  # each witness against its source's row
+        good.update(i for v in by_source.keys() & range(start, start + len(dist))
+                    for i in by_source[v] if verify_witness(pairs[i][1], dist[v - start]))
+    bad = [u for i, (u, _) in enumerate(pairs) if i not in good]
     if bad:
         return CheckOutcome("prop4", False, f"unverifiable witnesses for {bad}")
     return CheckOutcome("prop4", True, f"full_degree_boundary={len(pairs)}")

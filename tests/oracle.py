@@ -6,11 +6,16 @@ instead of BFS, the boundary criteria are evaluated with fractions.Fraction
 averages instead of integer cross-multiplication, and the Laplacian route
 goes through an explicit numpy matrix product.
 
-The last part holds the per-source references on a ``Graph``: one slice by
+The next part holds the per-source references on a ``Graph``: one slice by
 the integer neighbor sum, one by the Laplacian matrix, and the layer
 decomposition with the per-layer dichotomy of Theorem 2. They read the
 package's ``Graph`` and BFS, and are the references that the block passes
 of ``boundary()`` and of the check battery are compared with.
+
+The last part is the per-vertex witness search of Proposition 4: for each
+vertex, its certifiers in increasing order read off the full distance
+matrix, antipodal descents first and equal-distance ties second. It is the
+reference for the block search of ``graphboundary.euclid``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,17 @@ from fractions import Fraction
 import numpy as np
 
 import graphboundary
-from graphboundary import Graph, InvariantViolation, bfs_distances
+from graphboundary import (
+    CASE_ANTIPODAL_DESCENT,
+    CASE_EQUAL_DISTANCE,
+    BoundaryReport,
+    Graph,
+    GridGraph,
+    InvariantViolation,
+    NonUniquenessWitness,
+    WitnessNotFoundError,
+    bfs_distances,
+)
 
 INF = float("inf")
 
@@ -275,3 +290,83 @@ def check_dichotomy(ld: LayerDecomposition, delta: int) -> list[bool]:
             )
         passes.append(True)
     return passes
+
+
+# --- per-vertex witness search of Proposition 4 ---
+
+def witness_search(
+    u: int,
+    certifiers: list[int],
+    axis_pairs: list[tuple[int, int]],
+    nbrs: tuple[int, ...],
+    dm: np.ndarray,
+    collect_all: bool,
+) -> list[NonUniquenessWitness]:
+    """Antipodal-descent witnesses first, equal-distance ties second."""
+    found = []
+    for v in certifiers:
+        du = dm[u, v]
+        for axis, (a, b) in enumerate(axis_pairs):
+            if dm[a, v] == du - 1 and dm[b, v] == du - 1:
+                found.append(
+                    NonUniquenessWitness(u, v, CASE_ANTIPODAL_DESCENT, (a, b), axis)
+                )
+                if not collect_all:
+                    return found
+    for v in certifiers:
+        du = dm[u, v]
+        for w in nbrs:
+            if dm[w, v] == du:
+                found.append(NonUniquenessWitness(u, v, CASE_EQUAL_DISTANCE, (w,)))
+                if not collect_all:
+                    return found
+    return found
+
+
+def classify_prop4(
+    gg: GridGraph,
+    report: BoundaryReport,
+    all_witnesses: bool = False,
+) -> list[tuple[int, NonUniquenessWitness]]:
+    """The (vertex, witness) pairs of every full-degree boundary vertex, one vertex at a time."""
+    g = gg.graph
+    dm = report.distances
+    index = {c: vid for vid, c in enumerate(gg.coordinates)}
+    full = 2 * gg.dimension
+    out = []
+    for u in report.boundary:
+        if g.degree(u) != full:
+            continue
+        cu = gg.coordinates[u]
+        pairs = []
+        for axis in range(gg.dimension):
+            plus = list(cu)
+            plus[axis] += 1
+            minus = list(cu)
+            minus[axis] -= 1
+            pairs.append((index[tuple(plus)], index[tuple(minus)]))
+        hits = witness_search(u, report.certifiers(u), pairs, g.adjacency[u], dm, all_witnesses)
+        if not hits:
+            raise WitnessNotFoundError(f"no witness for full-degree boundary vertex {u}")
+        out.extend((u, h) for h in hits)
+    return out
+
+
+def classify_cycle(
+    g: Graph,
+    report: BoundaryReport,
+    all_witnesses: bool = False,
+) -> list[tuple[int, NonUniquenessWitness]]:
+    """The (vertex, witness) pairs of every boundary vertex of a cycle: its two neighbors are
+    its one axis."""
+    if g.n < 3 or any(len(a) != 2 for a in g.adjacency):
+        raise ValueError("not a cycle graph")
+    dm = report.distances
+    out = []
+    for u in report.boundary:
+        nbrs = g.adjacency[u]
+        hits = witness_search(u, report.certifiers(u), [nbrs], nbrs, dm, all_witnesses)
+        if not hits:
+            raise WitnessNotFoundError(f"no witness for cycle vertex {u}")
+        out.extend((u, h) for h in hits)
+    return out

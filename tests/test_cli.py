@@ -819,7 +819,7 @@ def _no_witness(gg, report):
 
 @pytest.mark.parametrize("target, fake, detail", [
     ("classify_prop4", _no_witness, "no witness for vertex 7"),
-    ("verify_witness", lambda w, dm: False, "unverifiable witnesses for ["),
+    ("verify_witness", lambda w, row: False, "unverifiable witnesses for ["),
 ])
 def test_verify_prop4_failure_exit1(target, fake, detail, monkeypatch, capsys):
     from graphboundary import verify

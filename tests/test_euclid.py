@@ -45,7 +45,7 @@ def test_cycle6_witnesses_exist_and_verify():
     g = cycle(6)
     dm = distance_matrix(g)
     for u, w in classify_cycle(g, boundary(g), all_witnesses=True):
-        assert verify_witness(w, dm)
+        assert verify_witness(w, dm[w.witness])
 
 
 def test_cycle_rejects_non_cycle():
@@ -59,7 +59,7 @@ def test_annulus_full_degree_witnesses():
     pairs = classify_prop4(gg, boundary(gg.graph))
     assert len(pairs) == 24  # frozen: degree-4 vertices flanking the hole
     dm = distance_matrix(gg.graph)
-    assert all(verify_witness(w, dm) for _, w in pairs)
+    assert all(verify_witness(w, dm[w.witness]) for _, w in pairs)
     # shortest paths run around both sides of the hole: antipodal descent
     assert {w.case for _, w in pairs} == {CASE_ANTIPODAL_DESCENT}
 
@@ -183,8 +183,10 @@ def test_equal_distance_witnesses_verify_and_doctored_copies_fail():
     pairs = classify_cycle(g, rep, all_witnesses=True)
     assert len(pairs) == 18
     assert {w.case for _, w in pairs} == {CASE_EQUAL_DISTANCE}
+    dm = distance_matrix(g)
     for u, w in pairs:
-        assert verify_witness(w, rep.distances)
+        row = dm[w.witness]
+        assert verify_witness(w, row)
         (other,) = set(g.adjacency[u]) - set(w.neighbors)
-        assert not verify_witness(dataclasses.replace(w, neighbors=(other,)), rep.distances)
-        assert not verify_witness(dataclasses.replace(w, case="unknown"), rep.distances)
+        assert not verify_witness(dataclasses.replace(w, neighbors=(other,)), row)
+        assert not verify_witness(dataclasses.replace(w, case="unknown"), row)

@@ -13,7 +13,10 @@ layout each was measured slower, or raised the peak RSS of
 ``layers.py`` and ``euclid.py`` never name the ``boundary()`` function:
 their checks read the report they are handed and never build one.
 ``layers.py``, ``verify.py`` and ``euclid.py`` never name ``bfs_distances``
-or ``distance_matrix``: every check reads ``report.distances``. The
+or ``distance_matrix``. No module but ``boundary.py`` reads the
+``distances`` attribute of a ``BoundaryReport``: every check reads the
+report's distance rows through ``BoundaryReport.row_blocks``. The ``_batch_*``
+runners, whose reports are ``BatchReport``s, may read theirs. The
 ``_batch_*`` runners of ``verify.py`` never rebuild an array that
 ``BatchReport`` derives once per report (degrees, diameter, boundary).
 """
@@ -178,6 +181,30 @@ def test_rule_sees_distance_pass_uses():
                      "from . import core\ny = core.distance_matrix(g)\n"
                      "from .core import bfs_distances as bfs\n")
     assert _name_uses(tree, DISTANCE_PASSES) == [2, 3, 7, 8]
+
+
+def _distance_reads(tree: ast.AST) -> list[int]:
+    """Lines reading a ``distances`` attribute outside the ``_batch_*`` functions."""
+    batch = {id(node) for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_batch_")
+             for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "distances"
+                  and id(node) not in batch)
+
+
+def test_only_boundary_reads_report_distances():
+    found = {p.name: _distance_reads(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES}
+    assert {name for name, lines in found.items() if lines} == {"boundary.py"}
+
+
+def test_rule_sees_distance_attribute_reads():
+    tree = ast.parse("# report.distances in a comment\nd = report.distances\n"
+                     "def _batch_x(r):\n    return r.distances.max()\n"
+                     "def check(rep):\n    return rep.distances[0], 'distances'\n"
+                     "distances = 3\nfor a, distances in pairs:\n    pass\n"
+                     "x = getattr(rep, 'distances')\n")
+    assert _distance_reads(tree) == [2, 6]
 
 
 def test_batch_runners_read_derived_arrays_from_the_report():
