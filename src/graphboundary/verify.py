@@ -75,9 +75,9 @@ def _check_mps(g, report, gg):
     return CheckOutcome("mps", entry.passed, f"cejz={entry.observed} delta+2={entry.bound}")
 
 
-# row x edge entries that the laplacian and dichotomy checks gather at once; the
-# scratch of a check is then bounded whatever m is, and stays inside the heap that
-# the allocator reuses from one block to the next
+# source x edge entries of one sub-block of the laplacian pass; its scratch is then
+# bounded whatever m is, and stays inside the heap that the allocator reuses from one
+# block to the next
 EDGE_BUDGET = 2**15
 
 
@@ -89,108 +89,44 @@ def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return tails[lower], indices[lower]
 
 
-def _check_laplacian(g, report, gg):
-    # incidence route L = B B^T: edge (u, w) adds f(u) - f(w) to (L f)(u) and subtracts it
-    # at w; the positive entries of L f_v must be the slice of v
-    # int32 is exact, since adjacent distances differ by at most 1 and so |(L f)(u)| <= deg(u).
-    # Each block is walked in sub-blocks of max(1, EDGE_BUDGET // m) sources. The flat keys
-    # r * n + u of both edge ends, the two gathers and L f are allocated once, sized by the
-    # first, longest sub-block, so each edge buffer holds max(EDGE_BUDGET, m) entries at most
-    n, m = g.n, g.m
-    for start, dist, member in report.row_blocks():
-        if not start:
-            rows = min(len(dist), max(1, EDGE_BUDGET // max(m, 1)))
-            offsets = np.arange(0, rows * n, n)[:, None]
-            tail_keys, head_keys = ((offsets + ends).ravel() for ends in _edge_ends(g))
-            f_buf, lf_buf = np.empty(rows * n, np.int32), np.empty(rows * n, np.int32)
-            diff_buf, head_buf = np.empty(rows * m, np.int32), np.empty(rows * m, np.int32)
-            positive_buf = np.empty(rows * n, bool)
-        for lo in range(0, len(dist), rows):
-            b = min(rows, len(dist) - lo)
-            f, lf = f_buf[:b * n], lf_buf[:b * n]
-            f.reshape(b, n)[:] = dist[lo:lo + b]
-            tail, head = tail_keys[:b * m], head_keys[:b * m]
-            diff = np.take(f, tail, out=diff_buf[:b * m], mode="clip")  # keys are in range
-            diff -= np.take(f, head, out=head_buf[:b * m], mode="clip")
-            lf.fill(0)
-            np.add.at(lf, tail, diff)
-            np.subtract.at(lf, head, diff)
-            positive = np.greater(lf, 0, out=positive_buf[:b * n])
-            bad = np.flatnonzero(np.not_equal(positive, member[lo:lo + b].ravel(), out=positive))
-            if bad.size:
-                return CheckOutcome("laplacian", False,
-                                    f"mismatch at source {start + lo + bad[0] // n}")
-    return CheckOutcome("laplacian", True, f"sources={n}")
+def _incidence_laplacian(f, tail, head, diff, scratch, lf) -> None:
+    """L f into ``lf`` by the incidence route L = B B^T, and f(u) - f(w) per edge into ``diff``.
 
-
-def _layer_keys(dist) -> tuple[np.ndarray, np.ndarray, int]:
-    """(keys d * rows + r, ell per row, width) for a stack of distance rows."""
-    ell = dist.max(axis=1)
-    width = int(ell.max()) + 1
-    keys = dist * np.int32(len(dist))
-    keys += np.arange(len(dist), dtype=np.int32)[:, None]  # in place: no second key array
-    return keys, ell, width
-
-
-def _broken_rows(keys, cross, member, ell, width, delta) -> np.ndarray:
-    """Bool per row: True where the row's layers break the dichotomy.
-
-    The counts are layer-major: row r's layer j is entry j * rows + r, so each layer
-    is one contiguous run over the rows. Per row and layer they are the cross edges
-    (those joining A_{j-1} and A_j, each counted once at its outer end), the size and
-    the slice members. ``cross`` holds the first; the other two are one integer
-    bincount each over the keys j * rows + r, which ``keys`` and ``member`` hold in
-    the same ravel order, in any shape. ``ell`` holds each row's outermost layer, and
-    ``delta`` is one maximum degree, or one per row.
+    ``tail`` and ``head`` are flat keys into ``f`` of the two ends (u, w) of each edge;
+    edge (u, w) adds f(u) - f(w) to (L f)(u) and subtracts it at w.
     """
-    b = len(ell)
-    size = np.bincount(keys.ravel(), minlength=b * width)
-    members = np.bincount(np.compress(member.ravel(), keys.ravel()), minlength=b * width)
-    last = ell.astype(np.intp) * b + np.arange(b)
-    last_bad = (ell >= 1) & ((members[last] != size[last]) | (cross[last] > delta * size[last]))
-    # mid-layer test |E(A_{j-1}, A_j)| <= |E(A_j, A_{j+1})| + delta |slice ∩ A_j| on every
-    # layer: it cannot fail at j = 0, which has no cross edges, nor past ell, where all
-    # is empty, and at j = ell it fails only where last_bad holds; so it flags the same
-    # rows as the test on layers 1..ell-1
-    cross = cross.reshape(width, b)
-    slack = members.reshape(width, b)
-    slack *= delta
-    slack[:-1] += cross[1:]
-    return (cross > slack).any(axis=0) | last_bad
+    np.take(f, tail, out=diff, mode="clip")  # keys are in range
+    diff -= np.take(f, head, out=scratch, mode="clip")
+    lf.fill(0)
+    np.add.at(lf, tail, diff)
+    np.subtract.at(lf, head, diff)
 
 
-def _dichotomy_flags(dist, member, tails, heads, delta, scratch) -> np.ndarray:
-    """Rows of a block of sources whose layers break the dichotomy, in increasing order.
+def _dichotomy_rows(f, lf, member, diff, delta) -> tuple[np.ndarray, np.ndarray]:
+    """(flagged, marked): bool per row of a sub-block of b sources, with f and L f flat.
 
-    The edges are gathered max(1, EDGE_BUDGET // rows) at a time into the two int32
-    buffers and the bool buffer of ``scratch``, and each chunk's cross edges are added
-    into one count per row and layer. The layer keys are gathered from a vertex-major
-    copy, so each edge end copies one contiguous run of ``rows`` keys. A chunk whose
-    entries all cross layers, as every chunk does when the layers are bipartite, is
-    counted as it stands, one with no crossing entry is skipped, and any other is
-    compacted with ``np.compress``, whose cost, unlike a boolean mask's, does not jump
-    when the cut is irregular.
+    Where no edge steps by more than 1 in f, the divergence identity gives
+    sum_{u in A_j} (L f)(u) = |E(A_{j-1}, A_j)| - |E(A_j, A_{j+1})|. The layer inequality
+    |E(A_{j-1}, A_j)| <= |E(A_j, A_{j+1})| + delta |slice ∩ A_j| is then a sum over A_j of
+    L f - delta [u in slice] that must not be positive; at j = ell it is the outermost
+    layer's edge bound once A_ell lies in the slice. A row is flagged where a layer sum is
+    positive or, with ell >= 1, a vertex of A_ell lies outside the slice. It is marked
+    where some edge steps by more than 1, read off ``diff``; there the sums are not the
+    layer counts, and the caller recounts the row. ``lf`` is overwritten.
     """
-    keys, ell, width = _layer_keys(dist)
-    b = len(dist)
-    chunk = max(1, EDGE_BUDGET // b)
-    cross = np.zeros(b * width, np.intp)
-    by_vertex = np.ascontiguousarray(keys.T)
-    for lo in range(0, len(tails), chunk):
-        hi = min(lo + chunk, len(tails))
-        size = b * (hi - lo)
-        k_tail = np.take(by_vertex, tails[lo:hi], axis=0, mode="clip",  # keys are in range
-                         out=scratch[0][:size].reshape(hi - lo, b))
-        k_head = np.take(by_vertex, heads[lo:hi], axis=0, mode="clip",
-                         out=scratch[1][:size].reshape(hi - lo, b))
-        cut = np.not_equal(k_tail, k_head, out=scratch[2][:size].reshape(hi - lo, b))
-        outer = np.maximum(k_tail, k_head, out=k_tail).ravel()  # each edge, at its outer end
-        crossing = np.count_nonzero(cut)
-        if crossing == size:
-            cross += np.bincount(outer, minlength=b * width)
-        elif crossing:
-            cross += np.bincount(np.compress(cut.ravel(), outer), minlength=b * width)
-    return np.flatnonzero(_broken_rows(keys, cross, member, ell, width, delta))
+    b = len(member)
+    rows = f.reshape(b, -1)
+    ell = rows.max(axis=1)
+    keys = f * np.int32(b)  # layer-major: row r's layer j is entry j * b + r
+    keys.reshape(b, -1)[:] += np.arange(b, dtype=np.int32)[:, None]
+    lf -= member.ravel() * np.int32(delta)  # a where= subtract was 5 times slower
+    sums = np.zeros(b * (int(ell.max()) + 1), np.int32)  # int32 like lf: add.at is fast
+    np.add.at(sums, keys, lf)
+    flagged = (sums.reshape(-1, b) > 0).any(axis=0)
+    flagged |= (ell >= 1) & ((rows == ell[:, None]) > member).any(axis=1)
+    if diff.size and (diff.min() < -1 or diff.max() > 1):
+        return flagged, (np.abs(diff.reshape(b, -1)) > 1).any(axis=1)
+    return flagged, np.zeros(b, bool)
 
 
 def _dichotomy_detail(row, member, tails, heads, delta, source) -> str | None:
@@ -216,24 +152,65 @@ def _dichotomy_detail(row, member, tails, heads, delta, source) -> str | None:
     return None
 
 
-def _check_dichotomy(g, report, gg):
+_PASS_CHECKS = ("laplacian", "dichotomy")  # two verdicts on one walk, _laplacian_pass
+
+
+def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
+    """The outcomes of ``checks``, a subset of _PASS_CHECKS, from one walk over the blocks.
+
+    Each block is walked in sub-blocks of max(1, EDGE_BUDGET // m) sources, and each
+    sub-block's L f_v is computed once. int32 is exact, since adjacent distances differ
+    by at most 1 and so |(L f)(u)| <= deg(u). The flat keys r * n + u of both edge ends,
+    the two gathers and L f are allocated once, sized by the first, longest sub-block,
+    so each edge buffer holds max(EDGE_BUDGET, m) entries at most.
+
+    laplacian: the positive entries of L f_v must be the slice of v. dichotomy: the rows
+    that :func:`_dichotomy_rows` flags or marks are recounted by :func:`_dichotomy_detail`,
+    in order; a flagged row the recount passes raises InvariantViolation. Each outcome
+    is at its check's first failing source, and the walk stops once every check failed.
+    """
+    n, m, delta = g.n, g.m, g.max_degree
     tails, heads = _edge_ends(g)
-    delta = g.max_degree
+    pending = set(checks)
+    found = {}
     for start, dist, member in report.row_blocks():
         if not start:
-            # a chunk of b rows, b at most this first block's, has at most
-            # min(b * m, max(EDGE_BUDGET, b)) entries
-            size = min(len(dist) * g.m, max(EDGE_BUDGET, len(dist)))
-            scratch = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size, bool)
-        flagged = _dichotomy_flags(dist, member, tails, heads, delta, scratch)
-        if flagged.size:  # the first flagged row, recounted on its own, writes the detail
-            r = int(flagged[0])
-            detail = _dichotomy_detail(dist[r], member[r], tails, heads, delta, start + r)
-            if detail is None:
-                raise InvariantViolation(f"dichotomy: the block count flags source {start + r}, "
-                                         "the per-source count passes it")
-            return CheckOutcome("dichotomy", False, detail)
-    return CheckOutcome("dichotomy", True, f"sources={g.n}")
+            rows = min(len(dist), max(1, EDGE_BUDGET // max(m, 1)))
+            offsets = np.arange(0, rows * n, n)[:, None]
+            tail_keys, head_keys = ((offsets + ends).ravel() for ends in (tails, heads))
+            f_buf, lf_buf = np.empty(rows * n, np.int32), np.empty(rows * n, np.int32)
+            diff_buf, head_buf = np.empty(rows * m, np.int32), np.empty(rows * m, np.int32)
+            positive_buf = np.empty(rows * n, bool)
+        for lo in range(0, len(dist), rows):
+            b = min(rows, len(dist) - lo)
+            f, lf, diff = f_buf[:b * n], lf_buf[:b * n], diff_buf[:b * m]
+            f.reshape(b, n)[:] = dist[lo:lo + b]
+            own = member[lo:lo + b]
+            _incidence_laplacian(f, tail_keys[:b * m], head_keys[:b * m], diff,
+                                 head_buf[:b * m], lf)
+            if "laplacian" in pending:
+                positive = np.greater(lf, 0, out=positive_buf[:b * n])
+                bad = np.flatnonzero(np.not_equal(positive, own.ravel(), out=positive))
+                if bad.size:
+                    found["laplacian"] = CheckOutcome(
+                        "laplacian", False, f"mismatch at source {start + lo + bad[0] // n}")
+                    pending.discard("laplacian")
+            if "dichotomy" in pending:
+                flagged, marked = _dichotomy_rows(f, lf, own, diff, delta)
+                for r in np.flatnonzero(flagged | marked).tolist():
+                    source = start + lo + r
+                    detail = _dichotomy_detail(dist[lo + r], member[lo + r], tails, heads,
+                                               delta, source)
+                    if detail is not None:
+                        found["dichotomy"] = CheckOutcome("dichotomy", False, detail)
+                        pending.discard("dichotomy")
+                        break
+                    if not marked[r]:
+                        raise InvariantViolation(f"dichotomy: the block count flags source "
+                                                 f"{source}, the per-source count passes it")
+            if not pending:
+                return found
+    return found | {c: CheckOutcome(c, True, f"sources={n}") for c in pending}
 
 
 def _check_prop4(g, report, gg):
@@ -261,11 +238,9 @@ _RUNNERS = {
     "thm1": _check_thm1,
     "thm2": _check_thm2,
     "mps": _check_mps,
-    "laplacian": _check_laplacian,
-    "dichotomy": _check_dichotomy,
     "prop4": _check_prop4,
 }
-ALL_CHECKS = tuple(_RUNNERS)
+ALL_CHECKS = ("prop1", "prop2", "prop3", "thm1", "thm2", "mps", *_PASS_CHECKS, "prop4")
 _BOUNDS = {"thm1", "thm2", "mps"}  # stated for graphs with at least two vertices
 
 
@@ -277,19 +252,24 @@ def run_battery(
 ) -> list[CheckOutcome]:
     """Run the named checks; prop4 is skipped unless ``gg`` supplies coordinates.
 
-    Every check reads the distance matrix and the slices of ``report``. On
-    a single vertex the bounds thm1, thm2 and mps pass as skipped.
+    Every check reads the distance matrix and the slices of ``report``; laplacian
+    and dichotomy are two verdicts on one walk over its blocks. On a single vertex
+    the bounds thm1, thm2 and mps pass as skipped.
     """
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
     report = report or boundary(g)
+    walked = None
     out = []
     for name in checks:
         if name == "prop4" and gg is None:
             continue
         if g.n < 2 and name in _BOUNDS:
             out.append(CheckOutcome(name, True, "skipped: single vertex"))
+        elif name in _PASS_CHECKS:
+            walked = walked or _laplacian_pass(g, report, [c for c in checks if c in _PASS_CHECKS])
+            out.append(walked[name])
         else:
             out.append(_RUNNERS[name](g, report, gg))
     return out
@@ -352,20 +332,25 @@ def _batch_dichotomy(r: BatchReport) -> np.ndarray:
     # the nearer neighbors w of u, d(v, w) < d(v, u), are the cross edges that have u as
     # their outer end. The layers are tallied one source v at a time, row g being graph g,
     # so a tally holds B * width counts whatever n is; v's [u, b] slab of a batch-inner
-    # view is contiguous
+    # view is contiguous. Layer j breaks where |E(A_{j-1}, A_j)| > |E(A_j, A_{j+1})| +
+    # delta |slice ∩ A_j|, or, with j = ell >= 1, where A_j holds a vertex outside the slice
     b = len(r)
     by_source, near, member = (x.transpose(1, 2, 0) for x in (r.distances, r.nearer, r.slices))
     ell = by_source.max(axis=1)
     width = int(ell.max(initial=0)) + 1  # initial: an empty stack has no layers
     rows = np.arange(b, dtype=np.int32)
+    delta = r.max_degree.astype(np.int32)
     broken = np.zeros(b, bool)
     for v in range(r.n):
         keys = by_source[v] * np.int32(b)
         keys += rows
-        cross = np.zeros(b * width, np.intp)
+        cross, slack = np.zeros((2, width, b), np.int32)
         # add.at is fast only on values of the accumulator's dtype (about 25 times here)
-        np.add.at(cross, keys.ravel(), near[v].astype(np.intp).ravel())
-        broken |= _broken_rows(keys, cross, member[v], ell[v], width, r.max_degree)
+        np.add.at(cross.ravel(), keys.ravel(), near[v].astype(np.int32).ravel())
+        np.add.at(slack.ravel(), keys.ravel(), (member[v] * delta).ravel())
+        slack[:-1] += cross[1:]
+        broken |= (cross > slack).any(axis=0)
+        broken |= (ell[v] >= 1) & ((by_source[v] == ell[v]) > member[v]).any(axis=0)
     return ~broken
 
 

@@ -1,13 +1,18 @@
-"""The battery's laplacian and dichotomy checks, evaluated a block of sources
-at a time, against the per-source references in ``oracle``: ``laplacian_slice``
-through the literal matrix, and ``layer_decompose`` plus ``check_dichotomy``.
-Slices are flipped at random so that failing outcomes, detail strings included,
-are compared too, at several block sizes and edge budgets: the budget cuts
-laplacian blocks into sub-blocks of sources and dichotomy edge lists into
-chunks. ``verify._dichotomy_detail``, the one-row recount that writes a failing
-dichotomy's detail, is held to the same reference on every source row of every
-connected graph with n <= 5."""
+"""The battery's laplacian and dichotomy checks, two verdicts on one walk over
+a report's blocks of sources, against the per-source references in ``oracle``:
+``laplacian_slice`` through the literal matrix, and ``layer_decompose`` plus
+``check_dichotomy``. Slices are flipped at random so that failing outcomes,
+detail strings included, are compared too, at several block sizes and edge
+budgets: the budget cuts blocks into sub-blocks of sources, each with one L f.
+The dichotomy reads its layer inequalities off the layer sums of L f, so the
+divergence identity behind them is checked on the oracle alone, and rows whose
+distances step by 2 along an edge, where the identity does not hold, are
+checked too. ``verify._dichotomy_detail``, the one-row recount that writes a
+failing dichotomy's detail, is held to the same reference on every source row
+of every connected graph with n <= 5."""
 
+import dataclasses
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -19,6 +24,7 @@ from hypothesis import given
 
 from oracle import check_dichotomy, laplacian_matrix, laplacian_slice, layer_decompose
 from test_distance_pass import flip_bits, graphs_and_long_paths
+from test_properties import connected_graphs
 from graphboundary import (
     InvariantViolation,
     boundary,
@@ -61,8 +67,8 @@ def flipped(rep, rng, flips):
     return flip_bits(rep, rng.integers(rep.n, size=(flips, 2)).tolist())
 
 
-# edge budgets: one source per laplacian sub-block and one edge per dichotomy chunk;
-# 7, which splits blocks and edge lists unevenly on these small graphs; the default
+# edge budgets: one source per sub-block; 7, which splits blocks unevenly on these
+# small graphs; the default
 BUDGETS = (1, 7, verify.EDGE_BUDGET)
 
 
@@ -103,12 +109,11 @@ def test_block_checks_equal_references_at_any_block_size(g, block, flips, seed):
     block_outcomes(g, flipped(rep, np.random.default_rng(seed), flips), block)
 
 
-# the dichotomy pass counts a chunk of (source, edge) entries whole when every entry
-# crosses layers and compacts it otherwise. Bipartite layers cross on every entry; C_9
-# and G(30, 0.3) mix crossing and internal entries; in K_7 an edge crosses layers only
-# from its own two ends. With one source per block and budget 1, each chunk is a single
-# entry, so the all-cross graphs take only the first branch, and K_7 has chunks that
-# cross nowhere
+# (source, edge) entries of every kind of cut between layers: bipartite layers cross on
+# every entry; C_9 and G(30, 0.3) mix crossing and internal entries; in K_7 an edge
+# crosses layers only from its own two ends. An internal edge adds nothing to a layer
+# sum of L f, a crossing one adds 1 at its outer end and -1 at its inner end. Blocks of
+# one source and of several are compared
 CHUNK_KINDS = {
     "all cross": (grid(4, 5).graph, random_tree(12, 5), cycle(8)),
     "mixed": (cycle(9), erdos_renyi(30, 0.3, 7)),
@@ -212,5 +217,123 @@ def test_laplacian_scratch_is_bounded_on_dense_graphs():
 def test_dichotomy_builds_no_flat_edge_keys():
     # flat intp keys of both ends of every edge, for a whole block of sources, peaked at
     # 39.8 MiB traced on this graph, and int32 layer keys gathered for all edges at once
-    # at 18.6 MiB; chunks of EDGE_BUDGET // rows edges trace about 1.5 MiB
+    # at 18.6 MiB; the dichotomy walks the laplacian's sub-blocks of EDGE_BUDGET // m
+    # sources, whose keys hold max(EDGE_BUDGET, m) entries, alone or with the laplacian
     assert traced_peak(complete(300), ("dichotomy",)) < 4 * 2**20
+    assert traced_peak(complete(300), CHECKS) < 4 * 2**20
+
+
+def assert_divergence_identity(g):
+    # with f = d(v, .), whose steps along an edge are at most 1, the sum of L f over a
+    # layer A_j is |E(A_{j-1}, A_j)| - |E(A_j, A_{j+1})|; all from the oracle
+    lap = laplacian_matrix(g)
+    for v in range(g.n):
+        ld = layer_decompose(g, v)
+        f = np.zeros(g.n, np.int64)
+        for j, layer in enumerate(ld.layers):
+            f[list(layer)] = j
+        lf = lap @ f
+        cross = (0, *ld.cross_edges, 0)  # cross[j] = |E(A_{j-1}, A_j)|, none into A_0 or A_{ell+1}
+        assert [int(lf[list(layer)].sum()) for layer in ld.layers] == [
+            cross[j] - cross[j + 1] for j in range(ld.ell + 1)]
+
+
+def test_layer_sums_of_lf_are_the_cross_edge_differences_on_all_small_graphs():
+    count = 0
+    for g in enumerate_connected(5):
+        assert_divergence_identity(g)
+        count += 1
+    assert count == 772
+
+
+@given(connected_graphs(min_n=1, max_n=12))
+def test_layer_sums_of_lf_are_the_cross_edge_differences(g):
+    assert_divergence_identity(g)
+
+
+def steps_of_two(g, rep):
+    """Copies of ``rep`` with one entry d(v, u) moved by 1, so that exactly one edge at u
+    steps by 2 in row v: every such entry of every row."""
+    tails, heads = np.array(list(g.edges())).T
+    for v, row in enumerate(rep.distances.tolist()):
+        for u in range(g.n):
+            for step in (1, -1):
+                if row[u] + step < 0:
+                    continue
+                moved = np.array(row)
+                moved[u] += step
+                if np.count_nonzero(abs(moved[tails] - moved[heads]) > 1) == 1:
+                    dist = rep.distances.copy()
+                    dist[v, u] += step
+                    yield dataclasses.replace(rep, distances=dist)
+
+
+# graph -> the verdicts its rows with one step of 2 get: on the grid every such row
+# passes, so each is a marked row whose recount passes it and that must not raise
+STEPPED = {"path": (path(7), {True, False}), "grid": (grid(4, 5).graph, {True}),
+           "cycle": (cycle(9), {True, False})}
+
+
+@pytest.mark.parametrize("name", STEPPED)
+def test_rows_that_step_by_two_are_recounted(name):
+    # the layer sums of L f are the cross-edge differences only where every edge steps by
+    # at most 1; a row where one edge steps by 2 is recounted, and its outcome, pass or
+    # fail, is the reference's
+    g, kinds = STEPPED[name]
+    verdicts = Counter()
+    for bad in steps_of_two(g, boundary(g)):
+        want = dichotomy_reference(g, bad)
+        assert run_battery(g, ("dichotomy",), report=bad) == [want]
+        assert run_battery(g, CHECKS, report=bad) == [laplacian_reference(g, bad), want]
+        verdicts[want.passed] += 1
+    assert set(verdicts) == kinds
+
+
+def counted_walks(g, rep, checks, budget, monkeypatch):
+    """(outcomes, calls of the L f helper) of ``checks`` at edge budget ``budget``."""
+    real = verify._incidence_laplacian
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_incidence_laplacian", counting)
+    monkeypatch.setattr(verify, "EDGE_BUDGET", budget)
+    return run_battery(g, checks, report=rep), len(calls)
+
+
+def walked_sub_blocks(g, budget, outcomes):
+    """The sub-blocks a walk computes L f for: all of them while a check passes, else up to
+    the one that holds the last of the checks' first failing sources."""
+    rows = min(core.ROW_BLOCK, g.n, max(1, budget // max(g.m, 1)))
+    stop = g.n - 1
+    if not any(oc.passed for oc in outcomes):
+        stop = max(int(re.search(r"source (\d+)", oc.detail).group(1)) for oc in outcomes)
+    block = stop - stop % core.ROW_BLOCK
+    return sum(-(-min(core.ROW_BLOCK, g.n - start) // rows)
+               for start in range(0, block, core.ROW_BLOCK)) + (stop - block) // rows + 1
+
+
+@pytest.mark.parametrize("g", [grid(9, 9).graph, cycle(70), complete(12)],
+                         ids=["grid", "cycle", "complete"])
+def test_both_checks_take_one_walk_in_either_order(g, monkeypatch):
+    # L f is computed once per sub-block for the pair, in either order, and each outcome
+    # is the reference's, in the order asked for. The walk covers every sub-block while a
+    # check still passes, and stops at the sub-block where the later check first fails:
+    # flipped bits of sources 1 and n - 1 fail the laplacian at source 1, and clearing
+    # source 1's slice fails both checks there
+    rep = boundary(g)
+    last = g.n - 1
+    late = flip_bits(rep, [(1, 0), (last, next(iter(rep.slices[last].members)))])
+    early = flip_bits(rep, [(1, u) for u in rep.slices[1].members])
+    for bad in (rep, late, early):
+        want = {"laplacian": laplacian_reference(g, bad),
+                "dichotomy": dichotomy_reference(g, bad)}
+        for budget in BUDGETS:
+            for checks in (CHECKS, CHECKS[::-1], ("laplacian",)):
+                outcomes, walked = counted_walks(g, bad, checks, budget, monkeypatch)
+                assert outcomes == [want[c] for c in checks]
+                assert walked == walked_sub_blocks(g, budget, outcomes)
+    assert not any(oc.passed for oc in want.values())  # early: both fail at source 1
+    assert {re.search(r"source (\d+)", oc.detail).group(1) for oc in want.values()} == {"1"}

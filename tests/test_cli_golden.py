@@ -109,6 +109,12 @@ COMMANDS = {
         "ef8f984cd08886014603e570b8ffff88f49f30f11bcab6ec963a5980995893e3"),
     "boundary_cycle65_json_slices": (("boundary", "--in", "cycle65.el", "--format", "json", "--slices"),
         "48fe65e2fa9e56cad016bc887a7932a8f03707ace1fe72bcff494c23cf326bbf"),
+    # check subsets: the laplacian and dichotomy verdicts come from one walk, alone or paired
+    "verify_grid8_dichotomy": (("verify", "--in", "grid8.el", "--checks", "dichotomy"),
+        "f890105355e3fcc3206c8700ff84b25b7f5c3312adec897b89da89e904125df4"),
+    "verify_grid8_dichotomy_laplacian": (
+        ("verify", "--in", "grid8.el", "--checks", "dichotomy,laplacian"),
+        "2284534a3fd2ea1f0f528f1d1fe9653abf3e690ecdb2be75a4b60964ebd636b7"),
     "verify_er130_all": (("verify", "--family", "er", "--params", "130,0.05", "--checks", "all"),
         "a5a8b521278301bdf66d7acd82fdd0dd73f14339a05226164cb4ca7cdac82e28"),
 }
