@@ -44,6 +44,7 @@ from .euclid import (
     radial_laplacian_identity_check,
     sector_check,
     verify_witness,
+    verify_witnesses,
 )
 from .generators import (
     DisconnectedDiscretizationWarning,

@@ -28,6 +28,7 @@ import os
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,6 @@ from .core import (
     InvariantViolation,
     format_edge_list,
     read_edge_list,
-    validate,
 )
 from .euclid import (
     classify_cycle,
@@ -63,7 +63,6 @@ from .generators import (
     path,
     random_tree,
     star,
-    unit_step_edges,
 )
 from .layers import SWEEP_COLUMNS, sweep_rows
 from .verify import ALL_CHECKS, enum_sweep, run_battery
@@ -239,8 +238,10 @@ def _load_input(path_str: str) -> Graph | GridGraph:
     """The edge list, as a GridGraph when a coordinate sidecar sits beside it.
 
     The sidecar must give each vertex a distinct point of ``dimension``
-    integers, ``dimension`` itself a JSON integer, and the edges must be
-    exactly their unit-step relation.
+    integers, ``dimension`` itself a positive JSON integer, and the edges
+    must be exactly their unit-step relation: each edge is one unit step,
+    read off the CSR, and there are m pairs of points one unit step apart,
+    counted on the sorted keys of :func:`_lattice_keys`.
     ``scale`` is null or finite and positive, ``offset`` null or ``dimension`` finite numbers.
     """
     g = _load_graph(path_str)
@@ -261,19 +262,51 @@ def _load_input(path_str: str) -> Graph | GridGraph:
         raise _CliError(f"bad coordinate sidecar {sidecar}: {exc!r}") from exc
     if type(gg.dimension) is not int:  # a JSON integer: bool, float and string are refused
         raise _CliError(f"sidecar {sidecar}: dimension must be an integer")
+    if gg.dimension < 1:
+        raise _CliError(f"sidecar {sidecar}: dimension must be a positive integer")
     if len(coords) != g.n:
         raise _CliError(f"sidecar {sidecar} does not match {path_str}")
-    if any(len(c) != gg.dimension or any(type(x) is not int for x in c) for c in coords):
+    if set(map(len, coords)) != {gg.dimension} or set(map(type, chain(*coords))) != {int}:
         raise _CliError(f"sidecar {sidecar}: coordinates must be {gg.dimension} integers each")
     if not (gg.scale is None or _finite(gg.scale) and gg.scale > 0):
         raise _CliError(f"sidecar {sidecar}: scale must be null or a finite positive number")
     if not (gg.offset is None or len(gg.offset) == gg.dimension and all(map(_finite, gg.offset))):
         raise _CliError(f"sidecar {sidecar}: offset must be null or {gg.dimension} finite numbers")
-    if len(set(coords)) != g.n:
+    keys, strides = _lattice_keys(coords, gg.dimension)
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
         raise _CliError(f"sidecar {sidecar}: duplicate coordinates")
-    if validate(unit_step_edges(coords), g.n) != g:
+    indptr, indices = g.csr
+    steps = np.abs(keys[indices] - np.repeat(keys, np.diff(indptr)))
+    pairs = 0
+    for stride in strides:  # pairs one step apart along an axis: key and key + stride both held
+        up = ordered + stride
+        at = np.searchsorted(ordered, up) % g.n  # past the end wraps to the least key, below up
+        pairs += int(np.count_nonzero(ordered[at] == up))
+    if pairs != g.m or not (steps[:, None] == strides).any(axis=1).all():
         raise _CliError(f"sidecar {sidecar}: edges of {path_str} are not the unit-step relation")
     return gg
+
+
+def _lattice_keys(coords: tuple[tuple[int, ...], ...],
+                  dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """A mixed-radix key per point, and the key stride of each axis.
+
+    Axis a's digit is the coordinate less the axis minimum, in radix
+    span + 2, so two keys differ by a stride exactly when their points are
+    one unit step apart, and a key plus a stride never wraps into the next
+    digit. Keys are int64 when every key fits, else exact Python ints.
+    """
+    try:
+        points = np.array(coords, dtype=np.int64).reshape(len(coords), dimension)
+    except OverflowError:  # a coordinate beyond int64
+        points = np.array(coords, dtype=object).reshape(len(coords), dimension)
+    low = points.min(axis=0)
+    radix = [hi - lo + 2 for lo, hi in zip(low.tolist(), points.max(axis=0).tolist())]
+    if math.prod(radix) >= 2**63:
+        points, low = points.astype(object), low.astype(object)
+    strides = np.array([math.prod(radix[:a]) for a in range(dimension)], dtype=points.dtype)
+    return ((points - low) * strides).sum(axis=1), strides
 
 
 def _split(built: Graph | GridGraph) -> tuple[Graph, GridGraph | None]:

@@ -6,11 +6,11 @@ counts; nothing in this module touches floating point.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +65,16 @@ class Graph:
 
     Invariants (enforced by :func:`validate`): no self-loops, no duplicate
     edges, adjacency is symmetric with sorted neighbor lists, and ``m`` is
-    half the sum of the list lengths. Instances are immutable and safe to
-    share across threads.
+    half the sum of the list lengths. ``csr`` is the same adjacency as a
+    read-only intp pair (indptr, indices): u's neighbors are
+    ``indices[indptr[u]:indptr[u + 1]]``. It takes no part in equality.
+    Instances are immutable and safe to share across threads.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     m: int
+    csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
@@ -79,15 +82,6 @@ class Graph:
     @cached_property
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
-
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only CSR (indptr, indices): u's neighbors are indices[indptr[u]:indptr[u + 1]]."""
-        indptr = np.array([0, *accumulate(map(len, self.adjacency))], dtype=np.intp)
-        indices = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp, count=2 * self.m)
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (u, w) with u < w, sorted."""
@@ -97,8 +91,16 @@ class Graph:
                     yield u, w
 
 
-def validate(edges: Iterable[tuple[int, int]], n: int) -> Graph:
+def validate(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     """Build a Graph from an edge list, rejecting invalid input; the one constructor of Graph.
+
+    ``edges`` is an iterable of pairs or an (m, 2) integer array. The checks
+    run on the array of ends: one sort of the directed keys u * n + w gives
+    the neighbor lists in order, both as tuples and as the CSR, and a key
+    that sorts next to its equal is a duplicate edge or a self-loop. A
+    rejected list is scanned again in input order by :func:`_first_fault`,
+    so the error names its first bad edge, with ranges tested before
+    self-loops and self-loops before duplicates.
 
     Raises:
         VertexOutOfRangeError: n outside 1..MAX_VERTICES or an endpoint outside 0..n-1.
@@ -108,22 +110,45 @@ def validate(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """
     if not 1 <= n <= MAX_VERTICES:
         raise VertexOutOfRangeError(f"need 1 <= n <= {MAX_VERTICES}, got {n}")
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        ends = np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+    except (OverflowError, TypeError, ValueError):  # an id beyond intp, or not pairs
+        ends = None
+    keys = None
+    if ends is not None and (ends.view(np.uintp) < n).all():  # a negative id wraps past n
+        u, w = ends.T
+        keys = np.concatenate((u * n + w, w * n + u))
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():  # a self-loop (u, u) lists the key u * n + u twice
+            keys = None
+    if keys is None:
+        raise _first_fault(edges.tolist() if isinstance(edges, np.ndarray) else edges, n)
+    if len(ends) > MAX_EDGES:
+        raise GraphError(f"{len(ends)} edges, more than {MAX_EDGES}")
+    heads = keys % n
+    indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n))  # u's keys are u*n .. u*n + n-1
+    indptr.setflags(write=False)
+    heads.setflags(write=False)
+    flat, cuts = heads.tolist(), indptr.tolist()
+    adjacency = tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return Graph(n=n, adjacency=adjacency, m=len(ends), csr=(indptr, heads))
+
+
+def _first_fault(edges: Iterable[tuple[int, int]], n: int) -> GraphError:
+    """The error for the first bad edge of a list that :func:`validate` rejected."""
     seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
     for u, w in edges:
         if not (0 <= u < n and 0 <= w < n):
-            raise VertexOutOfRangeError(f"edge ({u}, {w}) outside 0..{n - 1}")
+            return VertexOutOfRangeError(f"edge ({u}, {w}) outside 0..{n - 1}")
         if u == w:
-            raise SelfLoopError(f"self-loop at vertex {u}")
+            return SelfLoopError(f"self-loop at vertex {u}")
         key = (u, w) if u < w else (w, u)
         if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {key}")
+            return DuplicateEdgeError(f"duplicate edge {key}")
         seen.add(key)
-        adj[u].append(w)
-        adj[w].append(u)
-    if len(seen) > MAX_EDGES:
-        raise GraphError(f"{len(seen)} edges, more than {MAX_EDGES}")
-    return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj), m=len(seen))
+    return InvariantViolation(f"validate rejected {len(seen)} edges that scan as valid")
 
 
 def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
@@ -381,6 +406,12 @@ def is_path_graph(g: Graph) -> bool:
 # First line "n m", then m lines "u v" (0-indexed, whitespace separated), each
 # number an ASCII integer [+-]?[0-9]+.
 # Lines starting with '#' are comments and ignored.
+# Canonical text, what format_edge_list writes, is read in array passes: lines
+# of two ASCII numbers of at most 9 digits, one space or tab apart, each line
+# ending in a newline. Any other text takes the line parser, which words every
+# parse error; both give the same Graph.
+_CANONICAL = re.compile(r"(?:[0-9]{1,9}[ \t][0-9]{1,9}\n)+")
+
 
 def _ascii_int(token: str) -> int:
     """The int of a token matching [+-]?[0-9]+; int() alone also takes '_' and non-ASCII digits."""
@@ -390,6 +421,15 @@ def _ascii_int(token: str) -> int:
 
 
 def parse_edge_list(text: str) -> Graph:
+    if _CANONICAL.fullmatch(text):
+        nums = np.fromstring(text, dtype=np.intp, sep=" ")  # every token is 1 to 9 digits
+        n, m = nums[:2].tolist()
+        if n <= MAX_VERTICES and m <= MAX_EDGES and len(nums) == 2 * m + 2:
+            return validate(nums[2:].reshape(m, 2), n)
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -19,6 +19,8 @@ and the finite-difference identity check; the witness search is integer.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +59,41 @@ class NonUniquenessWitness:
 
 def verify_witness(w: NonUniquenessWitness, row: np.ndarray) -> bool:
     """Re-check the witness's defining equalities on ``row``, the distances from its source."""
-    du = row[w.vertex]
-    if w.case == CASE_EQUAL_DISTANCE:
-        return len(w.neighbors) == 1 and bool(row[w.neighbors[0]] == du)
-    if w.case == CASE_ANTIPODAL_DESCENT:
-        return len(w.neighbors) == 2 and all(row[x] == du - 1 for x in w.neighbors)
-    return False
+    return bool(verify_witnesses([w], [(w.witness, row[None])])[0])
+
+
+# per case: the number of neighbors a witness lists, and d(neighbor, v) - d(u, v) at each
+_CASE_SHAPE = {CASE_EQUAL_DISTANCE: (1, 0), CASE_ANTIPODAL_DESCENT: (2, -1)}
+
+
+def verify_witnesses(witnesses: Sequence[NonUniquenessWitness],
+                     blocks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
+    """:func:`verify_witness` of every witness, in arrays, one block of source rows at a time.
+
+    ``blocks`` yields (start, dist) with row v - start of ``dist`` the
+    distances from source v, as ``BoundaryReport.row_blocks`` does (further
+    items of a block are ignored). Each witness is read on the block that
+    holds its source's row; a source that no block holds fails.
+    """
+    rows = []  # (source, u, first, second, step, well formed); a tie lists its neighbor twice
+    for w in witnesses:
+        size, step = _CASE_SHAPE.get(w.case, (-1, 0))
+        formed = len(w.neighbors) == size
+        rows.append((w.witness, w.vertex, *(w.neighbors * 2 if formed else (w.vertex,) * 2)[:2],
+                     step, formed))
+    table = np.array(rows, dtype=np.intp).reshape(-1, 6)
+    order = np.argsort(table[:, 0], kind="stable")
+    table = table[order]
+    sources = table[:, 0].tolist()
+    found = np.zeros((len(rows), 3), dtype=np.int16)  # d(u, v), d(first, v), d(second, v)
+    read = np.zeros(len(rows), dtype=bool)
+    for start, dist, *_ in blocks:
+        lo, hi = bisect_left(sources, start), bisect_left(sources, start + len(dist))
+        found[lo:hi] = dist[table[lo:hi, :1] - start, table[lo:hi, 1:4]]
+        read[lo:hi] = True
+    held = np.empty_like(read)
+    held[order] = read & (table[:, 5] == 1) & (found[:, 1:] - found[:, :1] == table[:, 4:5]).all(1)
+    return held
 
 
 def _witness_search(report: BoundaryReport, targets: list[int], ends: np.ndarray,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .boundary import BatchReport, BoundaryReport, batch_boundary, boundary
 from .core import Graph, InvariantViolation, is_path_graph, validate
-from .euclid import WitnessNotFoundError, classify_prop4, verify_witness
+from .euclid import WitnessNotFoundError, classify_prop4, verify_witnesses
 from .generators import GridGraph, connected_chunks, mask_edges
 from .layers import check_mps, check_theorem1, check_theorem2_min
 
@@ -218,14 +218,8 @@ def _check_prop4(g, report, gg):
         pairs = classify_prop4(gg, report)
     except WitnessNotFoundError as exc:
         return CheckOutcome("prop4", False, str(exc))
-    by_source = {}
-    for i, (_, w) in enumerate(pairs):
-        by_source.setdefault(w.witness, []).append(i)
-    good = set()
-    for start, dist, _ in report.row_blocks():  # each witness against its source's row
-        good.update(i for v in by_source.keys() & range(start, start + len(dist))
-                    for i in by_source[v] if verify_witness(pairs[i][1], dist[v - start]))
-    bad = [u for i, (u, _) in enumerate(pairs) if i not in good]
+    held = verify_witnesses([w for _, w in pairs], report.row_blocks())
+    bad = [u for (u, _), ok in zip(pairs, held.tolist()) if not ok]
     if bad:
         return CheckOutcome("prop4", False, f"unverifiable witnesses for {bad}")
     return CheckOutcome("prop4", True, f"full_degree_boundary={len(pairs)}")

@@ -413,6 +413,25 @@ def test_bad_sidecar_exit2_with_one_line(tmp_path, capsys, corruption, command):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+# a dimension of -1 used to read as "coordinates must be -1 integers each", and a
+# dimension of 0 with empty points as "duplicate coordinates"; one point of no
+# coordinates was even accepted
+@pytest.mark.parametrize("params, dimension, points", [
+    ("3,3", -1, None), ("1,3", 0, [[], [], []]), ("1,1", 0, [[]]), ("1,3", -2, [[], [], []]),
+])
+@pytest.mark.parametrize("command", [("prop4",), ("verify", "--checks", "prop4")])
+def test_sidecar_dimension_below_one_exit2(tmp_path, capsys, params, dimension, points, command):
+    el = tmp_path / "g.el"
+    assert run("gen", "--family", "grid", "--params", params, "--out", el) == 0
+    sidecar = tmp_path / "g.el.coords.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "dimension": dimension,
+                                   "coordinates": points or meta["coordinates"]}))
+    assert run(*command, "--in", el) == 2
+    err = f"error: sidecar {sidecar}: dimension must be a positive integer\n"
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("command", ["boundary", "verify", "prop4"])
 def test_edge_list_not_utf8_exit2_with_one_line(command, tmp_path, capsys):
     el = tmp_path / "g.el"
@@ -819,7 +838,8 @@ def _no_witness(gg, report):
 
 @pytest.mark.parametrize("target, fake, detail", [
     ("classify_prop4", _no_witness, "no witness for vertex 7"),
-    ("verify_witness", lambda w, row: False, "unverifiable witnesses for ["),
+    ("verify_witnesses", lambda ws, blocks: np.zeros(len(ws), dtype=bool),
+     "unverifiable witnesses for ["),
 ])
 def test_verify_prop4_failure_exit1(target, fake, detail, monkeypatch, capsys):
     from graphboundary import verify

@@ -111,6 +111,7 @@ def test_distance_matrix_int16_and_read_only():
 def assert_csr_is_the_adjacency(g):
     indptr, indices = g.csr
     assert indptr.dtype == indices.dtype == np.intp
+    assert not indptr.flags.writeable and not indices.flags.writeable
     assert indptr.shape == (g.n + 1,) and indices.shape == (2 * g.m,)
     assert [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(g.n)] == \
         [list(a) for a in g.adjacency]

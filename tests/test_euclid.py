@@ -21,6 +21,7 @@ from graphboundary import (
     radial_laplacian_identity_check,
     sector_check,
     verify_witness,
+    verify_witnesses,
 )
 
 
@@ -190,3 +191,34 @@ def test_equal_distance_witnesses_verify_and_doctored_copies_fail():
         (other,) = set(g.adjacency[u]) - set(w.neighbors)
         assert not verify_witness(dataclasses.replace(w, neighbors=(other,)), row)
         assert not verify_witness(dataclasses.replace(w, case="unknown"), row)
+
+
+def _witness_holds(w, row):
+    """The defining equalities of a witness, one scalar at a time."""
+    du = int(row[w.vertex])
+    if w.case == CASE_EQUAL_DISTANCE:
+        return len(w.neighbors) == 1 and int(row[w.neighbors[0]]) == du
+    if w.case == CASE_ANTIPODAL_DESCENT:
+        return len(w.neighbors) == 2 and all(int(row[x]) == du - 1 for x in w.neighbors)
+    return False
+
+
+def test_block_witness_check_equals_the_scalar_equalities():
+    # every witness of an annulus lattice, and doctored copies: neighbors swapped
+    # for the vertex itself, cut short, doubled, a case renamed, the source moved
+    gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.1))
+    rep = boundary(gg.graph)
+    dm = distance_matrix(gg.graph)
+    ws = [w for _, w in classify_prop4(gg, rep, all_witnesses=True)]
+    ws += [dataclasses.replace(w, witness=(w.witness + 1) % gg.graph.n) for w in ws[::3]]
+    ws += [dataclasses.replace(w, neighbors=(w.vertex,) * len(w.neighbors)) for w in ws[::5]]
+    ws += [dataclasses.replace(w, neighbors=w.neighbors[:1]) for w in ws[::7]]
+    ws += [dataclasses.replace(w, neighbors=w.neighbors * 2) for w in ws[::11]]
+    ws += [dataclasses.replace(w, case=CASE_EQUAL_DISTANCE) for w in ws[1::5]]
+    ws += [dataclasses.replace(w, case="unknown") for w in ws[2::9]]
+    expected = [_witness_holds(w, dm[w.witness]) for w in ws]
+    assert 0 < sum(expected) < len(ws)
+    assert verify_witnesses(ws, rep.row_blocks()).tolist() == expected
+    assert [verify_witness(w, dm[w.witness]) for w in ws] == expected
+    assert verify_witnesses(ws, []).tolist() == [False] * len(ws)  # no block holds a source
+    assert verify_witnesses([], rep.row_blocks()).tolist() == []

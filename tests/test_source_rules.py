@@ -19,6 +19,8 @@ report's distance rows through ``BoundaryReport.row_blocks``. The ``_batch_*``
 runners, whose reports are ``BatchReport``s, may read theirs. The
 ``_batch_*`` runners of ``verify.py`` never rebuild an array that
 ``BatchReport`` derives once per report (degrees, diameter, boundary).
+``Graph(`` is called only inside ``core.validate``, the one constructor of
+Graph, so every Graph passed its checks and carries its CSR.
 """
 
 import ast
@@ -226,3 +228,33 @@ def test_rule_sees_derived_array_rebuilds():
                      "def helper(r):\n"
                      "    return r.adjacency.sum(axis=2)\n")
     assert _derived_array_rebuilds(tree) == [2, 3, 5, 6, 6]
+
+
+def _graph_calls(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing top-level function or class, else "<module>", line) of each call of
+    Graph or x.Graph."""
+    owner = {}
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            owner[id(node)] = name
+    return sorted(
+        (owner.get(id(node), "<module>"), node.lineno) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "Graph"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "Graph")
+    )
+
+
+def test_graph_is_built_only_by_validate():
+    found = {p.name: [fn for fn, _ in _graph_calls(ast.parse(p.read_text(), filename=str(p)))]
+             for p in SOURCES}
+    assert {name: fns for name, fns in found.items() if fns} == {"core.py": ["validate"]}
+
+
+def test_rule_sees_graph_calls():
+    tree = ast.parse("# Graph(n=1) in a comment\nfrom .core import Graph\n"
+                     "g = Graph(1, (), 0)\ndef validate(e, n):\n    return Graph(n, e, 0)\n"
+                     "class C:\n    def f(self):\n        return core.Graph(1, (), 0)\n"
+                     "x = GridGraph(graph=g)\ns = 'Graph('\nh = isinstance(g, Graph)\n")
+    assert _graph_calls(tree) == [("<module>", 3), ("C", 8), ("validate", 5)]
