@@ -102,41 +102,40 @@ def _incidence_laplacian(f, tail, head, diff, scratch, lf) -> None:
     np.subtract.at(lf, head, diff)
 
 
-def _dichotomy_rows(f, lf, member, diff, delta) -> tuple[np.ndarray, np.ndarray]:
-    """(flagged, marked): bool per row of a sub-block of b sources, with f and L f flat.
+def _dichotomy_rows(f, mismatched, member, diff, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """(flagged, recount): bool per row of a sub-block of b sources, with f and ``diff`` flat.
 
-    Where no edge steps by more than 1 in f, the divergence identity gives
-    sum_{u in A_j} (L f)(u) = |E(A_{j-1}, A_j)| - |E(A_j, A_{j+1})|. The layer inequality
-    |E(A_{j-1}, A_j)| <= |E(A_j, A_{j+1})| + delta |slice ∩ A_j| is then a sum over A_j of
-    L f - delta [u in slice] that must not be positive; at j = ell it is the outermost
-    layer's edge bound once A_ell lies in the slice. A row is flagged where a layer sum is
-    positive or, with ell >= 1, a vertex of A_ell lies outside the slice. It is marked
-    where some edge steps by more than 1, read off ``diff``; there the sums are not the
-    layer counts, and the caller recounts the row. ``lf`` is overwritten.
+    Where no edge steps by more than 1, sum_{u in A_j} (L f)(u) = |E(A_{j-1}, A_j)| -
+    |E(A_j, A_{j+1})| and |(L f)(u)| <= deg(u) <= delta. Where also L f > 0 exactly on the
+    slice, each term (L f)(u) - delta [u in slice] is at most 0, so every layer inequality
+    and the outermost edge bound hold, and only the containment of A_ell can fail: a row is
+    flagged where ell >= 1 and A_ell leaves the slice. Rows that ``mismatched`` marks, or with
+    an edge step over 1 (read off ``diff``) or a negative entry, are to be recounted; the
+    containment test is written into ``scratch``, a bool buffer of f's size.
     """
     b = len(member)
     rows = f.reshape(b, -1)
     ell = rows.max(axis=1)
-    keys = f * np.int32(b)  # layer-major: row r's layer j is entry j * b + r
-    keys.reshape(b, -1)[:] += np.arange(b, dtype=np.int32)[:, None]
-    lf -= member.ravel() * np.int32(delta)  # a where= subtract was 5 times slower
-    sums = np.zeros(b * (int(ell.max()) + 1), np.int32)  # int32 like lf: add.at is fast
-    np.add.at(sums, keys, lf)
-    flagged = (sums.reshape(-1, b) > 0).any(axis=0)
-    flagged |= (ell >= 1) & ((rows == ell[:, None]) > member).any(axis=1)
+    outer = np.equal(rows, ell[:, None], out=scratch.reshape(b, -1))
+    flagged = (ell >= 1) & np.greater(outer, member, out=outer).any(axis=1)
+    recount = mismatched
     if diff.size and (diff.min() < -1 or diff.max() > 1):
-        return flagged, (np.abs(diff.reshape(b, -1)) > 1).any(axis=1)
-    return flagged, np.zeros(b, bool)
+        recount = recount | (np.abs(diff.reshape(b, -1)) > 1).any(axis=1)
+    if f.min() < 0:
+        recount = recount | (rows.min(axis=1) < 0)
+    return flagged, recount
 
 
 def _dichotomy_detail(row, member, tails, heads, delta, source) -> str | None:
     """The failure detail of one source's layers, or None where they pass.
 
-    Recounts the row on its own with three bincounts (cross edges at their outer
-    end, layer sizes, slice members) and tests, in this order, each mid layer
-    |E(A_{i-1}, A_i)| <= |E(A_i, A_{i+1})| + delta |slice ∩ A_i|, then that the
+    A negative entry fails first. Else the row is recounted on its own with three bincounts
+    (cross edges at their outer end, layer sizes, slice members), testing, in order, each
+    mid layer |E(A_{i-1}, A_i)| <= |E(A_i, A_{i+1})| + delta |slice ∩ A_i|, then that the
     slice holds all of A_ell, then |E(A_{ell-1}, A_ell)| <= delta |A_ell|.
     """
+    if row.min() < 0:
+        return f"negative distance (source {source})"
     ell = int(row.max())
     lo, hi = row[tails], row[heads]
     cross = np.bincount(np.maximum(lo, hi)[lo != hi], minlength=ell + 1)
@@ -159,15 +158,15 @@ def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
     """The outcomes of ``checks``, a subset of _PASS_CHECKS, from one walk over the blocks.
 
     Each block is walked in sub-blocks of max(1, EDGE_BUDGET // m) sources, and each
-    sub-block's L f_v is computed once. int32 is exact, since adjacent distances differ
-    by at most 1 and so |(L f)(u)| <= deg(u). The flat keys r * n + u of both edge ends,
-    the two gathers and L f are allocated once, sized by the first, longest sub-block,
-    so each edge buffer holds max(EDGE_BUDGET, m) entries at most.
+    sub-block's L f_v and its mismatch with the slices are computed once. int32 is exact
+    for any int16 row: an edge steps by less than 2^16 and delta < 2^15. The flat keys
+    r * n + u of both edge ends, the gathers, L f and two bool masks are allocated once, sized
+    by the first, longest sub-block, so each edge buffer holds max(EDGE_BUDGET, m) entries.
 
     laplacian: the positive entries of L f_v must be the slice of v. dichotomy: the rows
-    that :func:`_dichotomy_rows` flags or marks are recounted by :func:`_dichotomy_detail`,
-    in order; a flagged row the recount passes raises InvariantViolation. Each outcome
-    is at its check's first failing source, and the walk stops once every check failed.
+    :func:`_dichotomy_rows` flags or sets to recount go to :func:`_dichotomy_detail`, in
+    order; a flagged row the recount passes raises InvariantViolation. Each outcome is at
+    its check's first failing source, and the walk stops once every check failed.
     """
     n, m, delta = g.n, g.m, g.max_degree
     tails, heads = _edge_ends(g)
@@ -180,7 +179,7 @@ def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
             tail_keys, head_keys = ((offsets + ends).ravel() for ends in (tails, heads))
             f_buf, lf_buf = np.empty(rows * n, np.int32), np.empty(rows * n, np.int32)
             diff_buf, head_buf = np.empty(rows * m, np.int32), np.empty(rows * m, np.int32)
-            positive_buf = np.empty(rows * n, bool)
+            mismatch_buf, outer_buf = np.empty(rows * n, bool), np.empty(rows * n, bool)
         for lo in range(0, len(dist), rows):
             b = min(rows, len(dist) - lo)
             f, lf, diff = f_buf[:b * n], lf_buf[:b * n], diff_buf[:b * m]
@@ -188,16 +187,16 @@ def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
             own = member[lo:lo + b]
             _incidence_laplacian(f, tail_keys[:b * m], head_keys[:b * m], diff,
                                  head_buf[:b * m], lf)
-            if "laplacian" in pending:
-                positive = np.greater(lf, 0, out=positive_buf[:b * n])
-                bad = np.flatnonzero(np.not_equal(positive, own.ravel(), out=positive))
-                if bad.size:
-                    found["laplacian"] = CheckOutcome(
-                        "laplacian", False, f"mismatch at source {start + lo + bad[0] // n}")
-                    pending.discard("laplacian")
+            mismatch = np.greater(lf, 0, out=mismatch_buf[:b * n])
+            np.not_equal(mismatch, own.ravel(), out=mismatch)
+            mismatched = mismatch.reshape(b, n).any(axis=1)
+            if "laplacian" in pending and mismatched.any():
+                found["laplacian"] = CheckOutcome(
+                    "laplacian", False, f"mismatch at source {start + lo + mismatched.argmax()}")
+                pending.discard("laplacian")
             if "dichotomy" in pending:
-                flagged, marked = _dichotomy_rows(f, lf, own, diff, delta)
-                for r in np.flatnonzero(flagged | marked).tolist():
+                flagged, recount = _dichotomy_rows(f, mismatched, own, diff, outer_buf[:b * n])
+                for r in np.flatnonzero(flagged | recount).tolist():
                     source = start + lo + r
                     detail = _dichotomy_detail(dist[lo + r], member[lo + r], tails, heads,
                                                delta, source)
@@ -205,8 +204,8 @@ def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
                         found["dichotomy"] = CheckOutcome("dichotomy", False, detail)
                         pending.discard("dichotomy")
                         break
-                    if not marked[r]:
-                        raise InvariantViolation(f"dichotomy: the block count flags source "
+                    if flagged[r]:
+                        raise InvariantViolation(f"dichotomy: the containment test flags source "
                                                  f"{source}, the per-source count passes it")
             if not pending:
                 return found

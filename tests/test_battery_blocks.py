@@ -4,12 +4,16 @@ a report's blocks of sources, against the per-source references in ``oracle``:
 ``check_dichotomy``. Slices are flipped at random so that failing outcomes,
 detail strings included, are compared too, at several block sizes and edge
 budgets: the budget cuts blocks into sub-blocks of sources, each with one L f.
-The dichotomy reads its layer inequalities off the layer sums of L f, so the
-divergence identity behind them is checked on the oracle alone, and rows whose
-distances step by 2 along an edge, where the identity does not hold, are
-checked too. ``verify._dichotomy_detail``, the one-row recount that writes a
-failing dichotomy's detail, is held to the same reference on every source row
-of every connected graph with n <= 5."""
+The dichotomy decides a row from the sign of L f: where no edge steps by more
+than 1, a layer's sum of L f is its cross-edge difference and |L f| <= deg <=
+delta, so where also L f > 0 exactly on the slice every layer inequality
+holds and only the outermost layer's containment can fail. The identity and
+the bound are checked on the oracle alone. Rows that break a premise (a
+slice that is not the positive part of L f, an edge that steps by 2, a
+negative entry) are recounted, and each kind is checked against the
+reference or its own detail. ``verify._dichotomy_detail``, the one-row
+recount that writes a failing dichotomy's detail, is held to the same
+reference on every source row of every connected graph with n <= 5."""
 
 import dataclasses
 import re
@@ -22,7 +26,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from oracle import check_dichotomy, laplacian_matrix, laplacian_slice, layer_decompose
+from oracle import (
+    check_dichotomy,
+    floyd_warshall,
+    laplacian_matrix,
+    laplacian_slice,
+    layer_decompose,
+    slice_members,
+)
 from test_distance_pass import flip_bits, graphs_and_long_paths
 from test_properties import connected_graphs
 from graphboundary import (
@@ -183,6 +194,59 @@ def test_dichotomy_routes_that_disagree_raise(monkeypatch):
         run_battery(g, ("dichotomy",), report=bad)
 
 
+def spied_recounts(monkeypatch):
+    """The sources that ``verify._dichotomy_detail`` is called for, in call order."""
+    real = verify._dichotomy_detail
+    sources = []
+
+    def spy(*args):
+        sources.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_dichotomy_detail", spy)
+    return sources
+
+
+@pytest.mark.parametrize("g", [grid(4, 5).graph, cycle(9), erdos_renyi(30, 0.3, 7)],
+                         ids=["grid", "cycle", "gnp"])
+def test_a_slice_widened_in_a_middle_layer_is_recounted_and_passes(g, monkeypatch):
+    # a vertex of a middle layer put into v's slice only loosens v's layer inequalities,
+    # so the reference passes; the laplacian fails at v, and the row is recounted, as a
+    # mismatched row, and passes without raising
+    rep = boundary(g)
+    recounted = spied_recounts(monkeypatch)
+    widened = 0
+    for v, row in enumerate(rep.distances.tolist()):
+        for u, d in enumerate(row):
+            if 0 < d < max(row) and u not in rep.slices[v].members:
+                bad = flip_bits(rep, [(v, u)])
+                recounted.clear()
+                want = dichotomy_reference(g, bad)
+                assert want.passed
+                assert run_battery(g, CHECKS, report=bad) == [
+                    CheckOutcome("laplacian", False, f"mismatch at source {v}"), want]
+                assert recounted == [v]
+                widened += 1
+    assert widened >= g.n
+
+
+@pytest.mark.parametrize("checks", [("dichotomy",), CHECKS], ids=["alone", "both"])
+def test_rows_with_a_negative_entry_fail_the_dichotomy(checks):
+    # no hop distance is negative. Row 2 of the path 0-1-2-3-4 with -1 at vertex 4 steps
+    # by 2 along edge (3, 4), where a layer count of -1 cannot be made; shifted down by 1
+    # it keeps every step and L f, and so every slice. Either row is recounted and fails
+    # on its negative entry first
+    g = path(5)
+    rep = boundary(g)
+    for row in ([2, 1, 0, 1, -1], [1, 0, -1, 0, 1]):
+        dist = rep.distances.copy()
+        dist[2] = row
+        bad = dataclasses.replace(rep, distances=dist)
+        *lap, outcome = run_battery(g, checks, report=bad)
+        assert outcome == CheckOutcome("dichotomy", False, "negative distance (source 2)")
+        assert lap == [laplacian_reference(g, bad)] * (len(checks) - 1)
+
+
 def test_block_checks_hold_no_n_by_n_int64_array():
     g = path(1200)
     rep = boundary(g)
@@ -251,6 +315,35 @@ def test_layer_sums_of_lf_are_the_cross_edge_differences(g):
     assert_divergence_identity(g)
 
 
+def assert_lf_within_degree_and_positive_on_the_slice(g):
+    # with f = d(v, .) from Floyd-Warshall, -deg(u) <= (L f)(u) <= deg(u), since every
+    # edge steps by at most 1, and (L f)(u) > 0 exactly on the slice of v, both by the
+    # matrix route and by the Fraction average; all from the oracle
+    edges = list(g.edges())
+    dist = floyd_warshall(g.n, edges)
+    lap = laplacian_matrix(g)
+    deg = np.diag(lap)
+    for v in range(g.n):
+        row = [dist[u][v] for u in range(g.n)]
+        lf = lap @ np.array(row, np.int64)
+        assert (-deg <= lf).all() and (lf <= deg).all()
+        positive = set(np.flatnonzero(lf > 0).tolist())
+        assert positive == laplacian_slice(g, row, lap) == slice_members(g.n, edges, v, dist)
+
+
+def test_lf_is_within_the_degree_and_positive_on_the_slice_on_all_small_graphs():
+    count = 0
+    for g in enumerate_connected(5):
+        assert_lf_within_degree_and_positive_on_the_slice(g)
+        count += 1
+    assert count == 772
+
+
+@given(connected_graphs(min_n=1, max_n=12))
+def test_lf_is_within_the_degree_and_positive_on_the_slice(g):
+    assert_lf_within_degree_and_positive_on_the_slice(g)
+
+
 def steps_of_two(g, rep):
     """Copies of ``rep`` with one entry d(v, u) moved by 1, so that exactly one edge at u
     steps by 2 in row v: every such entry of every row."""
@@ -269,7 +362,7 @@ def steps_of_two(g, rep):
 
 
 # graph -> the verdicts its rows with one step of 2 get: on the grid every such row
-# passes, so each is a marked row whose recount passes it and that must not raise
+# passes, so each is a recounted row whose recount passes it and that must not raise
 STEPPED = {"path": (path(7), {True, False}), "grid": (grid(4, 5).graph, {True}),
            "cycle": (cycle(9), {True, False})}
 
@@ -287,6 +380,37 @@ def test_rows_that_step_by_two_are_recounted(name):
         assert run_battery(g, CHECKS, report=bad) == [laplacian_reference(g, bad), want]
         verdicts[want.passed] += 1
     assert set(verdicts) == kinds
+
+
+def capped_rows(g, rep):
+    """Copies of ``rep`` with row v capped at a level c below its eccentricity, min(d, c),
+    and v's slice reset to where L f of the capped row is positive: every step stays at
+    most 1 and no entry of the row mismatches, so only the containment of A_c can fail."""
+    lap = laplacian_matrix(g)
+    for v, row in enumerate(rep.distances.tolist()):
+        for c in range(1, max(row)):
+            capped = np.minimum(row, c)
+            positive = set(np.flatnonzero(lap @ capped > 0).tolist())
+            dist = rep.distances.copy()
+            dist[v] = capped
+            flips = [(v, u) for u in positive ^ rep.slices[v].members]
+            yield dataclasses.replace(flip_bits(rep, flips), distances=dist)
+
+
+@pytest.mark.parametrize("g", [path(7), grid(4, 5).graph, cycle(9), erdos_renyi(30, 0.3, 7)],
+                         ids=["path", "grid", "cycle", "gnp"])
+def test_rows_that_only_leave_the_outermost_layer_out_are_flagged(g):
+    # a capped row breaks no premise of the sign argument, so it is recounted only because
+    # the containment test flags it. Each fails there, as in the reference: a vertex u at
+    # v's eccentricity has every neighbor at level c or above, so (L f)(u) = 0
+    passed = CheckOutcome("laplacian", True, f"sources={g.n}")
+    capped = 0
+    for bad in capped_rows(g, boundary(g)):
+        want = dichotomy_reference(g, bad)
+        assert want.detail.startswith("outermost layer not fully in the slice")
+        assert run_battery(g, CHECKS, report=bad) == [passed, want]
+        capped += 1
+    assert capped >= g.n
 
 
 def counted_walks(g, rep, checks, budget, monkeypatch):

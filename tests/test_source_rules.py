@@ -20,7 +20,10 @@ runners, whose reports are ``BatchReport``s, may read theirs. The
 ``_batch_*`` runners of ``verify.py`` never rebuild an array that
 ``BatchReport`` derives once per report (degrees, diameter, boundary).
 ``Graph(`` is called only inside ``core.validate``, the one constructor of
-Graph, so every Graph passed its checks and carries its CSR.
+Graph, so every Graph passed its checks and carries its CSR. In
+``verify.py`` only ``_incidence_laplacian`` and ``_batch_dichotomy`` name
+``add.at``: the per-graph dichotomy decides its layers from the sign of
+L f and keeps no scatter tally of its own.
 """
 
 import ast
@@ -230,14 +233,16 @@ def test_rule_sees_derived_array_rebuilds():
     assert _derived_array_rebuilds(tree) == [2, 3, 5, 6, 6]
 
 
+def _owners(tree: ast.AST) -> dict[int, str]:
+    """id of each node -> the name of its top-level function or class, "<module>" else."""
+    return {id(node): getattr(top, "name", "<module>")
+            for top in tree.body for node in ast.walk(top)}
+
+
 def _graph_calls(tree: ast.AST) -> list[tuple[str, int]]:
     """(enclosing top-level function or class, else "<module>", line) of each call of
     Graph or x.Graph."""
-    owner = {}
-    for top in tree.body:
-        name = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            owner[id(node)] = name
+    owner = _owners(tree)
     return sorted(
         (owner.get(id(node), "<module>"), node.lineno) for node in ast.walk(tree)
         if isinstance(node, ast.Call) and (
@@ -258,3 +263,30 @@ def test_rule_sees_graph_calls():
                      "class C:\n    def f(self):\n        return core.Graph(1, (), 0)\n"
                      "x = GridGraph(graph=g)\ns = 'Graph('\nh = isinstance(g, Graph)\n")
     assert _graph_calls(tree) == [("<module>", 3), ("C", 8), ("validate", 5)]
+
+
+def _add_at_uses(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing top-level function or class, else "<module>", line) of each ``add.at``,
+    called or not, on ``add`` or on any ``x.add``."""
+    owner = _owners(tree)
+    return sorted(
+        (owner.get(id(node), "<module>"), node.lineno) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "at" and (
+            isinstance(node.value, ast.Name) and node.value.id == "add"
+            or isinstance(node.value, ast.Attribute) and node.value.attr == "add")
+    )
+
+
+def test_only_the_incidence_laplacian_and_the_batch_dichotomy_scatter_with_add_at():
+    src = next(p for p in SOURCES if p.name == "verify.py")
+    found = {fn for fn, _ in _add_at_uses(ast.parse(src.read_text(), filename=str(src)))}
+    assert found == {"_incidence_laplacian", "_batch_dichotomy"}
+
+
+def test_rule_sees_add_at_uses():
+    tree = ast.parse("# np.add.at(a, k, v) in a comment\nimport numpy as np\n"
+                     "def f(a, k):\n    np.add.at(a, k, 1)\n    np.subtract.at(a, k, 1)\n"
+                     "class C:\n    def g(self, a):\n        return numpy.add.at\n"
+                     "s = 'np.add.at'\nfrom numpy import add\nadd.at(a, k, 1)\n"
+                     "np.add.reduceat(a, k)\n")
+    assert _add_at_uses(tree) == [("<module>", 11), ("C", 8), ("f", 4)]
