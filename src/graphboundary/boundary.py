@@ -261,15 +261,16 @@ class BatchReport:
     absent row repeats the distance row of source 0. The absent slots are then
     neutral, as the pads of :func:`boundary` are. No sum or neighbor reaches
     an absent column, so it is in no slice and no CEJZ set and counts no
-    nearer neighbor; d = 0 puts it in layer 0 of every source, a layer the
-    dichotomy reads only for its cross edges and slice members, and leaves the
-    diameter as it is; an absent source's slice, CEJZ certificates, nearer
-    counts and layers repeat source 0's, so any minimum, maximum, any or all
-    over the sources is unchanged. ``order`` holds each graph's vertex count,
-    and the checks read it where a graph of n vertices reads n. Built by
-    :func:`batch_boundary`, which stores every stack batch-inner: b is the
-    contiguous axis, so a reduction over v or u, and each step of a loop over
-    one vertex, runs over contiguous runs of B entries. The arrays of a
+    nearer neighbor; d = 0 puts it in layer 0 of every source, never the
+    outermost layer of a source with ell >= 1, with no term in any sum of L f
+    and no long step, and leaves the diameter as it is; an absent source's
+    slice, CEJZ certificates, nearer counts and layers repeat source 0's, so
+    any minimum, maximum, any or all over the sources is unchanged. ``order``
+    holds each graph's vertex count, and the checks read it where a graph of
+    n vertices reads n. Built by :func:`batch_boundary`, which stores every
+    stack batch-inner: b is the contiguous axis, so a reduction over v or u,
+    and each step of a loop over one vertex, runs over contiguous runs of B
+    entries. The arrays of a
     ``dataclasses.replace`` copy may be in any memory order; only speed
     depends on it. The other quantities, the nearer counts among them, are read
     off these four, each once per report: a replaced copy starts with none.

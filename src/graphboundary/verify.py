@@ -151,7 +151,7 @@ def _dichotomy_detail(row, member, tails, heads, delta, source) -> str | None:
     return None
 
 
-_PASS_CHECKS = ("laplacian", "dichotomy")  # two verdicts on one walk, _laplacian_pass
+_PASS_CHECKS = ("laplacian", "dichotomy")  # two verdicts on one walk: _laplacian_pass, _batch_pass
 
 
 def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
@@ -303,48 +303,70 @@ def _batch_mps(r: BatchReport) -> np.ndarray:
     return np.left_shift(1, np.minimum(r.cejz.sum(axis=1), 62)) >= r.max_degree + 2
 
 
-def _batch_laplacian(r: BatchReport) -> np.ndarray:
-    """The matrix route: row v of D L is L f_v, whose positive entries must be v's slice.
+def _batch_pass(r: BatchReport, checks) -> dict[str, np.ndarray]:
+    """The pass vectors of ``checks``, a subset of _PASS_CHECKS, from one L f loop per block.
 
-    D L = deg * D - D A, with D A contracted on its own, not read off the sums of
-    batch_boundary. A loop over w adds d(v, w) [w ~ u] into an int32 accumulator, one
-    broadcast multiply of the int8 distances by the bool adjacency per step, with b
-    innermost; deg * D then reuses the step's buffer.
+    The batch twin of :func:`_laplacian_pass`. The sources are walked in blocks whose
+    (B, rows, n) arrays hold at most 2^16 entries, or one source where B n is larger, so
+    the scratch stays in cache whatever n is. For f = d(v, .), one loop over w adds the
+    term d(v, w) [w ~ u] into ``total``, the sum of f over the neighbors of u, and folds it
+    into ``top`` with a maximum; L f is positive where deg * f > total. int16 is exact:
+    deg <= n - 1 <= 127 and |d| <= 128, so every sum and deg * d is within 127 * 128 < 2^15.
+
+    laplacian: no row mismatches, (L f > 0) != slice nowhere. dichotomy: by the argument of
+    :func:`_dichotomy_rows`, a graph passes unless a row is flagged (ell >= 1 and A_ell
+    leaves the slice) or is to be recounted: it mismatches, or has a negative entry, or a
+    long step, top > d + 1 at some u (a step down by 2 is a step up at the edge's other
+    end, as the adjacency is symmetric). Such rows go to :func:`_dichotomy_detail` in
+    source order, read on the graph's first order[b] slots and its own edges, and a flagged
+    row the recount passes raises InvariantViolation; so each verdict is run_battery's.
+
+    Neither a pad nor an absent slot sets top > d + 1. A non-neighbor w of u pads the
+    maximum with a 0 term, so top >= 0, which exceeds d + 1 only where d < -1, on a row
+    recounted anyway. An absent slot u has no neighbors and d(v, u) = 0, so top = 0 there,
+    and, with no edges, it adds nothing to the sums of the others; an absent source
+    repeats source 0's row, and with it its flags and its recount.
     """
-    b, n, _ = r.adjacency.shape
-    total = np.zeros((n, n, b), np.int32).transpose(2, 0, 1)
-    term = np.empty_like(total)
-    for w in range(n):
-        np.multiply(r.distances[:, :, w, None], r.adjacency[:, None, w, :], out=term)
-        total += term
-    np.multiply(r.degrees[:, None, :], r.distances, out=term)
-    return ((term > total) == r.slices).all(axis=(1, 2))
-
-
-def _batch_dichotomy(r: BatchReport) -> np.ndarray:
-    # the nearer neighbors w of u, d(v, w) < d(v, u), are the cross edges that have u as
-    # their outer end. The layers are tallied one source v at a time, row g being graph g,
-    # so a tally holds B * width counts whatever n is; v's [u, b] slab of a batch-inner
-    # view is contiguous. Layer j breaks where |E(A_{j-1}, A_j)| > |E(A_j, A_{j+1})| +
-    # delta |slice ∩ A_j|, or, with j = ell >= 1, where A_j holds a vertex outside the slice
-    b = len(r)
-    by_source, near, member = (x.transpose(1, 2, 0) for x in (r.distances, r.nearer, r.slices))
-    ell = by_source.max(axis=1)
-    width = int(ell.max(initial=0)) + 1  # initial: an empty stack has no layers
-    rows = np.arange(b, dtype=np.int32)
-    delta = r.max_degree.astype(np.int32)
-    broken = np.zeros(b, bool)
-    for v in range(r.n):
-        keys = by_source[v] * np.int32(b)
-        keys += rows
-        cross, slack = np.zeros((2, width, b), np.int32)
-        # add.at is fast only on values of the accumulator's dtype (about 25 times here)
-        np.add.at(cross.ravel(), keys.ravel(), near[v].astype(np.int32).ravel())
-        np.add.at(slack.ravel(), keys.ravel(), (member[v] * delta).ravel())
-        slack[:-1] += cross[1:]
-        broken |= (cross > slack).any(axis=0)
-        broken |= (ell[v] >= 1) & ((by_source[v] == ell[v]) > member[v]).any(axis=0)
-    return ~broken
+    if not checks:
+        return {}
+    b, n = len(r), r.n
+    laplacian, dichotomy = np.ones(b, bool), np.ones(b, bool)
+    deg = r.degrees.astype(np.int16)
+    rows = max(1, 2**16 // max(b * n, 1))
+    buffers = [np.empty((rows, n, b), np.int16).transpose(2, 0, 1) for _ in range(3)]
+    for lo in range(0, n, rows):
+        k = min(rows, n - lo)
+        f, member = r.distances[:, lo:lo + k], r.slices[:, lo:lo + k]
+        total, top, term = (x[:, :k] for x in buffers)
+        total.fill(0)
+        top.fill(0)
+        for w in range(n):
+            np.multiply(f[:, :, w, None], r.adjacency[:, None, w, :], out=term)
+            total += term
+            if "dichotomy" in checks:
+                np.maximum(top, term, out=top)
+        np.multiply(deg[:, None, :], f, out=term)
+        mismatched = ((term > total) != member).any(axis=2)
+        laplacian &= ~mismatched.any(axis=1)
+        if "dichotomy" not in checks:
+            continue
+        ell = f.max(axis=2)
+        flagged = (ell >= 1) & ((f == ell[:, :, None]) > member).any(axis=2)
+        np.subtract(top, f, out=term)
+        suspect = flagged | mismatched | (f.min(axis=2) < 0) | (term > 1).any(axis=2)
+        for g, i in zip(*np.nonzero(suspect)):
+            if not dichotomy[g]:
+                continue
+            order, v = r.order[g], lo + i
+            edges = np.nonzero(np.triu(r.adjacency[g, :order, :order], 1))
+            detail = _dichotomy_detail(r.distances[g, v, :order], r.slices[g, v, :order],
+                                       *edges, r.max_degree[g], v)
+            if detail is not None:
+                dichotomy[g] = False
+            elif flagged[g, i]:
+                raise InvariantViolation(f"dichotomy: the containment test flags source {v} of "
+                                         f"graph {g}, the per-source count passes it")
+    return {c: {"laplacian": laplacian, "dichotomy": dichotomy}[c] for c in checks}
 
 
 _BATCH_RUNNERS = {
@@ -354,8 +376,8 @@ _BATCH_RUNNERS = {
     "thm1": _batch_thm1,
     "thm2": _batch_thm2,
     "mps": _batch_mps,
-    "laplacian": _batch_laplacian,
-    "dichotomy": _batch_dichotomy,
+    "laplacian": lambda r: _batch_pass(r, ("laplacian",))["laplacian"],
+    "dichotomy": lambda r: _batch_pass(r, ("dichotomy",))["dichotomy"],
 }
 
 
@@ -364,10 +386,13 @@ def run_batch(report: BatchReport, checks: tuple[str, ...]) -> dict[str, np.ndar
 
     Entry b is run_battery's verdict on graph b, whatever its order among the n slots
     (see :class:`BatchReport` for why absent slots change no verdict); the bounds pass
-    on a single vertex.
+    on a single vertex. laplacian and dichotomy are two verdicts of one
+    :func:`_batch_pass`, as they are of one walk in run_battery.
     """
+    walked = _batch_pass(report, [c for c in checks if c in _PASS_CHECKS])
     single = report.order < 2
-    return {c: _BATCH_RUNNERS[c](report) | single if c in _BOUNDS else _BATCH_RUNNERS[c](report)
+    return {c: walked[c] if c in walked else
+            _BATCH_RUNNERS[c](report) | single if c in _BOUNDS else _BATCH_RUNNERS[c](report)
             for c in checks}
 
 

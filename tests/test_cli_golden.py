@@ -97,6 +97,11 @@ COMMANDS = {
     "verify_enum_5_three_checks": (
         ("verify", "--family", "enum", "--nmax", "5", "--checks", "dichotomy,thm2,laplacian"),
         "3b7c9ab890c32d3dc18b8bdbfbb6741c5416b67564a5d7c8cfd6e17087738b75"),
+    # each half of the batch L f pass alone, on all 32 chunks of n_max = 6
+    "verify_enum_6_dichotomy": (("verify", "--family", "enum", "--nmax", "6", "--checks", "dichotomy"),
+        "45a1495c4a5ad8b790639410c5835ea311ca8aa38346b4151d8b799c5bda5caa"),
+    "verify_enum_6_laplacian": (("verify", "--family", "enum", "--nmax", "6", "--checks", "laplacian"),
+        "dbe1c5ebce02c39813551fc2a07bc1e234546dbf13a66316f0bac91c98cafeab"),
     "sweep_grid": (("sweep", "--family", "grid", "--sizes", "3,5"),
         "fac69a4eb8ecda008c3ca3278332ad831d34327ffc300df2f5e98d46ca045211"),
     "sweep_tree": (("sweep", "--family", "tree", "--sizes", "10,20"),

@@ -310,6 +310,56 @@ def test_batch_verdicts_equal_the_battery_on_corrupted_arrays(monkeypatch):
     assert set(failing) == set(CHECKS)
 
 
+def step_corruptions(batch, b, n):
+    """(kind, copy) for each copy of ``batch`` with one distance entry of graph b's own
+    slots set to -1, to d + 2, or to d - 2 where that stays >= 0; its absent rows repeat
+    the corrupted row 0, as in :func:`corruptions`."""
+    for v in range(n):
+        for u in range(n):
+            d = int(batch.distances[b, v, u])
+            for kind, value in (("negative", -1), ("up by 2", d + 2), ("down by 2", d - 2)):
+                if value >= 0 or kind == "negative":
+                    dist = batch.distances.copy()
+                    dist[b, v, u] = value
+                    dist[b, n:] = dist[b, 0]
+                    yield kind, dataclasses.replace(batch, distances=dist)
+
+
+def test_batch_verdicts_equal_the_battery_on_negative_and_long_step_entries():
+    # a negative entry, or an edge that steps by 2, must send its row to the per-source
+    # recount, as the battery's walk does; the negative keys once wrapped inside the
+    # batch tally's add.at, and 450 of the 696 -1 copies passed a dichotomy the battery fails
+    failing = Counter()
+    for n_max in range(1, 5):
+        [(sizes, masks, adjacency, distances)] = connected_chunks(n_max)
+        batch = batch_boundary(adjacency, distances)
+        index = np.arange(len(batch))
+        for b, g in enumerate(graphs_of(n_max, sizes, masks)):
+            for kind, bad in step_corruptions(batch, b, g.n):
+                passed = run_batch(bad, CHECKS)
+                outcomes = run_battery(g, CHECKS, report=report_of(bad, b, g))
+                assert [oc.passed for oc in outcomes] == [bool(passed[c][b]) for c in CHECKS], \
+                    (kind, n_max, b)
+                assert all(passed[c][index != b].all() for c in CHECKS)  # the others keep theirs
+                failing.update((kind, oc.check) for oc in outcomes if not oc.passed)
+    assert {check for kind, check in failing if kind == "negative"} >= {"dichotomy", "laplacian"}
+    assert all(failing[kind, "dichotomy"] for kind in ("up by 2", "down by 2")), failing
+
+
+def test_batch_dichotomy_routes_that_disagree_raise(monkeypatch):
+    # source 2 of the path 0-1-2-3, graph 1, with its slice cleared: its outermost layer
+    # leaves the slice, and a per-source count that passed it would contradict the flag
+    adjacency = adjacency_of([star(3), path(4)])
+    batch = batch_boundary(adjacency, _dense_distances(adjacency))
+    slices = batch.slices.copy()
+    slices[1, 2] = False
+    bad = dataclasses.replace(batch, slices=slices)
+    assert run_batch(bad, ("dichotomy",))["dichotomy"].tolist() == [True, False]
+    monkeypatch.setattr(verify, "_dichotomy_detail", lambda *args: None)
+    with pytest.raises(InvariantViolation, match="flags source 2 of graph 1"):
+        run_batch(bad, ("dichotomy",))
+
+
 def test_padded_graphs_equal_their_unpadded_chunks():
     # every graph with n <= 5 on 6 slots: its first n slots hold its own arrays, those
     # of the same graph on n slots, where connected_chunks(n) gives it no absent slot;
@@ -508,12 +558,9 @@ def test_batch_boundary_builds_no_n_cubed_array():
     assert peak < 5 * 2**20
 
 
-@pytest.mark.parametrize("family", ["random", "path flips"])
-def test_batch_dichotomy_builds_no_n_cubed_array(family):
-    # 256 graphs of 48 vertices: the (B, n, n, n) nearer compare traced 54 MiB; the
-    # nearer counts now come from batch_boundary's loop over w, and the layer tallies
-    # of one source at a time trace under 2 MiB. The flips of a path have up to 47
-    # layers, the random graphs a dozen or so
+def stack_of_48(family):
+    """(graphs, batch) of 256 graphs of 48 vertices: random ones, with a dozen or so
+    layers, or single-edge flips of a path, with up to 47."""
     rng = np.random.default_rng(48)
     if family == "random":
         graphs = [random_connected(48, rng) for _ in range(256)]
@@ -522,16 +569,41 @@ def test_batch_dichotomy_builds_no_n_cubed_array(family):
         graphs = [validate([(v, v + 1) for v in range(47)] + [extra[k]], 48)
                   for k in rng.choice(len(extra), 256, replace=False)]
     adjacency = adjacency_of(graphs)
-    batch = batch_boundary(adjacency, _dense_distances(adjacency))
-    expected = [run_battery(g, ("dichotomy",), report=report_of(batch, b, g))[0].passed
-                for b, g in enumerate(graphs[:8])]
+    return graphs, batch_boundary(adjacency, _dense_distances(adjacency))
+
+
+def traced_run(check, batch):
+    """(pass vector, traced peak in bytes) of ``_BATCH_RUNNERS[check]`` on ``batch``."""
     tracemalloc.start()
     try:
-        passed = _BATCH_RUNNERS["dichotomy"](batch)
+        passed = _BATCH_RUNNERS[check](batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return passed, peak
+
+
+@pytest.mark.parametrize("family", ["random", "path flips"])
+def test_batch_dichotomy_builds_no_n_cubed_array(family):
+    # 256 graphs of 48 vertices: the (B, n, n, n) nearer compare traced 54 MiB; the
+    # dichotomy now reads the sign of L f, from one loop over w per block of sources
+    graphs, batch = stack_of_48(family)
+    expected = [run_battery(g, ("dichotomy",), report=report_of(batch, b, g))[0].passed
+                for b, g in enumerate(graphs[:8])]
+    passed, peak = traced_run("dichotomy", batch)
     assert peak < 4 * 2**20
+    assert passed.all() and passed[:8].tolist() == expected
+
+
+@pytest.mark.parametrize("family", ["random", "path flips"])
+def test_batch_laplacian_scratch_is_bounded_at_48_vertices(family):
+    # the same stacks: a loop over w on whole (B, n, n) int32 arrays traced 5.6 MiB, and
+    # on blocks of sources whose int16 arrays hold at most 2^16 entries it stays in cache
+    graphs, batch = stack_of_48(family)
+    expected = [run_battery(g, ("laplacian",), report=report_of(batch, b, g))[0].passed
+                for b, g in enumerate(graphs[:8])]
+    passed, peak = traced_run("laplacian", batch)
+    assert peak < 2 * 2**20
     assert passed.all() and passed[:8].tolist() == expected
 
 

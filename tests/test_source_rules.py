@@ -21,9 +21,9 @@ runners, whose reports are ``BatchReport``s, may read theirs. The
 ``BatchReport`` derives once per report (degrees, diameter, boundary).
 ``Graph(`` is called only inside ``core.validate``, the one constructor of
 Graph, so every Graph passed its checks and carries its CSR. In
-``verify.py`` only ``_incidence_laplacian`` and ``_batch_dichotomy`` name
-``add.at``: the per-graph dichotomy decides its layers from the sign of
-L f and keeps no scatter tally of its own.
+``verify.py`` only ``_incidence_laplacian`` names ``add.at``: both the
+per-graph and the batch dichotomy decide their layers from the sign of
+L f and keep no scatter tally of their own.
 """
 
 import ast
@@ -277,10 +277,10 @@ def _add_at_uses(tree: ast.AST) -> list[tuple[str, int]]:
     )
 
 
-def test_only_the_incidence_laplacian_and_the_batch_dichotomy_scatter_with_add_at():
+def test_only_the_incidence_laplacian_scatters_with_add_at():
     src = next(p for p in SOURCES if p.name == "verify.py")
     found = {fn for fn, _ in _add_at_uses(ast.parse(src.read_text(), filename=str(src)))}
-    assert found == {"_incidence_laplacian", "_batch_dichotomy"}
+    assert found == {"_incidence_laplacian"}
 
 
 def test_rule_sees_add_at_uses():
