@@ -260,20 +260,20 @@ class BatchReport:
     absent: they have no edges, every row holds 0 in their columns, and each
     absent row repeats the distance row of source 0. The absent slots are then
     neutral, as the pads of :func:`boundary` are. No sum or neighbor reaches
-    an absent column, so it is in no slice and no CEJZ set and counts no
-    nearer neighbor; d = 0 puts it in layer 0 of every source, never the
-    outermost layer of a source with ell >= 1, with no term in any sum of L f
-    and no long step, and leaves the diameter as it is; an absent source's
-    slice, CEJZ certificates, nearer counts and layers repeat source 0's, so
-    any minimum, maximum, any or all over the sources is unchanged. ``order``
+    an absent column, so it is in no slice and no CEJZ set, and having no
+    neighbor its step is 0; d = 0 puts it in layer 0 of every source, never
+    the outermost layer of a source with ell >= 1, with no term in any sum of
+    L f, and leaves the diameter as it is; an absent source's slice, CEJZ
+    certificates, steps and layers repeat source 0's, so any minimum,
+    maximum, any or all over the sources is unchanged. ``order``
     holds each graph's vertex count, and the checks read it where a graph of
     n vertices reads n. Built by :func:`batch_boundary`, which stores every
     stack batch-inner: b is the contiguous axis, so a reduction over v or u,
     and each step of a loop over one vertex, runs over contiguous runs of B
     entries. The arrays of a
     ``dataclasses.replace`` copy may be in any memory order; only speed
-    depends on it. The other quantities, the nearer counts among them, are read
-    off these four, each once per report: a replaced copy starts with none.
+    depends on it. The other quantities, the steps among them, are read off
+    these four, each once per report: a replaced copy starts with none.
     Reports compare by identity, since ``==`` on arrays is elementwise.
     """
 
@@ -316,30 +316,30 @@ class BatchReport:
         return self.slices.any(axis=1)
 
     @cached_property
-    def nearer(self) -> np.ndarray:
-        """(B, n, n) int16: [b, v, u] counts the neighbors w of u with d(v, w) < d(v, u)."""
+    def steps(self) -> np.ndarray:
+        """(B, n, n) int16: [b, v, u] = max(0, max over w ~ u of d(v, w) - d(v, u))."""
         return _sigma_pass(self.adjacency, self.distances)[2]
 
 
 def _sigma_pass(adjacency: np.ndarray, distances: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(slices, CEJZ, nearer counts) of a stack in any memory order, as batch-inner arrays.
+    """(slices, CEJZ, steps) of a stack in any memory order, as batch-inner arrays.
 
     Step w of one loop over the vertices forms e[b, v, u] = [w ~ u] (d(v, w) - d(v, u))
     in int16. u is in the slice of v iff the sum of e, sigma, is negative, and
-    CEJZ-certified by v iff it has a neighbor and no e is positive; a negative e is a
-    nearer neighbor. With int8 distances and n <= 128, |sigma| <= 127 * 255 < 2^15.
+    CEJZ-certified by v iff it has a neighbor and no e is positive. The running maximum
+    of e, from 0, is the step: the farthest a neighbor of u lies past u, or 0. With int8
+    distances and n <= 128, |sigma| <= 127 * 255 < 2^15.
     """
     b, n, _ = adjacency.shape
-    sigma, top, nearer = (np.zeros((n, n, b), np.int16).transpose(2, 0, 1) for _ in range(3))
+    sigma, top = (np.zeros((n, n, b), np.int16).transpose(2, 0, 1) for _ in range(2))
     e = np.empty_like(sigma)
     for w in range(n):
         np.subtract(distances[:, :, w, None], distances, out=e, dtype=np.int16)
         e *= adjacency[:, None, w, :]
         sigma += e
         np.maximum(top, e, out=top)
-        nearer += e < 0
     cejz = ((top <= 0) & adjacency.any(axis=2)[:, None]).any(axis=1)
-    return sigma < 0, cejz, nearer
+    return sigma < 0, cejz, top
 
 
 def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
@@ -348,7 +348,7 @@ def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
     Exact on any int8 ``distances`` of a symmetric ``adjacency``, hop distances or not.
     Both stacks must have one shape (B, n, n) with n <= 128, in any memory order; the
     report holds them batch-inner (see :class:`BatchReport`), copied if they are not
-    already, with the nearer counts of the same pass.
+    already, with the steps of the same pass.
     """
     if adjacency.ndim != 3 or adjacency.shape != distances.shape \
             or adjacency.shape[1] != adjacency.shape[2]:
@@ -359,9 +359,9 @@ def batch_boundary(adjacency: np.ndarray, distances: np.ndarray) -> BatchReport:
                          f"{distances.dtype} on {adjacency.shape[1]}")
     adjacency, distances = (np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
                             for x in (adjacency, distances))  # copied only if not batch-inner
-    slices, cejz, nearer = _sigma_pass(adjacency, distances)
+    slices, cejz, steps = _sigma_pass(adjacency, distances)
     report = BatchReport(adjacency, distances, slices, cejz)
-    report.__dict__["nearer"] = nearer  # the property's cache, filled from the same pass
+    report.__dict__["steps"] = steps  # the property's cache, filled from the same pass
     if (cejz & ~report.boundary).any():
         raise InvariantViolation("CEJZ boundary escaped the averaged boundary")
     return report

@@ -465,6 +465,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     sizes = _ints(args.sizes)
+    if not sizes:
+        raise _CliError(f"--sizes {args.sizes!r} names no size")
     if args.family not in _SWEEP_FAMILIES:
         raise _CliError(f"family {args.family!r} not sweepable")
     members = [{"grid": f"{n},{n}", "er": f"{n},{args.p}"}.get(args.family, str(n)) for n in sizes]

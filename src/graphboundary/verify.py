@@ -308,24 +308,20 @@ def _batch_pass(r: BatchReport, checks) -> dict[str, np.ndarray]:
 
     The batch twin of :func:`_laplacian_pass`. The sources are walked in blocks whose
     (B, rows, n) arrays hold at most 2^16 entries, or one source where B n is larger, so
-    the scratch stays in cache whatever n is. For f = d(v, .), one loop over w adds the
-    term d(v, w) [w ~ u] into ``total``, the sum of f over the neighbors of u, and folds it
-    into ``top`` with a maximum; L f is positive where deg * f > total. int16 is exact:
-    deg <= n - 1 <= 127 and |d| <= 128, so every sum and deg * d is within 127 * 128 < 2^15.
+    the scratch stays in cache whatever n is. For f = d(v, .), one loop over w sums the
+    terms d(v, w) [w ~ u] into ``total``, the sum of f over the neighbors of u; L f is
+    positive where deg * f > total. This sum is the laplacian's own, read off the distances
+    and the adjacency, never off the sigma of the slices. int16 is exact: deg <= n - 1 <= 127
+    and |d| <= 128, so every sum and deg * d is within 127 * 128 < 2^15.
 
     laplacian: no row mismatches, (L f > 0) != slice nowhere. dichotomy: by the argument of
     :func:`_dichotomy_rows`, a graph passes unless a row is flagged (ell >= 1 and A_ell
     leaves the slice) or is to be recounted: it mismatches, or has a negative entry, or a
-    long step, top > d + 1 at some u (a step down by 2 is a step up at the edge's other
+    long step, ``r.steps`` > 1 at some u (a step down by 2 is a step up at the edge's other
     end, as the adjacency is symmetric). Such rows go to :func:`_dichotomy_detail` in
     source order, read on the graph's first order[b] slots and its own edges, and a flagged
     row the recount passes raises InvariantViolation; so each verdict is run_battery's.
-
-    Neither a pad nor an absent slot sets top > d + 1. A non-neighbor w of u pads the
-    maximum with a 0 term, so top >= 0, which exceeds d + 1 only where d < -1, on a row
-    recounted anyway. An absent slot u has no neighbors and d(v, u) = 0, so top = 0 there,
-    and, with no edges, it adds nothing to the sums of the others; an absent source
-    repeats source 0's row, and with it its flags and its recount.
+    An absent slot has no neighbor, so its step is 0.
     """
     if not checks:
         return {}
@@ -333,18 +329,15 @@ def _batch_pass(r: BatchReport, checks) -> dict[str, np.ndarray]:
     laplacian, dichotomy = np.ones(b, bool), np.ones(b, bool)
     deg = r.degrees.astype(np.int16)
     rows = max(1, 2**16 // max(b * n, 1))
-    buffers = [np.empty((rows, n, b), np.int16).transpose(2, 0, 1) for _ in range(3)]
+    buffers = [np.empty((rows, n, b), np.int16).transpose(2, 0, 1) for _ in range(2)]
     for lo in range(0, n, rows):
         k = min(rows, n - lo)
         f, member = r.distances[:, lo:lo + k], r.slices[:, lo:lo + k]
-        total, top, term = (x[:, :k] for x in buffers)
+        total, term = (x[:, :k] for x in buffers)
         total.fill(0)
-        top.fill(0)
         for w in range(n):
             np.multiply(f[:, :, w, None], r.adjacency[:, None, w, :], out=term)
             total += term
-            if "dichotomy" in checks:
-                np.maximum(top, term, out=top)
         np.multiply(deg[:, None, :], f, out=term)
         mismatched = ((term > total) != member).any(axis=2)
         laplacian &= ~mismatched.any(axis=1)
@@ -352,8 +345,8 @@ def _batch_pass(r: BatchReport, checks) -> dict[str, np.ndarray]:
             continue
         ell = f.max(axis=2)
         flagged = (ell >= 1) & ((f == ell[:, :, None]) > member).any(axis=2)
-        np.subtract(top, f, out=term)
-        suspect = flagged | mismatched | (f.min(axis=2) < 0) | (term > 1).any(axis=2)
+        suspect = (flagged | mismatched | (f.min(axis=2) < 0)
+                   | (r.steps[:, lo:lo + k] > 1).any(axis=2))
         for g, i in zip(*np.nonzero(suspect)):
             if not dichotomy[g]:
                 continue

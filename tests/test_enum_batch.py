@@ -346,6 +346,36 @@ def test_batch_verdicts_equal_the_battery_on_negative_and_long_step_entries():
     assert all(failing[kind, "dichotomy"] for kind in ("up by 2", "down by 2")), failing
 
 
+def plain_steps(adjacency, distances):
+    """[v][u] = max(0, max over w ~ u of d(v, w) - d(v, u)) of one graph, in plain Python."""
+    adj, dist = adjacency.tolist(), distances.tolist()
+    slots = range(len(adj))
+    return [[max([0] + [row[w] - row[u] for w in slots if adj[u][w]]) for u in slots]
+            for row in dist]
+
+
+def test_steps_are_the_largest_neighbor_step_floored_at_zero():
+    # the dichotomy's long-step test reads the steps of the kernel's own pass, so they
+    # must be the plain maximum on true and on corrupted distances alike
+    for n_max in range(1, 5):
+        [(sizes, masks, adjacency, distances)] = connected_chunks(n_max)
+        batch = batch_boundary(adjacency, distances)
+        assert batch.steps.dtype == np.int16
+        for b, n in enumerate(sizes.tolist()):
+            assert batch.steps[b].tolist() == plain_steps(adjacency[b], distances[b]), (n_max, b)
+            for kind, bad in step_corruptions(batch, b, n):
+                steps = bad.steps
+                assert steps[b].tolist() == plain_steps(bad.adjacency[b], bad.distances[b]), \
+                    (kind, n_max, b)
+                others = np.arange(len(batch)) != b
+                assert (steps[others] == batch.steps[others]).all()
+
+
+def test_hop_distances_never_step_by_more_than_one():
+    for sizes, masks, adjacency, distances in connected_chunks(6):
+        assert batch_boundary(adjacency, distances).steps.max() <= 1
+
+
 def test_batch_dichotomy_routes_that_disagree_raise(monkeypatch):
     # source 2 of the path 0-1-2-3, graph 1, with its slice cleared: its outermost layer
     # leaves the slice, and a per-source count that passed it would contradict the flag
@@ -363,8 +393,8 @@ def test_batch_dichotomy_routes_that_disagree_raise(monkeypatch):
 def test_padded_graphs_equal_their_unpadded_chunks():
     # every graph with n <= 5 on 6 slots: its first n slots hold its own arrays, those
     # of the same graph on n slots, where connected_chunks(n) gives it no absent slot;
-    # an absent slot is in no slice and no CEJZ set and has no nearer neighbor, an absent
-    # source repeats source 0, and every verdict is the unpadded one
+    # an absent slot is in no slice and no CEJZ set and, with no neighbor, its step is 0;
+    # an absent source repeats source 0, and every verdict is the unpadded one
     unpadded = {n: next(connected_chunks(n)) for n in range(1, 6)}
     seen = Counter()
     for sizes, masks, adjacency, distances in connected_chunks(6):
@@ -384,9 +414,9 @@ def test_padded_graphs_equal_their_unpadded_chunks():
             assert (padded.adjacency[real] == a).all() and (padded.distances[real] == d).all()
             assert (padded.slices[real] == batch.slices).all()
             assert (padded.cejz[rows, :n] == batch.cejz).all() and not padded.cejz[rows, n:].any()
-            assert (padded.nearer[real] == batch.nearer).all()
-            assert not padded.slices[rows, :, n:].any() and not padded.nearer[rows, :, n:].any()
-            for name in ("distances", "slices", "nearer"):
+            assert (padded.steps[real] == batch.steps).all()
+            assert not padded.slices[rows, :, n:].any() and not padded.steps[rows, :, n:].any()
+            for name in ("distances", "slices", "steps"):
                 rows_of = getattr(padded, name)[rows]
                 assert (rows_of[:, n:] == rows_of[:, :1]).all(), name
             assert (padded.order[rows] == n).all()
@@ -625,7 +655,7 @@ def test_replaced_copies_recompute_the_derived_arrays():
     batch = batch_boundary(adjacency, _dense_distances(adjacency))
     assert batch.boundary is batch.boundary  # computed once per report
     before = {name: getattr(batch, name).copy()
-              for name in ("degrees", "max_degree", "m", "diameter", "boundary", "nearer")}
+              for name in ("degrees", "max_degree", "m", "diameter", "boundary", "steps")}
     cycle = batch.adjacency.copy()
     cycle[0, 0, 3] = cycle[0, 3, 0] = True  # the path 0-1-2-3 closed into a 4-cycle
     far = batch.distances.copy()
@@ -638,8 +668,9 @@ def test_replaced_copies_recompute_the_derived_arrays():
     assert stretched.diameter.tolist() == [5, 2]
     shortcut = batch.distances.copy()
     shortcut[0, 0, 3] = 1  # from source 0, vertex 3 is now nearer than its neighbor 2
-    assert before["nearer"][0, 0, 2] == 1
-    assert dataclasses.replace(batch, distances=shortcut).nearer[0, 0, 2] == 2
+    assert before["steps"][0, 0, 2] == 1 and before["steps"][0, 0, 3] == 0
+    short = dataclasses.replace(batch, distances=shortcut)
+    assert short.steps[0, 0, 2] == 0 and short.steps[0, 0, 3] == 1
     cleared = dataclasses.replace(batch, slices=empty)
     assert not cleared.boundary.any() and before["boundary"].any(axis=1).all()
     for name, value in before.items():  # the original keeps its own values

@@ -23,7 +23,10 @@ runners, whose reports are ``BatchReport``s, may read theirs. The
 Graph, so every Graph passed its checks and carries its CSR. In
 ``verify.py`` only ``_incidence_laplacian`` names ``add.at``: both the
 per-graph and the batch dichotomy decide their layers from the sign of
-L f and keep no scatter tally of their own.
+L f and keep no scatter tally of their own. No module but ``boundary.py``
+names ``_sigma_pass``: the batch laplacian sums L f from the distances and
+the adjacency itself, so it checks the slices against an independent sum,
+not against the sigma they were read off.
 """
 
 import ast
@@ -290,3 +293,18 @@ def test_rule_sees_add_at_uses():
                      "s = 'np.add.at'\nfrom numpy import add\nadd.at(a, k, 1)\n"
                      "np.add.reduceat(a, k)\n")
     assert _add_at_uses(tree) == [("<module>", 11), ("C", 8), ("f", 4)]
+
+
+def test_only_boundary_names_the_sigma_pass():
+    found = {p.name: _name_uses(ast.parse(p.read_text(), filename=str(p)), {"_sigma_pass"})
+             for p in SOURCES}
+    assert {name for name, lines in found.items() if lines} == {"boundary.py"}
+
+
+def test_rule_sees_sigma_pass_uses():
+    tree = ast.parse("# _sigma_pass(a, d) in a comment\nfrom .boundary import _sigma_pass\n"
+                     "def _sigma_pass(a, d):\n    return a\ns = '_sigma_pass'\n"
+                     "x = boundary._sigma_pass(a, d)[2]\n"
+                     "from graphboundary.boundary import _sigma_pass as sp\n"
+                     "y = _sigma_pass\n")
+    assert _name_uses(tree, {"_sigma_pass"}) == [2, 6, 7, 8]
