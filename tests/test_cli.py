@@ -337,11 +337,11 @@ def test_verify_enum_nmax_out_of_range_exit2(capsys):
          "--out", "x.el"),
         # a run must check something: no empty check list, no named prop4 without coordinates
         ("verify", "--family", "path", "--params", "3", "--checks", ","),
+        ("verify", "--family", "enum", "--nmax", "3", "--checks", "prop4"),
+        ("verify", "--family", "enum", "--nmax", "3", "--checks", "thm1,prop4"),
         # and a sweep must sweep something: no empty size list
         ("sweep", "--family", "path", "--sizes", ""),
         ("sweep", "--family", "path", "--sizes", ","),
-        ("verify", "--family", "enum", "--nmax", "3", "--checks", "prop4"),
-        ("verify", "--family", "enum", "--nmax", "3", "--checks", "thm1,prop4"),
         # each check runs once: a check named twice would print twice and count twice
         ("verify", "--family", "path", "--params", "3", "--checks", "thm1,thm1"),
     ],

@@ -363,11 +363,11 @@ def test_steps_are_the_largest_neighbor_step_floored_at_zero():
         assert batch.steps.dtype == np.int16
         for b, n in enumerate(sizes.tolist()):
             assert batch.steps[b].tolist() == plain_steps(adjacency[b], distances[b]), (n_max, b)
+            others = np.arange(len(batch)) != b
             for kind, bad in step_corruptions(batch, b, n):
                 steps = bad.steps
                 assert steps[b].tolist() == plain_steps(bad.adjacency[b], bad.distances[b]), \
                     (kind, n_max, b)
-                others = np.arange(len(batch)) != b
                 assert (steps[others] == batch.steps[others]).all()
 
 
