@@ -4,12 +4,13 @@ The parsed argument namespace is the run configuration. Exit codes are a
 contract: 0 all checks passed; 1 a check failed or an InvariantViolation
 ended the run with a traceback (a bug either way, since everything checked
 is a theorem); 2 input or parameter error, printed as one ``error:`` line,
-which covers bad edge lists, coordinate sidecars that fail the check
-against their edge list, out-of-range family, sweep or sector parameters,
-and an --out path that cannot be written. All outputs are deterministic:
-repeating a command with the same arguments produces byte-identical files.
---threads is accepted for compatibility and ignored: every command runs in
-one thread.
+which covers command lines that argparse rejects, bad edge lists,
+coordinate sidecars that fail the check against their edge list,
+out-of-range family, sweep or sector parameters, and an --out path that
+cannot be written. All outputs are deterministic: repeating a command with
+the same arguments produces byte-identical files. --threads is accepted
+for compatibility and ignored. The package starts no threads; numpy's BLAS
+may use its own pool for the battery's dense L f product.
 
 If the environment variable GRAPHBOUNDARY_OUTDIR is set, relative --out
 paths are written under that directory.
@@ -81,6 +82,16 @@ _SWEEP_FAMILIES = ("path", "cycle", "complete", "star", "hypercube", "grid", "tr
 
 class _CliError(Exception):
     """Input/parameter problem; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise _CliError, so that they print as one line.
+
+    Its subparsers are of the same class. ``--help`` still prints and exits 0.
+    """
+
+    def error(self, message):
+        raise _CliError(f"{self.prog}: {message}")
 
 
 def _floats(text: str) -> list[float]:
@@ -546,7 +557,7 @@ def cmd_sector(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphboundary",
         description="Graph boundary computation and theorem verification.",
         epilog="Relative --out paths honor $GRAPHBOUNDARY_OUTDIR.",
@@ -556,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, out_help="output path (default: stdout)"):
         p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="accepted and ignored (kept for compatibility); "
-                            "every command runs in one thread")
+                       help="accepted and ignored (kept for compatibility); the package "
+                            "starts no threads, numpy's BLAS may use its own pool")
 
     def add_family(p):
         p.add_argument("--family", default=None,
@@ -625,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "family", None) and getattr(args, "input", None):
             raise _CliError(f"--in and --family {args.family} are mutually exclusive")
         return args.fn(args)

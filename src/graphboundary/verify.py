@@ -75,10 +75,43 @@ def _check_mps(g, report, gg):
     return CheckOutcome("mps", entry.passed, f"cejz={entry.observed} delta+2={entry.bound}")
 
 
-# source x edge entries of one sub-block of the laplacian pass; its scratch is then
+# source x edge entries of one sub-block of the incidence route; its scratch is then
 # bounded whatever m is, and stays inside the heap that the allocator reuses from one
 # block to the next
 EDGE_BUDGET = 2**15
+# the dense route of the L f walk (see takes_product_route): distance rows per staged group,
+# the density bound n^2 <= PRODUCT_DENSITY * m, and the largest n, whose n x n float32
+# Laplacian is 9 MiB
+PRODUCT_ROWS = 128
+PRODUCT_DENSITY = 150
+PRODUCT_MAX_N = 1500
+FLOAT32_EXACT = 2**24  # every integer of magnitude below this is a float32
+
+
+def takes_product_route(g: Graph) -> bool:
+    """True iff the L f walk of :func:`_laplacian_pass` on g is :func:`_product_walk`.
+
+    The incidence route costs about n m per walk; the product costs n^3
+    multiply-adds in BLAS, far cheaper each, plus the long-step gathers,
+    which cost n m too but less per entry. So dense graphs take the
+    product: n^2 <= PRODUCT_DENSITY * m, with n from one full group of
+    PRODUCT_ROWS rows up to PRODUCT_MAX_N. PRODUCT_DENSITY was fitted with
+    OpenBLAS on one thread, both checks on one walk, best of 3-9 in
+    process, on a shared 2-core host. The product won at n^2 / m <= 157:
+    G(400, p) at 40, 98 and 157 (3.45x, 1.86x, 1.19x), G(1500, 0.02) at
+    100 (2.06x), the hypercube Q_8 at 64 (2.07x) and K_600 (84x). It broke
+    even from about 200: G(1000, 0.01) at 198 (1.11x), G(1500, 0.01) at 199
+    (1.26x), Q_10 at 205 (0.98x), grid 20x20 at 210 (0.97x), the annulus
+    lattice of ``lowdiam-verify`` at 221 (0.93x). It lost 2.1x on paths,
+    trees and cycles of 600 vertices, and 4x and 7.5x on grids 40x40 and
+    60x60. 150 leaves a margin below the break-even, which more BLAS
+    threads move up. Below 128 vertices the product's fixed cost of about
+    14 us a walk lost on paths, cycles and trees up to n = 32 (by up to
+    1.5x), against gains of 1.2-1.9x from n = 48. The rule reads only the
+    graph; each group must also pass its exactness bound (see
+    :func:`_product_walk`).
+    """
+    return PRODUCT_ROWS <= g.n <= PRODUCT_MAX_N and g.n * g.n <= PRODUCT_DENSITY * g.m
 
 
 def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -102,27 +135,110 @@ def _incidence_laplacian(f, tail, head, diff, scratch, lf) -> None:
     np.subtract.at(lf, head, diff)
 
 
-def _dichotomy_rows(f, mismatched, member, diff, scratch) -> tuple[np.ndarray, np.ndarray]:
-    """(flagged, recount): bool per row of a sub-block of b sources, with f and ``diff`` flat.
+def _diff_steps(diff: np.ndarray, b: int) -> np.ndarray:
+    """Bool per row of b: some edge steps by more than 1, read off the flat ``diff`` rows."""
+    if diff.size and (diff.min() < -1 or diff.max() > 1):
+        return (np.abs(diff.reshape(b, -1)) > 1).any(axis=1)
+    return np.zeros(b, bool)
+
+
+def _incidence_walk(g: Graph, blocks, tails, heads, steps: bool):
+    """(start, rows, slice rows, L f, long) per sub-block of ``blocks``, by the incidence route.
+
+    Each block is walked in sub-blocks of max(1, EDGE_BUDGET // m) sources. int32 is exact
+    for any int16 row: an edge steps by less than 2^16 and delta < 2^15. The flat keys
+    r * n + u of both edge ends, the gathers and L f are allocated once, sized by the
+    first, longest sub-block, so each edge buffer holds max(EDGE_BUDGET, m) entries.
+    With ``steps``, ``long`` marks the rows where some edge steps by more than 1, read
+    off the gathers; else it is None.
+    """
+    n, m = g.n, g.m
+    rows = 0
+    for start, dist, member in blocks:
+        if not rows:
+            rows = min(len(dist), max(1, EDGE_BUDGET // max(m, 1)))
+            offsets = np.arange(0, rows * n, n)[:, None]
+            tail_keys, head_keys = ((offsets + ends).ravel() for ends in (tails, heads))
+            f_buf, lf_buf = np.empty(rows * n, np.int32), np.empty(rows * n, np.int32)
+            diff_buf, head_buf = np.empty(rows * m, np.int32), np.empty(rows * m, np.int32)
+        for lo in range(0, len(dist), rows):
+            b = min(rows, len(dist) - lo)
+            f, lf, diff = f_buf[:b * n], lf_buf[:b * n], diff_buf[:b * m]
+            f.reshape(b, n)[:] = dist[lo:lo + b]
+            _incidence_laplacian(f, tail_keys[:b * m], head_keys[:b * m], diff,
+                                 head_buf[:b * m], lf)
+            yield (start + lo, dist[lo:lo + b], member[lo:lo + b], lf.reshape(b, n),
+                   _diff_steps(diff, b) if steps else None)
+
+
+def _dense_laplacian(g: Graph) -> np.ndarray:
+    """L = diag(deg) - A as an n x n float32 array, read off ``g.csr``."""
+    indptr, indices = g.csr
+    deg = indptr[1:] - indptr[:-1]
+    lap = np.zeros((g.n, g.n), np.float32)
+    lap[np.arange(g.n).repeat(deg), indices] = -1
+    lap.flat[::g.n + 1] = deg
+    return lap
+
+
+def _product_laplacian(rows, lap, f, prod, lf) -> None:
+    """L f of each int16 row into the int32 ``lf``, as the float32 product f L (L is symmetric).
+
+    ``f`` and ``prod`` are float32 buffers of the rows' shape.
+    """
+    np.copyto(f, rows)
+    np.matmul(f, lap, out=prod)
+    np.copyto(lf, prod, casting="unsafe")  # integers below 2^24: the cast is exact
+
+
+def _product_walk(g: Graph, report: BoundaryReport, tails, heads, steps: bool):
+    """(start, rows, slice rows, L f, long) per group of PRODUCT_ROWS sources, by one product.
+
+    Each group's int16 rows are cast to float32 and multiplied by the
+    float32 Laplacian of :func:`_dense_laplacian`, which is read off
+    ``g.csr`` and not off the boundary kernel's layout. Entry (v, u) of
+    the product sums deg(u) f(u), -f(w) for each neighbor w of u, and zeros.
+    Any partial sum, in whatever order or blocking BLAS takes, is a sum of
+    some of these terms, so it is an integer of magnitude at most
+    2 delta max|f|. Below 2^24 every such integer is a float32, so every
+    rounding is exact and so is the product; it is then cast to int32
+    before any compare. On hop distances max|f| <= n - 1, so the bound
+    holds for every graph under PRODUCT_MAX_N; a group past it (a
+    corrupted matrix) takes :func:`_incidence_walk`. With ``steps``, ``long``
+    is read off :meth:`BoundaryReport.long_steps`, once for the whole matrix
+    (a row with a negative entry, where its int16 differences may wrap, is
+    recounted whatever its steps); else it is None.
+    """
+    n, delta = g.n, g.max_degree
+    long = report.long_steps(tails, heads) if steps else None
+    lap = _dense_laplacian(g)
+    size = min(n, PRODUCT_ROWS)
+    f_buf, prod_buf = (np.empty((size, n), np.float32) for _ in range(2))
+    lf_buf = np.empty((size, n), np.int32)
+    for start, dist, member in report.row_blocks(size):
+        if 2 * delta * max(int(dist.max()), -int(dist.min())) >= FLOAT32_EXACT:
+            yield from _incidence_walk(g, [(start, dist, member)], tails, heads, steps)
+            continue
+        b = len(dist)
+        _product_laplacian(dist, lap, f_buf[:b], prod_buf[:b], lf_buf[:b])
+        yield start, dist, member, lf_buf[:b], None if long is None else long[start:start + b]
+
+
+def _dichotomy_rows(rows, mismatched, member, long) -> tuple[np.ndarray, np.ndarray]:
+    """(flagged, recount): bool per distance row of a sub-block.
 
     Where no edge steps by more than 1, sum_{u in A_j} (L f)(u) = |E(A_{j-1}, A_j)| -
     |E(A_j, A_{j+1})| and |(L f)(u)| <= deg(u) <= delta. Where also L f > 0 exactly on the
     slice, each term (L f)(u) - delta [u in slice] is at most 0, so every layer inequality
     and the outermost edge bound hold, and only the containment of A_ell can fail: a row is
-    flagged where ell >= 1 and A_ell leaves the slice. Rows that ``mismatched`` marks, or with
-    an edge step over 1 (read off ``diff``) or a negative entry, are to be recounted; the
-    containment test is written into ``scratch``, a bool buffer of f's size.
+    flagged where ell >= 1 and A_ell leaves the slice. Rows that ``mismatched`` marks, or
+    ``long`` (an edge step over 1), or with a negative entry, are to be recounted.
     """
-    b = len(member)
-    rows = f.reshape(b, -1)
     ell = rows.max(axis=1)
-    outer = np.equal(rows, ell[:, None], out=scratch.reshape(b, -1))
-    flagged = (ell >= 1) & np.greater(outer, member, out=outer).any(axis=1)
-    recount = mismatched
-    if diff.size and (diff.min() < -1 or diff.max() > 1):
-        recount = recount | (np.abs(diff.reshape(b, -1)) > 1).any(axis=1)
-    if f.min() < 0:
-        recount = recount | (rows.min(axis=1) < 0)
+    flagged = (ell >= 1) & ((rows == ell[:, None]) > member).any(axis=1)
+    recount = mismatched | long
+    if rows.min() < 0:
+        recount |= rows.min(axis=1) < 0
     return flagged, recount
 
 
@@ -155,60 +271,43 @@ _PASS_CHECKS = ("laplacian", "dichotomy")  # two verdicts on one walk: _laplacia
 
 
 def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
-    """The outcomes of ``checks``, a subset of _PASS_CHECKS, from one walk over the blocks.
+    """The outcomes of ``checks``, a subset of _PASS_CHECKS, from one walk over the sources.
 
-    Each block is walked in sub-blocks of max(1, EDGE_BUDGET // m) sources, and each
-    sub-block's L f_v and its mismatch with the slices are computed once. int32 is exact
-    for any int16 row: an edge steps by less than 2^16 and delta < 2^15. The flat keys
-    r * n + u of both edge ends, the gathers, L f and two bool masks are allocated once, sized
-    by the first, longest sub-block, so each edge buffer holds max(EDGE_BUDGET, m) entries.
+    The walk is :func:`_product_walk` where :func:`takes_product_route` holds, else
+    :func:`_incidence_walk` over the report's blocks; either gives L f_v of each source
+    once, in int32, and its mismatch with the slices is computed once.
 
     laplacian: the positive entries of L f_v must be the slice of v. dichotomy: the rows
     :func:`_dichotomy_rows` flags or sets to recount go to :func:`_dichotomy_detail`, in
     order; a flagged row the recount passes raises InvariantViolation. Each outcome is at
     its check's first failing source, and the walk stops once every check failed.
     """
-    n, m, delta = g.n, g.m, g.max_degree
+    n, delta = g.n, g.max_degree
     tails, heads = _edge_ends(g)
+    steps = "dichotomy" in checks
+    walk = (_product_walk(g, report, tails, heads, steps) if takes_product_route(g)
+            else _incidence_walk(g, report.row_blocks(), tails, heads, steps))
     pending = set(checks)
     found = {}
-    for start, dist, member in report.row_blocks():
-        if not start:
-            rows = min(len(dist), max(1, EDGE_BUDGET // max(m, 1)))
-            offsets = np.arange(0, rows * n, n)[:, None]
-            tail_keys, head_keys = ((offsets + ends).ravel() for ends in (tails, heads))
-            f_buf, lf_buf = np.empty(rows * n, np.int32), np.empty(rows * n, np.int32)
-            diff_buf, head_buf = np.empty(rows * m, np.int32), np.empty(rows * m, np.int32)
-            mismatch_buf, outer_buf = np.empty(rows * n, bool), np.empty(rows * n, bool)
-        for lo in range(0, len(dist), rows):
-            b = min(rows, len(dist) - lo)
-            f, lf, diff = f_buf[:b * n], lf_buf[:b * n], diff_buf[:b * m]
-            f.reshape(b, n)[:] = dist[lo:lo + b]
-            own = member[lo:lo + b]
-            _incidence_laplacian(f, tail_keys[:b * m], head_keys[:b * m], diff,
-                                 head_buf[:b * m], lf)
-            mismatch = np.greater(lf, 0, out=mismatch_buf[:b * n])
-            np.not_equal(mismatch, own.ravel(), out=mismatch)
-            mismatched = mismatch.reshape(b, n).any(axis=1)
-            if "laplacian" in pending and mismatched.any():
-                found["laplacian"] = CheckOutcome(
-                    "laplacian", False, f"mismatch at source {start + lo + mismatched.argmax()}")
-                pending.discard("laplacian")
-            if "dichotomy" in pending:
-                flagged, recount = _dichotomy_rows(f, mismatched, own, diff, outer_buf[:b * n])
-                for r in np.flatnonzero(flagged | recount).tolist():
-                    source = start + lo + r
-                    detail = _dichotomy_detail(dist[lo + r], member[lo + r], tails, heads,
-                                               delta, source)
-                    if detail is not None:
-                        found["dichotomy"] = CheckOutcome("dichotomy", False, detail)
-                        pending.discard("dichotomy")
-                        break
-                    if flagged[r]:
-                        raise InvariantViolation(f"dichotomy: the containment test flags source "
-                                                 f"{source}, the per-source count passes it")
-            if not pending:
-                return found
+    for start, rows, member, lf, long in walk:
+        mismatched = (np.greater(lf, 0) != member).any(axis=1)
+        if "laplacian" in pending and mismatched.any():
+            found["laplacian"] = CheckOutcome(
+                "laplacian", False, f"mismatch at source {start + mismatched.argmax()}")
+            pending.discard("laplacian")
+        if "dichotomy" in pending:
+            flagged, recount = _dichotomy_rows(rows, mismatched, member, long)
+            for r in np.flatnonzero(flagged | recount).tolist():
+                detail = _dichotomy_detail(rows[r], member[r], tails, heads, delta, start + r)
+                if detail is not None:
+                    found["dichotomy"] = CheckOutcome("dichotomy", False, detail)
+                    pending.discard("dichotomy")
+                    break
+                if flagged[r]:
+                    raise InvariantViolation(f"dichotomy: the containment test flags source "
+                                             f"{start + r}, the per-source count passes it")
+        if not pending:
+            return found
     return found | {c: CheckOutcome(c, True, f"sources={n}") for c in pending}
 
 

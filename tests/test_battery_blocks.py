@@ -13,7 +13,14 @@ slice that is not the positive part of L f, an edge that steps by 2, a
 negative entry) are recounted, and each kind is checked against the
 reference or its own detail. ``verify._dichotomy_detail``, the one-row
 recount that writes a failing dichotomy's detail, is held to the same
-reference on every source row of every connected graph with n <= 5."""
+reference on every source row of every connected graph with n <= 5.
+
+The walk has two routes to L f: the incidence route, in sub-blocks of
+sources, and the dense route, one float32 product per group of
+``verify.PRODUCT_ROWS`` sources, whose long steps are read off row gathers of
+the transposed group. Every comparison here runs on both, each forced by
+patching ``verify.takes_product_route``, and the dense route at group sizes
+that match the block sizes."""
 
 import dataclasses
 import re
@@ -81,14 +88,24 @@ def flipped(rep, rng, flips):
 # edge budgets: one source per sub-block; 7, which splits blocks unevenly on these
 # small graphs; the default
 BUDGETS = (1, 7, verify.EDGE_BUDGET)
+ROUTES = ("incidence", "product")
+
+
+def forced_route(route):
+    """A patch that sends the L f walk of every graph down ``route``."""
+    return mock.patch.object(verify, "takes_product_route", lambda g: route == "product")
 
 
 def block_outcomes(g, rep, block):
+    # the incidence route on blocks of ``block`` sources at every edge budget, and the
+    # dense route on groups of as many
     want = [laplacian_reference(g, rep), dichotomy_reference(g, rep)]
     for budget in BUDGETS:
         with mock.patch.object(core, "ROW_BLOCK", block), \
-                mock.patch.object(verify, "EDGE_BUDGET", budget):
+                mock.patch.object(verify, "EDGE_BUDGET", budget), forced_route("incidence"):
             assert run_battery(g, CHECKS, report=rep) == want
+    with mock.patch.object(verify, "PRODUCT_ROWS", block), forced_route("product"):
+        assert run_battery(g, CHECKS, report=rep) == want
     return want
 
 
@@ -158,9 +175,11 @@ def test_dichotomy_mid_layer_failure_names_the_layer():
     g = grid(5, 5).graph
     rep = boundary(g)
     bad = flip_bits(rep, [(0, u) for u in rep.slices[0].members if rep.distances[0, u] == 5])
-    (outcome,) = run_battery(g, ("dichotomy",), report=bad)
-    assert outcome == dichotomy_reference(g, bad)
-    assert outcome.detail == "dichotomy failed at layer 5 (source 0)"
+    for route in ROUTES:
+        with forced_route(route):
+            (outcome,) = run_battery(g, ("dichotomy",), report=bad)
+        assert outcome == dichotomy_reference(g, bad)
+        assert outcome.detail == "dichotomy failed at layer 5 (source 0)"
 
 
 def test_dichotomy_detail_equals_the_reference_on_every_row():
@@ -190,8 +209,9 @@ def test_dichotomy_routes_that_disagree_raise(monkeypatch):
     rep = boundary(g)
     bad = flip_bits(rep, [(7, u) for u in rep.slices[7].members])
     monkeypatch.setattr(verify, "_dichotomy_detail", lambda *args: None)
-    with pytest.raises(InvariantViolation, match="flags source 7"):
-        run_battery(g, ("dichotomy",), report=bad)
+    for route in ROUTES:
+        with forced_route(route), pytest.raises(InvariantViolation, match="flags source 7"):
+            run_battery(g, ("dichotomy",), report=bad)
 
 
 def spied_recounts(monkeypatch):
@@ -212,7 +232,7 @@ def spied_recounts(monkeypatch):
 def test_a_slice_widened_in_a_middle_layer_is_recounted_and_passes(g, monkeypatch):
     # a vertex of a middle layer put into v's slice only loosens v's layer inequalities,
     # so the reference passes; the laplacian fails at v, and the row is recounted, as a
-    # mismatched row, and passes without raising
+    # mismatched row, and passes without raising, on either route
     rep = boundary(g)
     recounted = spied_recounts(monkeypatch)
     widened = 0
@@ -220,12 +240,14 @@ def test_a_slice_widened_in_a_middle_layer_is_recounted_and_passes(g, monkeypatc
         for u, d in enumerate(row):
             if 0 < d < max(row) and u not in rep.slices[v].members:
                 bad = flip_bits(rep, [(v, u)])
-                recounted.clear()
                 want = dichotomy_reference(g, bad)
                 assert want.passed
-                assert run_battery(g, CHECKS, report=bad) == [
-                    CheckOutcome("laplacian", False, f"mismatch at source {v}"), want]
-                assert recounted == [v]
+                for route in ROUTES:
+                    recounted.clear()
+                    with forced_route(route):
+                        assert run_battery(g, CHECKS, report=bad) == [
+                            CheckOutcome("laplacian", False, f"mismatch at source {v}"), want]
+                    assert recounted == [v]
                 widened += 1
     assert widened >= g.n
 
@@ -234,17 +256,19 @@ def test_a_slice_widened_in_a_middle_layer_is_recounted_and_passes(g, monkeypatc
 def test_rows_with_a_negative_entry_fail_the_dichotomy(checks):
     # no hop distance is negative. Row 2 of the path 0-1-2-3-4 with -1 at vertex 4 steps
     # by 2 along edge (3, 4), where a layer count of -1 cannot be made; shifted down by 1
-    # it keeps every step and L f, and so every slice. Either row is recounted and fails
-    # on its negative entry first
+    # it keeps every step and L f, and so every slice. Either row is recounted, on either
+    # route, and fails on its negative entry first
     g = path(5)
     rep = boundary(g)
     for row in ([2, 1, 0, 1, -1], [1, 0, -1, 0, 1]):
         dist = rep.distances.copy()
         dist[2] = row
         bad = dataclasses.replace(rep, distances=dist)
-        *lap, outcome = run_battery(g, checks, report=bad)
-        assert outcome == CheckOutcome("dichotomy", False, "negative distance (source 2)")
-        assert lap == [laplacian_reference(g, bad)] * (len(checks) - 1)
+        for route in ROUTES:
+            with forced_route(route):
+                *lap, outcome = run_battery(g, checks, report=bad)
+            assert outcome == CheckOutcome("dichotomy", False, "negative distance (source 2)")
+            assert lap == [laplacian_reference(g, bad)] * (len(checks) - 1)
 
 
 def test_block_checks_hold_no_n_by_n_int64_array():
@@ -260,11 +284,12 @@ def test_block_checks_hold_no_n_by_n_int64_array():
     assert peak < g.n ** 2 * 8 // 4
 
 
-def traced_peak(g, checks):
+def traced_peak(g, checks, route):
     rep = boundary(g)
     tracemalloc.start()
     try:
-        outcomes = run_battery(g, checks, report=rep)
+        with forced_route(route):
+            outcomes = run_battery(g, checks, report=rep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -274,17 +299,22 @@ def traced_peak(g, checks):
 
 def test_laplacian_scratch_is_bounded_on_dense_graphs():
     # flat intp keys of both ends of every edge for a block of 32 sources traced 38.4 MiB
-    # on this graph; sub-blocks of EDGE_BUDGET // m sources (here one) trace about 1.5 MiB
-    assert traced_peak(complete(300), ("laplacian",)) < 4 * 2**20
+    # on this graph; sub-blocks of EDGE_BUDGET // m sources (here one) trace about 1.5 MiB.
+    # The dense route, which K_300 takes unforced, holds the n x n float32 Laplacian and
+    # three float32 or int32 arrays of PRODUCT_ROWS rows
+    for route in ROUTES:
+        assert traced_peak(complete(300), ("laplacian",), route) < 4 * 2**20
 
 
 def test_dichotomy_builds_no_flat_edge_keys():
     # flat intp keys of both ends of every edge, for a whole block of sources, peaked at
     # 39.8 MiB traced on this graph, and int32 layer keys gathered for all edges at once
     # at 18.6 MiB; the dichotomy walks the laplacian's sub-blocks of EDGE_BUDGET // m
-    # sources, whose keys hold max(EDGE_BUDGET, m) entries, alone or with the laplacian
-    assert traced_peak(complete(300), ("dichotomy",)) < 4 * 2**20
-    assert traced_peak(complete(300), CHECKS) < 4 * 2**20
+    # sources, whose keys hold max(EDGE_BUDGET, m) entries, alone or with the laplacian.
+    # On the dense route K_300's rows span 0..1, so its long-step test gathers nothing
+    for route in ROUTES:
+        assert traced_peak(complete(300), ("dichotomy",), route) < 4 * 2**20
+        assert traced_peak(complete(300), CHECKS, route) < 4 * 2**20
 
 
 def assert_divergence_identity(g):
@@ -370,14 +400,16 @@ STEPPED = {"path": (path(7), {True, False}), "grid": (grid(4, 5).graph, {True}),
 @pytest.mark.parametrize("name", STEPPED)
 def test_rows_that_step_by_two_are_recounted(name):
     # the layer sums of L f are the cross-edge differences only where every edge steps by
-    # at most 1; a row where one edge steps by 2 is recounted, and its outcome, pass or
-    # fail, is the reference's
+    # at most 1; a row where one edge steps by 2 is recounted, on either route, and its
+    # outcome, pass or fail, is the reference's
     g, kinds = STEPPED[name]
     verdicts = Counter()
     for bad in steps_of_two(g, boundary(g)):
         want = dichotomy_reference(g, bad)
-        assert run_battery(g, ("dichotomy",), report=bad) == [want]
-        assert run_battery(g, CHECKS, report=bad) == [laplacian_reference(g, bad), want]
+        for route in ROUTES:
+            with forced_route(route):
+                assert run_battery(g, ("dichotomy",), report=bad) == [want]
+                assert run_battery(g, CHECKS, report=bad) == [laplacian_reference(g, bad), want]
         verdicts[want.passed] += 1
     assert set(verdicts) == kinds
 
@@ -401,52 +433,67 @@ def capped_rows(g, rep):
                          ids=["path", "grid", "cycle", "gnp"])
 def test_rows_that_only_leave_the_outermost_layer_out_are_flagged(g):
     # a capped row breaks no premise of the sign argument, so it is recounted only because
-    # the containment test flags it. Each fails there, as in the reference: a vertex u at
-    # v's eccentricity has every neighbor at level c or above, so (L f)(u) = 0
+    # the containment test flags it. Each fails there, on either route, as in the
+    # reference: a vertex u at v's eccentricity has every neighbor at level c or above, so
+    # (L f)(u) = 0
     passed = CheckOutcome("laplacian", True, f"sources={g.n}")
     capped = 0
     for bad in capped_rows(g, boundary(g)):
         want = dichotomy_reference(g, bad)
         assert want.detail.startswith("outermost layer not fully in the slice")
-        assert run_battery(g, CHECKS, report=bad) == [passed, want]
+        for route in ROUTES:
+            with forced_route(route):
+                assert run_battery(g, CHECKS, report=bad) == [passed, want]
         capped += 1
     assert capped >= g.n
 
 
-def counted_walks(g, rep, checks, budget, monkeypatch):
-    """(outcomes, calls of the L f helper) of ``checks`` at edge budget ``budget``."""
-    real = verify._incidence_laplacian
+def counted_walks(g, rep, checks, route, size, monkeypatch):
+    """(outcomes, calls of the route's L f helper) of ``checks`` on ``route``, at edge budget
+    ``size`` on the incidence route and in groups of ``size`` sources on the dense one."""
+    helper = "_product_laplacian" if route == "product" else "_incidence_laplacian"
+    real = getattr(verify, helper)
     calls = []
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(verify, "_incidence_laplacian", counting)
-    monkeypatch.setattr(verify, "EDGE_BUDGET", budget)
+    monkeypatch.setattr(verify, helper, counting)
+    monkeypatch.setattr(verify, "PRODUCT_ROWS" if route == "product" else "EDGE_BUDGET", size)
+    monkeypatch.setattr(verify, "takes_product_route", lambda g: route == "product")
     return run_battery(g, checks, report=rep), len(calls)
 
 
-def walked_sub_blocks(g, budget, outcomes):
-    """The sub-blocks a walk computes L f for: all of them while a check passes, else up to
-    the one that holds the last of the checks' first failing sources."""
-    rows = min(core.ROW_BLOCK, g.n, max(1, budget // max(g.m, 1)))
+def walked_sub_blocks(g, route, size, outcomes):
+    """The sub-blocks, or the groups on the dense route, a walk computes L f for: all of
+    them while a check passes, else up to the one that holds the last of the checks' first
+    failing sources."""
     stop = g.n - 1
     if not any(oc.passed for oc in outcomes):
         stop = max(int(re.search(r"source (\d+)", oc.detail).group(1)) for oc in outcomes)
+    if route == "product":
+        return stop // min(size, g.n) + 1
+    rows = min(core.ROW_BLOCK, g.n, max(1, size // max(g.m, 1)))
     block = stop - stop % core.ROW_BLOCK
     return sum(-(-min(core.ROW_BLOCK, g.n - start) // rows)
                for start in range(0, block, core.ROW_BLOCK)) + (stop - block) // rows + 1
 
 
+# (route, size): the incidence route at each edge budget, the dense route at group sizes
+# of one source, of 7, which splits these graphs unevenly, and the default
+WALKS = [("incidence", budget) for budget in BUDGETS] + [
+    ("product", size) for size in (1, 7, verify.PRODUCT_ROWS)]
+
+
 @pytest.mark.parametrize("g", [grid(9, 9).graph, cycle(70), complete(12)],
                          ids=["grid", "cycle", "complete"])
 def test_both_checks_take_one_walk_in_either_order(g, monkeypatch):
-    # L f is computed once per sub-block for the pair, in either order, and each outcome
-    # is the reference's, in the order asked for. The walk covers every sub-block while a
-    # check still passes, and stops at the sub-block where the later check first fails:
-    # flipped bits of sources 1 and n - 1 fail the laplacian at source 1, and clearing
-    # source 1's slice fails both checks there
+    # L f is computed once per sub-block, or group, for the pair, in either order, and on
+    # either route, and each outcome is the reference's, in the order asked for. The walk
+    # covers every sub-block while a check still passes, and stops at the sub-block where
+    # the later check first fails: flipped bits of sources 1 and n - 1 fail the laplacian at
+    # source 1, and clearing source 1's slice fails both checks there
     rep = boundary(g)
     last = g.n - 1
     late = flip_bits(rep, [(1, 0), (last, next(iter(rep.slices[last].members)))])
@@ -454,10 +501,10 @@ def test_both_checks_take_one_walk_in_either_order(g, monkeypatch):
     for bad in (rep, late, early):
         want = {"laplacian": laplacian_reference(g, bad),
                 "dichotomy": dichotomy_reference(g, bad)}
-        for budget in BUDGETS:
+        for route, size in WALKS:
             for checks in (CHECKS, CHECKS[::-1], ("laplacian",)):
-                outcomes, walked = counted_walks(g, bad, checks, budget, monkeypatch)
+                outcomes, walked = counted_walks(g, bad, checks, route, size, monkeypatch)
                 assert outcomes == [want[c] for c in checks]
-                assert walked == walked_sub_blocks(g, budget, outcomes)
+                assert walked == walked_sub_blocks(g, route, size, outcomes)
     assert not any(oc.passed for oc in want.values())  # early: both fail at source 1
     assert {re.search(r"source (\d+)", oc.detail).group(1) for oc in want.values()} == {"1"}

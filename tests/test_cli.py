@@ -183,7 +183,8 @@ def test_verify_byte_identical_across_threads(tmp_path):
 
 def test_main_reuses_one_parser(tmp_path, capsys):
     # the parser is built once per process; calls that exit 2 in between, one from the
-    # parser and one from the command, leave the next call's bytes as they were
+    # parser and one from the command, leave the next call's bytes as they were. The
+    # parser's own error returns 2 from main, as the command's does
     from graphboundary.cli import build_parser
 
     assert build_parser() is build_parser()
@@ -192,9 +193,7 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--in", el, "--checks", "thm1,dichotomy") == 0
     first = capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        run("verify", "--in", el, "--no-such-flag")
-    assert exc.value.code == 2
+    assert run("verify", "--in", el, "--no-such-flag") == 2
     assert run("verify", "--in", el, "--checks", "nope") == 2
     capsys.readouterr()
     assert run("verify", "--in", el, "--checks", "thm1,dichotomy") == 0
@@ -344,6 +343,10 @@ def test_verify_enum_nmax_out_of_range_exit2(capsys):
         ("sweep", "--family", "path", "--sizes", ","),
         # each check runs once: a check named twice would print twice and count twice
         ("verify", "--family", "path", "--params", "3", "--checks", "thm1,thm1"),
+        # argparse's own errors: a required option missing, an unknown option, a bad type
+        ("boundary", "--family", "path"),
+        ("verify", "--bogus"),
+        ("verify", "--family", "enum", "--nmax", "x"),
     ],
 )
 def test_bad_parameters_exit2_with_one_line(argv, capsys):
@@ -351,6 +354,15 @@ def test_bad_parameters_exit2_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+def test_help_prints_usage_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: graphboundary") and captured.err == ""
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf"])

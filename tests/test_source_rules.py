@@ -15,7 +15,9 @@ their checks read the report they are handed and never build one.
 ``layers.py``, ``verify.py`` and ``euclid.py`` never name ``bfs_distances``
 or ``distance_matrix``. No module but ``boundary.py`` reads the
 ``distances`` attribute of a ``BoundaryReport``: every check reads the
-report's distance rows through ``BoundaryReport.row_blocks``. The ``_batch_*``
+report's distance rows through ``BoundaryReport.row_blocks``, and the
+battery's long-step test the whole matrix through
+``BoundaryReport.long_steps``. The ``_batch_*``
 runners, whose reports are ``BatchReport``s, may read theirs. The
 ``_batch_*`` runners of ``verify.py`` never rebuild an array that
 ``BatchReport`` derives once per report (degrees, diameter, boundary).
@@ -23,10 +25,13 @@ runners, whose reports are ``BatchReport``s, may read theirs. The
 Graph, so every Graph passed its checks and carries its CSR. In
 ``verify.py`` only ``_incidence_laplacian`` names ``add.at``: both the
 per-graph and the batch dichotomy decide their layers from the sign of
-L f and keep no scatter tally of their own. No module but ``boundary.py``
-names ``_sigma_pass``: the batch laplacian sums L f from the distances and
-the adjacency itself, so it checks the slices against an independent sum,
-not against the sigma they were read off.
+L f and keep no scatter tally of their own, and the per-graph walk's dense
+route takes L f from a BLAS product with no scatter at all. No module but
+``boundary.py`` names ``_sigma_pass`` or ``_padded_layout``: the batch
+laplacian sums L f from the distances and the adjacency itself, and either
+route of the per-graph walk reads the graph's CSR, so each checks the
+slices against an independent sum, not against the sigma or the padded
+neighbor slots they were read off.
 """
 
 import ast
@@ -295,8 +300,11 @@ def test_rule_sees_add_at_uses():
     assert _add_at_uses(tree) == [("<module>", 11), ("C", 8), ("f", 4)]
 
 
+KERNEL_INTERNALS = {"_sigma_pass", "_padded_layout"}
+
+
 def test_only_boundary_names_the_sigma_pass():
-    found = {p.name: _name_uses(ast.parse(p.read_text(), filename=str(p)), {"_sigma_pass"})
+    found = {p.name: _name_uses(ast.parse(p.read_text(), filename=str(p)), KERNEL_INTERNALS)
              for p in SOURCES}
     assert {name for name, lines in found.items() if lines} == {"boundary.py"}
 
@@ -306,5 +314,8 @@ def test_rule_sees_sigma_pass_uses():
                      "def _sigma_pass(a, d):\n    return a\ns = '_sigma_pass'\n"
                      "x = boundary._sigma_pass(a, d)[2]\n"
                      "from graphboundary.boundary import _sigma_pass as sp\n"
-                     "y = _sigma_pass\n")
-    assert _name_uses(tree, {"_sigma_pass"}) == [2, 6, 7, 8]
+                     "y = _sigma_pass\n"
+                     "# _padded_layout(g) in a comment\nt = '_padded_layout'\n"
+                     "z = kernel._padded_layout(g)\nfrom .boundary import _padded_layout\n"
+                     "for members, w, slots in _padded_layout(g):\n    pass\n")
+    assert _name_uses(tree, KERNEL_INTERNALS) == [2, 6, 7, 8, 11, 12, 13]
