@@ -57,6 +57,7 @@ MAX_VERTICES = 32767  # largest n whose distance matrix fits int16: n * n * 2 by
 MAX_EDGES = 2**20
 BIT_ROUTE_RATIO = 2  # distance_matrix goes bit-parallel when ecc(0) * ceil(n / 64) <= this * (n + m)
 TREE_ROUTE_ECC = 16  # a tree with n >= 64 takes the row recurrence when ecc(0) >= this
+DISTANCE_ROUTES = ("tree", "bits", "python")  # named by distance_route; python is the reference
 
 
 @dataclass(frozen=True)
@@ -198,18 +199,17 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
     One Python BFS from vertex 0 checks connectivity (DisconnectedError
     otherwise) and gives ecc(0), which brackets the diameter within a factor
-    of 2. Three routes give the same matrix: deep trees take the row
-    recurrence of :func:`_tree_distances` (:func:`takes_tree_route`),
-    low-diameter graphs the bit-parallel BFS of :func:`_bit_distances`
-    (:func:`takes_bit_route`), and the rest one Python BFS per source,
-    with the probe reused as row 0. The dtype is int16, which holds
+    of 2. The routes that :func:`distance_route` names give the same matrix:
+    "tree", the row recurrence of :func:`_tree_distances`; "bits", the
+    bit-parallel BFS of :func:`_bit_distances`; "python", one Python BFS per
+    source, with the probe reused as row 0. The dtype is int16, which holds
     n - 1 < MAX_VERTICES.
     """
     row0 = bfs_distances(g, 0)
-    ecc0 = max(row0)
-    if takes_tree_route(g, ecc0):
+    route = distance_route(g, max(row0))
+    if route == "tree":
         arr = _tree_distances(g, row0)
-    elif takes_bit_route(g, ecc0):
+    elif route == "bits":
         arr = _bit_distances(g)
     else:
         arr = np.empty((g.n, g.n), dtype=np.int16)
@@ -220,37 +220,21 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return arr
 
 
-def takes_bit_route(g: Graph, ecc0: int) -> bool:
-    """True iff :func:`distance_matrix` runs the bit-parallel BFS on g, where ecc(0) = ecc0.
+def distance_route(g: Graph, ecc0: int) -> str:
+    """The route of :func:`distance_matrix` on the connected g, where ecc(0) = ecc0.
 
-    A tree that :func:`takes_tree_route` never does. Otherwise a level of
-    the bit route costs about ceil(n / 64) words per vertex and edge, and
-    it runs diam <= 2 ecc(0) levels; a Python BFS costs n + m per source.
-    So low-diameter graphs go to bits, and long cycles and other long thin
-    graphs stay in Python. Below one full word (n < 64) the per-level numpy
-    calls cost more than the whole Python pass. BIT_ROUTE_RATIO was fitted
-    on grids (square and long thin), G(n, p), trees, stars, complete
-    graphs, cycles and paths of 64 to 3630 vertices: bits won at 2 or
-    below, by 1.2x to 240x, with paths near n = 64 within 10% either way.
-    Above 2 they still won at cycle 600 (ratio 2.5, 0.041 against 0.091 s)
-    and grid 6x600 (3.38, 3.65 against 4.23 s), and lost at cycle 2000
-    (8.0, 1.18 against 0.64 s), medians of 5 on a shared 2-core host.
-    """
-    return (g.n >= 64 and not takes_tree_route(g, ecc0)
-            and ecc0 * -(-g.n // 64) <= BIT_ROUTE_RATIO * (g.n + g.m))
+    Below one full word (n < 64) "python" wins: the per-level numpy calls of
+    the bit route cost more than the whole Python pass, and on the 145
+    labeled trees with 2 <= n <= 5 it takes 14-17 us per graph against 37 us
+    for the recurrence.
 
-
-def takes_tree_route(g: Graph, ecc0: int) -> bool:
-    """True iff :func:`distance_matrix` runs the row recurrence of :func:`_tree_distances` on g.
-
-    g is connected, so m = n - 1 makes it a tree. The recurrence costs a few
+    "tree": g is connected, so m = n - 1 makes it a tree, which takes the
+    recurrence when ecc(0) >= TREE_ROUTE_ECC. The recurrence costs a few
     numpy calls per row whatever the depth, while the bit route costs one
     level per unit of diameter, and ecc(0) <= diam <= 2 ecc(0). So deep
     trees go to the recurrence, and shallow, bushy ones (stars, binary
-    trees, short-legged spiders) stay on bits. Below one full word (n < 64)
-    the Python BFS wins: on the 145 labeled trees with 2 <= n <= 5 it takes
-    14-17 us per graph against 37 us. TREE_ROUTE_ECC was fitted on these
-    trees, in ms, medians of 5 on a shared 2-core host (about +-15%):
+    trees, short-legged spiders) stay on bits. TREE_ROUTE_ECC was fitted on
+    these trees, in ms, medians of 5 on a shared 2-core host (about +-15%):
 
     ========================  ======  ============  ==========
     tree (n)                  ecc(0)  bits          recurrence
@@ -271,12 +255,28 @@ def takes_tree_route(g: Graph, ecc0: int) -> bool:
     Rooted at the center, as in a spider, diam = 2 ecc(0) and the
     recurrence wins from ecc(0) = 12 at n = 100 to 2000. Rooted at an end
     of a caterpillar, diam = ecc(0) and it breaks even near 24 for n <= 600
-    and near 12 at n = 2000. At 16 the worst loss
-    measured was 1.2x (caterpillar 16x11, n = 192, 0.98 against 0.80 ms),
-    against gains up to 2.4x at the same ecc(0) (spider 124x16, n = 1985).
-    (The Python BFS takes 0.105 s on path 600 and 1.2 s on path 2000.)
+    and near 12 at n = 2000. At 16 the worst loss measured was 1.2x
+    (caterpillar 16x11, n = 192, 0.98 against 0.80 ms), against gains up to
+    2.4x at the same ecc(0) (spider 124x16, n = 1985). (The Python BFS
+    takes 0.105 s on path 600 and 1.2 s on path 2000.)
+
+    "bits": a level of the bit route costs about ceil(n / 64) words per
+    vertex and edge, and it runs diam <= 2 ecc(0) levels; a Python BFS
+    costs n + m per source. So low-diameter graphs, ecc(0) * ceil(n / 64)
+    <= BIT_ROUTE_RATIO * (n + m), go to bits, and long cycles and other long
+    thin graphs stay on "python". BIT_ROUTE_RATIO was fitted on grids
+    (square and long thin), G(n, p), trees, stars, complete graphs, cycles
+    and paths of 64 to 3630 vertices: bits won at 2 or below, by 1.2x to
+    240x, with paths near n = 64 within 10% either way. Above 2 they still
+    won at cycle 600 (ratio 2.5, 0.041 against 0.091 s) and grid 6x600
+    (3.38, 3.65 against 4.23 s), and lost at cycle 2000 (8.0, 1.18 against
+    0.64 s), medians of 5 on a shared 2-core host.
     """
-    return g.m == g.n - 1 and g.n >= 64 and ecc0 >= TREE_ROUTE_ECC
+    if g.n >= 64 and g.m == g.n - 1 and ecc0 >= TREE_ROUTE_ECC:
+        return "tree"
+    if g.n >= 64 and ecc0 * -(-g.n // 64) <= BIT_ROUTE_RATIO * (g.n + g.m):
+        return "bits"
+    return "python"
 
 
 def _tree_distances(g: Graph, row0: tuple[int, ...]) -> np.ndarray:

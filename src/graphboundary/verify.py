@@ -79,39 +79,40 @@ def _check_mps(g, report, gg):
 # bounded whatever m is, and stays inside the heap that the allocator reuses from one
 # block to the next
 EDGE_BUDGET = 2**15
-# the dense route of the L f walk (see takes_product_route): distance rows per staged group,
-# the density bound n^2 <= PRODUCT_DENSITY * m, and the largest n, whose n x n float32
-# Laplacian is 9 MiB
+# the product route of the L f walk (see walk_route): distance rows per staged group, the
+# density bound n^2 <= PRODUCT_DENSITY * m, and the largest n, whose float32 Laplacian is 9 MiB
 PRODUCT_ROWS = 128
 PRODUCT_DENSITY = 150
 PRODUCT_MAX_N = 1500
 FLOAT32_EXACT = 2**24  # every integer of magnitude below this is a float32
+WALK_ROUTES = ("incidence", "product")  # named by walk_route; incidence is the reference
 
 
-def takes_product_route(g: Graph) -> bool:
-    """True iff the L f walk of :func:`_laplacian_pass` on g is :func:`_product_walk`.
+def walk_route(g: Graph) -> str:
+    """The route of the L f walk of :func:`_laplacian_pass` on g.
 
-    The incidence route costs about n m per walk; the product costs n^3
-    multiply-adds in BLAS, far cheaper each, plus the long-step gathers,
-    which cost n m too but less per entry. So dense graphs take the
-    product: n^2 <= PRODUCT_DENSITY * m, with n from one full group of
-    PRODUCT_ROWS rows up to PRODUCT_MAX_N. PRODUCT_DENSITY was fitted with
-    OpenBLAS on one thread, both checks on one walk, best of 3-9 in
-    process, on a shared 2-core host. The product won at n^2 / m <= 157:
-    G(400, p) at 40, 98 and 157 (3.45x, 1.86x, 1.19x), G(1500, 0.02) at
-    100 (2.06x), the hypercube Q_8 at 64 (2.07x) and K_600 (84x). It broke
-    even from about 200: G(1000, 0.01) at 198 (1.11x), G(1500, 0.01) at 199
-    (1.26x), Q_10 at 205 (0.98x), grid 20x20 at 210 (0.97x), the annulus
-    lattice of ``lowdiam-verify`` at 221 (0.93x). It lost 2.1x on paths,
-    trees and cycles of 600 vertices, and 4x and 7.5x on grids 40x40 and
-    60x60. 150 leaves a margin below the break-even, which more BLAS
-    threads move up. Below 128 vertices the product's fixed cost of about
-    14 us a walk lost on paths, cycles and trees up to n = 32 (by up to
-    1.5x), against gains of 1.2-1.9x from n = 48. The rule reads only the
-    graph; each group must also pass its exactness bound (see
-    :func:`_product_walk`).
+    "incidence", :func:`_incidence_walk`, costs about n m per walk;
+    "product", :func:`_product_walk`, costs n^3 multiply-adds in BLAS, far
+    cheaper each, plus the long-step gathers, which cost n m too but less
+    per entry. So dense graphs take the product: n^2 <= PRODUCT_DENSITY * m,
+    with n from one full group of PRODUCT_ROWS rows up to PRODUCT_MAX_N.
+    PRODUCT_DENSITY was fitted with OpenBLAS on one thread, both checks on
+    one walk, best of 3-9 in process, on a shared 2-core host. The product
+    won at n^2 / m <= 157: G(400, p) at 40, 98 and 157 (3.45x, 1.86x,
+    1.19x), G(1500, 0.02) at 100 (2.06x), the hypercube Q_8 at 64 (2.07x)
+    and K_600 (84x). It broke even from about 200: G(1000, 0.01) at 198
+    (1.11x), G(1500, 0.01) at 199 (1.26x), Q_10 at 205 (0.98x), grid 20x20
+    at 210 (0.97x), the annulus lattice of ``lowdiam-verify`` at 221
+    (0.93x). It lost 2.1x on paths, trees and cycles of 600 vertices, and 4x
+    and 7.5x on grids 40x40 and 60x60. 150 leaves a margin below the
+    break-even, which more BLAS threads move up. Below 128 vertices the
+    product's fixed cost of about 14 us a walk lost on paths, cycles and
+    trees up to n = 32 (by up to 1.5x), against gains of 1.2-1.9x from
+    n = 48. The rule reads only the graph; each group must also pass its
+    exactness bound (see :func:`_product_walk`).
     """
-    return PRODUCT_ROWS <= g.n <= PRODUCT_MAX_N and g.n * g.n <= PRODUCT_DENSITY * g.m
+    dense = PRODUCT_ROWS <= g.n <= PRODUCT_MAX_N and g.n * g.n <= PRODUCT_DENSITY * g.m
+    return "product" if dense else "incidence"
 
 
 def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +274,8 @@ _PASS_CHECKS = ("laplacian", "dichotomy")  # two verdicts on one walk: _laplacia
 def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
     """The outcomes of ``checks``, a subset of _PASS_CHECKS, from one walk over the sources.
 
-    The walk is :func:`_product_walk` where :func:`takes_product_route` holds, else
-    :func:`_incidence_walk` over the report's blocks; either gives L f_v of each source
-    once, in int32, and its mismatch with the slices is computed once.
+    The walk that :func:`walk_route` names gives L f_v of each source once, in int32, and
+    its mismatch with the slices is computed once.
 
     laplacian: the positive entries of L f_v must be the slice of v. dichotomy: the rows
     :func:`_dichotomy_rows` flags or sets to recount go to :func:`_dichotomy_detail`, in
@@ -285,7 +285,7 @@ def _laplacian_pass(g, report, checks) -> dict[str, CheckOutcome]:
     n, delta = g.n, g.max_degree
     tails, heads = _edge_ends(g)
     steps = "dichotomy" in checks
-    walk = (_product_walk(g, report, tails, heads, steps) if takes_product_route(g)
+    walk = (_product_walk(g, report, tails, heads, steps) if walk_route(g) == "product"
             else _incidence_walk(g, report.row_blocks(), tails, heads, steps))
     pending = set(checks)
     found = {}

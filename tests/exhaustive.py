@@ -1,24 +1,35 @@
 """One per-graph pass over every connected labeled graph with n <= 6, shared by the tests.
 
-``per_graph_pass()`` runs ``boundary()`` and ``run_battery`` on each graph
-of ``enumerate_connected(NMAX)`` once per test session. The acceptance
-criterion on the exhaustive corpus and the agreement test of the batch
-evaluator both read it, so the 27 476 per-graph batteries run once, not
-twice. Each graph's fields are kept as rows of arrays stacked by graph
-size, in enumeration order: by edge mask within a size, the order in which
-the graphs of that size appear over the chunks of ``connected_chunks``.
+The pass runs ``boundary()`` and ``run_battery`` on each graph of
+``enumerate_connected(NMAX)`` once per test session. ``per_graph_pass()`` keeps
+each graph's fields as rows of arrays stacked by graph size, in enumeration
+order: by edge mask within a size, the order in which the graphs of that size
+appear over the chunks of ``connected_chunks``. These graphs take the reference
+routes (``routes.REFERENCES``); the pass forces each other route on its domain,
+and ``forced_runs()`` keeps where it failed. "product" must give every graph
+the battery's laplacian and dichotomy outcomes, details included; "tree" on the
+trees and "bits" on n <= 5 (3 s more on n = 6) must give the report's matrix,
+which must be the oracle's.
 """
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 
 import numpy as np
 
-from graphboundary import boundary, enumerate_connected, run_battery
+from oracle import floyd_warshall
+from routes import forced
+from graphboundary import Graph, boundary, distance_matrix, enumerate_connected, run_battery
 from graphboundary.verify import ALL_CHECKS
 
 NMAX = 6
 CHECKS = tuple(c for c in ALL_CHECKS if c != "prop4")
+WALK_CHECKS = ("laplacian", "dichotomy")  # the two verdicts of one L f walk
+HELD = 1024  # graphs held at a time, so that each route is forced once per chunk of them
+DOMAINS = {("walk", "product"): lambda g: True,
+           ("distance", "tree"): lambda g: g.m == g.n - 1,
+           ("distance", "bits"): lambda g: g.n <= 5}
 
 
 @dataclass(frozen=True)
@@ -41,16 +52,54 @@ class SizeRows:
 
 
 @cache
+def small_graphs() -> tuple[Graph, ...]:
+    """The 772 connected labeled graphs with n <= 5, in enumeration order, built once."""
+    graphs = tuple(enumerate_connected(5))
+    assert len(graphs) == 772
+    return graphs
+
+
 def per_graph_pass() -> dict[int, SizeRows]:
     """The per-graph reports and verdicts of every connected graph with n <= NMAX, by size."""
+    return _pass()[0]
+
+
+def forced_runs() -> dict[tuple[str, str], list]:
+    """(kind, name) -> [the number of graphs that route was forced on, those it failed]."""
+    return _pass()[1]
+
+
+@cache
+def _pass() -> tuple[dict[int, SizeRows], dict[tuple[str, str], list]]:
     fields: dict[int, list[tuple]] = {}
-    for g in enumerate_connected(NMAX):
-        rep = boundary(g)
-        verdicts = tuple(oc.passed for oc in run_battery(g, CHECKS, report=rep))
-        fields.setdefault(g.n, []).append((g.m, g.max_degree, rep.diameter, rep.distances,
-                                           rep.slice_rows(0, g.n), rep.boundary,
-                                           rep.cejz_boundary, verdicts))
-    return {n: _stack(n, rows) for n, rows in fields.items()}
+    runs = {route: [0, []] for route in DOMAINS}  # graphs forced, and those that failed
+    graphs = enumerate_connected(NMAX)
+    while chunk := list(islice(graphs, HELD)):
+        held = []
+        for g in chunk:
+            rep = boundary(g)
+            outcomes = run_battery(g, CHECKS, report=rep)
+            held.append((g, rep, [oc for oc in outcomes if oc.check in WALK_CHECKS]))
+            fields.setdefault(g.n, []).append((g.m, g.max_degree, rep.diameter, rep.distances,
+                                               rep.slice_rows(0, g.n), rep.boundary,
+                                               rep.cejz_boundary,
+                                               tuple(oc.passed for oc in outcomes)))
+        for route, domain in DOMAINS.items():
+            with forced(*route):
+                for g, rep, walk in held:
+                    if domain(g):
+                        runs[route][0] += 1
+                        if not _agrees(route[0], g, rep, walk):
+                            runs[route][1].append(g)
+    return {n: _stack(n, rows) for n, rows in fields.items()}, runs
+
+
+def _agrees(kind: str, g: Graph, rep, walk: list) -> bool:
+    """Whether the forced route of ``kind`` gives g the reference's outcomes or matrix."""
+    if kind == "walk":
+        return run_battery(g, WALK_CHECKS, report=rep) == walk
+    return distance_matrix(g).tolist() == rep.distances.tolist() == floyd_warshall(
+        g.n, list(g.edges()))
 
 
 def _stack(n: int, rows: list[tuple]) -> SizeRows:

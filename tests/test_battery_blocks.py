@@ -18,13 +18,12 @@ reference on every source row of every connected graph with n <= 5.
 The walk has two routes to L f: the incidence route, in sub-blocks of
 sources, and the dense route, one float32 product per group of
 ``verify.PRODUCT_ROWS`` sources, whose long steps are read off row gathers of
-the transposed group. Every comparison here runs on both, each forced by
-patching ``verify.takes_product_route``, and the dense route at group sizes
-that match the block sizes."""
+the transposed group. Every comparison here runs on both, each forced through
+``routes.forced``, and the dense route at group sizes that match the block
+sizes."""
 
 import dataclasses
 import re
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -33,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from exhaustive import small_graphs
 from oracle import (
     check_dichotomy,
     floyd_warshall,
@@ -41,14 +41,11 @@ from oracle import (
     layer_decompose,
     slice_members,
 )
+from routes import forced
 from test_distance_pass import flip_bits, graphs_and_long_paths
 from test_properties import connected_graphs
-from graphboundary import (
-    InvariantViolation,
-    boundary,
-    enumerate_connected,
-    run_battery,
-)
+from traced import traced
+from graphboundary import InvariantViolation, boundary, run_battery
 from graphboundary import core, verify
 from graphboundary.generators import complete, cycle, erdos_renyi, grid, path, random_tree
 from graphboundary.verify import CheckOutcome
@@ -88,12 +85,6 @@ def flipped(rep, rng, flips):
 # edge budgets: one source per sub-block; 7, which splits blocks unevenly on these
 # small graphs; the default
 BUDGETS = (1, 7, verify.EDGE_BUDGET)
-ROUTES = ("incidence", "product")
-
-
-def forced_route(route):
-    """A patch that sends the L f walk of every graph down ``route``."""
-    return mock.patch.object(verify, "takes_product_route", lambda g: route == "product")
 
 
 def block_outcomes(g, rep, block):
@@ -102,9 +93,9 @@ def block_outcomes(g, rep, block):
     want = [laplacian_reference(g, rep), dichotomy_reference(g, rep)]
     for budget in BUDGETS:
         with mock.patch.object(core, "ROW_BLOCK", block), \
-                mock.patch.object(verify, "EDGE_BUDGET", budget), forced_route("incidence"):
+                mock.patch.object(verify, "EDGE_BUDGET", budget), forced("walk", "incidence"):
             assert run_battery(g, CHECKS, report=rep) == want
-    with mock.patch.object(verify, "PRODUCT_ROWS", block), forced_route("product"):
+    with mock.patch.object(verify, "PRODUCT_ROWS", block), forced("walk", "product"):
         assert run_battery(g, CHECKS, report=rep) == want
     return want
 
@@ -112,15 +103,12 @@ def block_outcomes(g, rep, block):
 def test_block_checks_equal_references_on_all_small_graphs():
     rng = np.random.default_rng(2201)
     details = set()
-    count = 0
-    for g in enumerate_connected(5):
+    for count, g in enumerate(small_graphs()):
         rep = boundary(g)
         block = 1 + count % 8
         assert all(oc.passed for oc in block_outcomes(g, rep, block))
         for flips in (1, 2, 3):
             details.add(block_outcomes(g, flipped(rep, rng, flips), block)[1].detail)
-        count += 1
-    assert count == 772
     # both slice-dependent messages of check_dichotomy are reached, the mid-layer one
     # included; "too many edges into the outermost layer" depends on the distances alone
     kinds = {d.split(" (source")[0].split(" at layer")[0] for d in details}
@@ -175,8 +163,8 @@ def test_dichotomy_mid_layer_failure_names_the_layer():
     g = grid(5, 5).graph
     rep = boundary(g)
     bad = flip_bits(rep, [(0, u) for u in rep.slices[0].members if rep.distances[0, u] == 5])
-    for route in ROUTES:
-        with forced_route(route):
+    for route in verify.WALK_ROUTES:
+        with forced("walk", route):
             (outcome,) = run_battery(g, ("dichotomy",), report=bad)
         assert outcome == dichotomy_reference(g, bad)
         assert outcome.detail == "dichotomy failed at layer 5 (source 0)"
@@ -187,7 +175,7 @@ def test_dichotomy_detail_equals_the_reference_on_every_row():
     # slice bits flipped: the recount returns None exactly where the reference passes
     rng = np.random.default_rng(2402)
     kinds = Counter()
-    for g in enumerate_connected(5):
+    for g in small_graphs():
         rep = boundary(g)
         tails, heads = verify._edge_ends(g)
         for v, row in enumerate(rep.distances):
@@ -209,8 +197,8 @@ def test_dichotomy_routes_that_disagree_raise(monkeypatch):
     rep = boundary(g)
     bad = flip_bits(rep, [(7, u) for u in rep.slices[7].members])
     monkeypatch.setattr(verify, "_dichotomy_detail", lambda *args: None)
-    for route in ROUTES:
-        with forced_route(route), pytest.raises(InvariantViolation, match="flags source 7"):
+    for route in verify.WALK_ROUTES:
+        with forced("walk", route), pytest.raises(InvariantViolation, match="flags source 7"):
             run_battery(g, ("dichotomy",), report=bad)
 
 
@@ -242,9 +230,9 @@ def test_a_slice_widened_in_a_middle_layer_is_recounted_and_passes(g, monkeypatc
                 bad = flip_bits(rep, [(v, u)])
                 want = dichotomy_reference(g, bad)
                 assert want.passed
-                for route in ROUTES:
+                for route in verify.WALK_ROUTES:
                     recounted.clear()
-                    with forced_route(route):
+                    with forced("walk", route):
                         assert run_battery(g, CHECKS, report=bad) == [
                             CheckOutcome("laplacian", False, f"mismatch at source {v}"), want]
                     assert recounted == [v]
@@ -264,8 +252,8 @@ def test_rows_with_a_negative_entry_fail_the_dichotomy(checks):
         dist = rep.distances.copy()
         dist[2] = row
         bad = dataclasses.replace(rep, distances=dist)
-        for route in ROUTES:
-            with forced_route(route):
+        for route in verify.WALK_ROUTES:
+            with forced("walk", route):
                 *lap, outcome = run_battery(g, checks, report=bad)
             assert outcome == CheckOutcome("dichotomy", False, "negative distance (source 2)")
             assert lap == [laplacian_reference(g, bad)] * (len(checks) - 1)
@@ -274,25 +262,15 @@ def test_rows_with_a_negative_entry_fail_the_dichotomy(checks):
 def test_block_checks_hold_no_n_by_n_int64_array():
     g = path(1200)
     rep = boundary(g)
-    tracemalloc.start()
-    try:
-        outcomes = run_battery(g, CHECKS, report=rep)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    outcomes, peak = traced(run_battery, g, CHECKS, None, rep)
     assert all(oc.passed for oc in outcomes)
     assert peak < g.n ** 2 * 8 // 4
 
 
 def traced_peak(g, checks, route):
     rep = boundary(g)
-    tracemalloc.start()
-    try:
-        with forced_route(route):
-            outcomes = run_battery(g, checks, report=rep)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with forced("walk", route):
+        outcomes, peak = traced(run_battery, g, checks, None, rep)
     assert all(oc.passed for oc in outcomes)
     return peak
 
@@ -302,7 +280,7 @@ def test_laplacian_scratch_is_bounded_on_dense_graphs():
     # on this graph; sub-blocks of EDGE_BUDGET // m sources (here one) trace about 1.5 MiB.
     # The dense route, which K_300 takes unforced, holds the n x n float32 Laplacian and
     # three float32 or int32 arrays of PRODUCT_ROWS rows
-    for route in ROUTES:
+    for route in verify.WALK_ROUTES:
         assert traced_peak(complete(300), ("laplacian",), route) < 4 * 2**20
 
 
@@ -312,7 +290,7 @@ def test_dichotomy_builds_no_flat_edge_keys():
     # at 18.6 MiB; the dichotomy walks the laplacian's sub-blocks of EDGE_BUDGET // m
     # sources, whose keys hold max(EDGE_BUDGET, m) entries, alone or with the laplacian.
     # On the dense route K_300's rows span 0..1, so its long-step test gathers nothing
-    for route in ROUTES:
+    for route in verify.WALK_ROUTES:
         assert traced_peak(complete(300), ("dichotomy",), route) < 4 * 2**20
         assert traced_peak(complete(300), CHECKS, route) < 4 * 2**20
 
@@ -333,11 +311,8 @@ def assert_divergence_identity(g):
 
 
 def test_layer_sums_of_lf_are_the_cross_edge_differences_on_all_small_graphs():
-    count = 0
-    for g in enumerate_connected(5):
+    for g in small_graphs():
         assert_divergence_identity(g)
-        count += 1
-    assert count == 772
 
 
 @given(connected_graphs(min_n=1, max_n=12))
@@ -362,11 +337,8 @@ def assert_lf_within_degree_and_positive_on_the_slice(g):
 
 
 def test_lf_is_within_the_degree_and_positive_on_the_slice_on_all_small_graphs():
-    count = 0
-    for g in enumerate_connected(5):
+    for g in small_graphs():
         assert_lf_within_degree_and_positive_on_the_slice(g)
-        count += 1
-    assert count == 772
 
 
 @given(connected_graphs(min_n=1, max_n=12))
@@ -406,8 +378,8 @@ def test_rows_that_step_by_two_are_recounted(name):
     verdicts = Counter()
     for bad in steps_of_two(g, boundary(g)):
         want = dichotomy_reference(g, bad)
-        for route in ROUTES:
-            with forced_route(route):
+        for route in verify.WALK_ROUTES:
+            with forced("walk", route):
                 assert run_battery(g, ("dichotomy",), report=bad) == [want]
                 assert run_battery(g, CHECKS, report=bad) == [laplacian_reference(g, bad), want]
         verdicts[want.passed] += 1
@@ -441,28 +413,32 @@ def test_rows_that_only_leave_the_outermost_layer_out_are_flagged(g):
     for bad in capped_rows(g, boundary(g)):
         want = dichotomy_reference(g, bad)
         assert want.detail.startswith("outermost layer not fully in the slice")
-        for route in ROUTES:
-            with forced_route(route):
+        for route in verify.WALK_ROUTES:
+            with forced("walk", route):
                 assert run_battery(g, CHECKS, report=bad) == [passed, want]
         capped += 1
     assert capped >= g.n
 
 
-def counted_walks(g, rep, checks, route, size, monkeypatch):
-    """(outcomes, calls of the route's L f helper) of ``checks`` on ``route``, at edge budget
-    ``size`` on the incidence route and in groups of ``size`` sources on the dense one."""
-    helper = "_product_laplacian" if route == "product" else "_incidence_laplacian"
-    real = getattr(verify, helper)
+def counted(name):
+    """A patch of ``verify.<name>`` that counts its calls into the list it returns."""
+    real = getattr(verify, name)
     calls = []
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(verify, helper, counting)
+    return mock.patch.object(verify, name, counting), calls
+
+
+def counted_walks(g, rep, checks, route, size, monkeypatch):
+    """(outcomes, calls of the route's L f helper) of ``checks`` on ``route``, at edge budget
+    ``size`` on the incidence route and in groups of ``size`` sources on the dense one."""
+    patch, calls = counted("_product_laplacian" if route == "product" else "_incidence_laplacian")
     monkeypatch.setattr(verify, "PRODUCT_ROWS" if route == "product" else "EDGE_BUDGET", size)
-    monkeypatch.setattr(verify, "takes_product_route", lambda g: route == "product")
-    return run_battery(g, checks, report=rep), len(calls)
+    with patch, forced("walk", route):
+        return run_battery(g, checks, report=rep), len(calls)
 
 
 def walked_sub_blocks(g, route, size, outcomes):

@@ -1,11 +1,11 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracle
 from oracle import boundary_slice, cejz_boundary, laplacian_matrix, laplacian_slice
+from traced import traced
 from graphboundary import (
     DisconnectedError,
     VertexOutOfRangeError,
@@ -181,12 +181,7 @@ def test_boundary_thread_count_invariant():
 def test_dense_block_pass_sums_in_int32():
     # casting the int16 neighbor gather to int64 for the sums peaked at 50.5 MiB here
     g = complete(400)
-    tracemalloc.start()
-    try:
-        rep = boundary(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced(boundary, g)
     assert rep.boundary == rep.cejz_boundary == tuple(range(400))
     assert peak < 40 * 2**20
 

@@ -615,20 +615,13 @@ def test_mesh_finer_than_a_float_exit2(capsys):
 
 
 def test_vertex_cap_is_the_int16_distance_limit():
-    from unittest import mock
-
-    import numpy as np
-
-    from graphboundary import core, distance_matrix, grid, path
+    from routes import chosen
+    from graphboundary import core, distance_matrix, path
 
     assert core.MAX_VERTICES == np.iinfo(np.int16).max  # so n - 1 fits int16
-    for g, kernel in ((path(63), "bfs_distances"), (grid(8, 8).graph, "_bit_distances"),
-                      (path(600), "_tree_distances")):
-        real = getattr(core, kernel)
-        with mock.patch.object(core, kernel, wraps=real) as route:
-            assert distance_matrix(g).dtype == np.int16
-        # the Python route runs one BFS per source, the probe included
-        assert route.call_count == (g.n if kernel == "bfs_distances" else 1)
+    for g, route in ((path(63), "python"), (grid(8, 8).graph, "bits"), (path(600), "tree")):
+        assert chosen("distance", g) == route
+        assert distance_matrix(g).dtype == np.int16
 
 
 @pytest.mark.filterwarnings("default")  # Python's own policy, as a command line run has it

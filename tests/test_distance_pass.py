@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given
 
 import oracle
+from exhaustive import small_graphs
 from oracle import boundary_slice, layer_decompose
+from routes import chosen
 from test_properties import connected_graphs
 from graphboundary import (
     ALL_CHECKS,
@@ -22,7 +24,6 @@ from graphboundary import (
     BoundarySlice,
     boundary,
     distance_matrix,
-    enumerate_connected,
     lattice_discretize,
     random_tree,
     run_battery,
@@ -62,11 +63,8 @@ def assert_matches_oracle(g):
 
 
 def test_block_report_equals_oracle_on_all_small_graphs():
-    count = 0
-    for g in enumerate_connected(5):
+    for g in small_graphs():
         assert_matches_oracle(g)
-        count += 1
-    assert count == 772
 
 
 graphs_and_long_paths = st.one_of(
@@ -119,11 +117,8 @@ def assert_csr_is_the_adjacency(g):
 
 
 def test_csr_equals_adjacency_on_all_small_graphs():
-    count = 0
-    for g in enumerate_connected(5):
+    for g in small_graphs():
         assert_csr_is_the_adjacency(g)
-        count += 1
-    assert count == 772
 
 
 @given(graphs_and_long_paths)
@@ -165,7 +160,7 @@ def test_layer_decompose_with_precomputed_row_and_members():
 
 def test_battery_runs_one_distance_pass():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2))
-    assert core.takes_bit_route(gg.graph, max(core.bfs_distances(gg.graph, 0)))
+    assert chosen("distance", gg.graph) == "bits"
     boundary_module = sys.modules["graphboundary.boundary"]
     calls, sources = [], []
     real = core.bfs_distances
@@ -207,7 +202,7 @@ def test_sweep_and_prop4_run_one_distance_pass_per_graph(argv, passes, capsys):
 
 def test_python_route_runs_one_bfs_per_source():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.25))
-    assert not core.takes_bit_route(gg.graph, max(core.bfs_distances(gg.graph, 0)))
+    assert chosen("distance", gg.graph) == "python"
     calls = []
     real = core.bfs_distances
 

@@ -10,7 +10,6 @@ slots pad the graph, and the sweep must stay chunked.
 
 import dataclasses
 import re
-import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -19,6 +18,7 @@ import pytest
 
 from exhaustive import CHECKS, per_graph_pass
 from test_battery_blocks import BUDGETS
+from traced import traced
 from graphboundary import (
     InvariantViolation,
     boundary,
@@ -575,12 +575,7 @@ def test_batch_boundary_builds_no_n_cubed_array():
     rng = np.random.default_rng(24)
     adjacency = adjacency_of([random_connected(24, rng) for _ in range(256)])
     distances = _dense_distances(adjacency)
-    tracemalloc.start()
-    try:
-        batch_boundary(adjacency, distances)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(batch_boundary, adjacency, distances)
     assert peak < 5 * 2**20
 
 
@@ -600,13 +595,7 @@ def stack_of_48(family):
 
 def traced_run(check, batch):
     """(pass vector, traced peak in bytes) of ``_BATCH_RUNNERS[check]`` on ``batch``."""
-    tracemalloc.start()
-    try:
-        passed = _BATCH_RUNNERS[check](batch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return passed, peak
+    return traced(_BATCH_RUNNERS[check], batch)
 
 
 @pytest.mark.parametrize("family", ["random", "path flips"])
@@ -692,12 +681,7 @@ def test_cejz_outside_the_boundary_raises():
 
 def test_enum_sweep_to_6_stays_chunked(tmp_path, capsys):
     # all 32768 masks of n = 6 in one pass trace 32 MiB; chunks of ENUM_CHUNK trace 1.75 MiB
-    tracemalloc.start()
-    try:
-        out = str(tmp_path / "o")
-        assert main(["verify", "--family", "enum", "--nmax", "6", "--out", out]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    out = str(tmp_path / "o")
+    code, peak = traced(main, ["verify", "--family", "enum", "--nmax", "6", "--out", out])
+    assert code == 0 and peak < 8 * 2**20
     assert capsys.readouterr() == ("", "")

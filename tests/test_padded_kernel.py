@@ -13,7 +13,6 @@ scattered vertex order.
 """
 
 import importlib
-import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -23,6 +22,7 @@ from hypothesis import given, settings
 
 import oracle
 from oracle import boundary_slice
+from traced import traced
 from graphboundary import (
     DomainSpec,
     bfs_distances,
@@ -259,10 +259,5 @@ def test_block_scratch_stays_within_a_fixed_bound(g):
     dm = kernel.distance_matrix(g)
     with mock.patch.object(kernel, "distance_matrix", lambda _: dm):
         boundary(g)  # the graph's cached adjacency arrays
-        tracemalloc.start()
-        try:
-            rep = boundary(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rep, peak = traced(boundary, g)
     assert peak - rep.slice_bits.nbytes < SCRATCH_BOUND

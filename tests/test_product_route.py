@@ -1,19 +1,18 @@
 """The dense route of the battery's L f walk against the incidence route and the oracle.
 
-Dense graphs (``verify.takes_product_route``) take L f_v from one float32
-product per group of sources, with a Laplacian read off the graph's CSR, and
-read their long steps off row gathers of the transposed group. Sparse graphs,
-and any group past the exactness bound 2 delta max|d| < 2^24, keep the
-incidence route. Forced through either route, by patching the rule, every
-outcome must be the same, detail strings included: on every connected graph
-with n <= 6, on corrupted arrays (slice bits, entries moved by 1 or 2,
-negative entries, widened slices), on K_n up to n = 600 and on dense G(n, p).
+Dense graphs (``verify.walk_route`` names them "product") take L f_v from one
+float32 product per group of sources, with a Laplacian read off the graph's
+CSR, and read their long steps off row gathers of the transposed group.
+Sparse graphs, and any group past the exactness bound 2 delta max|d| < 2^24,
+keep the incidence route. Forced through either route by ``routes.forced``,
+every outcome must be the same, detail strings included: on corrupted arrays
+(slice bits, entries moved by 1 or 2, negative entries, widened slices), on
+K_n up to n = 600 and on dense G(n, p); on n <= 6, see ``tests/exhaustive.py``.
 ``tests/oracle.py`` is the reference where it runs fast enough.
 """
 
 import dataclasses
 import importlib
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -23,16 +22,12 @@ import pytest
 from hypothesis import given, settings
 
 from oracle import laplacian_matrix
-from test_battery_blocks import (
-    CHECKS,
-    dichotomy_reference,
-    flipped,
-    forced_route,
-    laplacian_reference,
-)
+from routes import forced
+from test_battery_blocks import CHECKS, counted, dichotomy_reference, flipped, laplacian_reference
 from test_distance_pass import flip_bits
 from test_enum_batch import corruptions, graphs_of, report_of, step_corruptions
-from graphboundary import boundary, enumerate_connected, is_connected, run_battery, validate
+from traced import traced
+from graphboundary import boundary, is_connected, run_battery, validate
 from graphboundary import verify
 from graphboundary.boundary import batch_boundary
 from graphboundary.generators import (
@@ -54,38 +49,15 @@ kernel = importlib.import_module("graphboundary.boundary")
 def both_routes(g, rep, checks=CHECKS):
     """The outcomes of ``checks`` on the incidence route, after asserting the dense route's
     are the same."""
-    with forced_route("incidence"):
+    with forced("walk", "incidence"):
         want = run_battery(g, checks, report=rep)
-    with forced_route("product"):
+    with forced("walk", "product"):
         assert run_battery(g, checks, report=rep) == want
     return want
 
 
-def counted(name):
-    """A patch of ``verify.<name>`` that counts its calls into the list it returns."""
-    real = getattr(verify, name)
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    return mock.patch.object(verify, name, counting), calls
-
-
 def passing(n):
     return [CheckOutcome(c, True, f"sources={n}") for c in CHECKS]
-
-
-def test_product_route_passes_every_connected_graph_up_to_6():
-    # the per-graph pass (tests/exhaustive.py) finds no failure on the incidence route,
-    # which these graphs take unforced; forced through the product, each passes as well
-    count = 0
-    with forced_route("product"):
-        for g in enumerate_connected(6):
-            assert run_battery(g, CHECKS) == passing(g.n)
-            count += 1
-    assert count == 27476
 
 
 def test_product_route_equals_the_incidence_route_on_corrupted_arrays():
@@ -128,7 +100,7 @@ def test_complete_graphs_take_the_product_and_agree_with_both_references(n):
     # n, the dichotomy's only on the smallest, where its per-source Python count is quick
     g = complete(n)
     rep = boundary(g)
-    assert verify.takes_product_route(g)
+    assert verify.walk_route(g) == "product"
     patch, products = counted("_product_laplacian")
     with patch:
         outcomes = run_battery(g, CHECKS, report=rep)
@@ -182,8 +154,8 @@ def test_product_route_equals_the_references_on_dense_graphs(g, size, flips, see
 @given(dense_graphs(verify.PRODUCT_ROWS, 180))
 def test_dense_graphs_past_one_group_take_the_product_unforced(g):
     rep = boundary(g)
-    assert verify.takes_product_route(g)
-    with forced_route("incidence"):
+    assert verify.walk_route(g) == "product"
+    with forced("walk", "incidence"):
         want = run_battery(g, CHECKS, report=rep)
     assert run_battery(g, CHECKS, report=rep) == want == passing(g.n)
 
@@ -196,12 +168,12 @@ def test_rule_sends_sparse_and_large_graphs_to_the_incidence_route():
               "grid 60x60": grid(60, 60).graph, "path 8000": path(8000),
               "cycle 2000": cycle(2000), "lollipop": lollipop,
               "random_tree(2000, 1)": random_tree(2000, 1), "K_127": complete(127)}
-    assert {name for name, g in {**dense, **sparse}.items()
-            if verify.takes_product_route(g)} == set(dense)
+    assert {name: verify.walk_route(g) for name, g in {**dense, **sparse}.items()} == {
+        **dict.fromkeys(dense, "product"), **dict.fromkeys(sparse, "incidence")}
     with mock.patch.object(verify, "PRODUCT_MAX_N", 599):
-        assert not verify.takes_product_route(dense["K_600"])
+        assert verify.walk_route(dense["K_600"]) == "incidence"
     with mock.patch.object(verify, "PRODUCT_DENSITY", 19):
-        assert not verify.takes_product_route(dense["G(400, 0.05)"])
+        assert verify.walk_route(dense["G(400, 0.05)"]) == "incidence"
 
 
 @pytest.mark.parametrize("patch", ["exactness bound", "cap"])
@@ -214,7 +186,7 @@ def test_patched_bound_or_cap_sends_the_walk_to_the_incidence_route(patch):
     limit = ("FLOAT32_EXACT", 1) if patch == "exactness bound" else ("PRODUCT_MAX_N", 299)
     with products, incidences, mock.patch.object(verify, *limit):
         outcomes = run_battery(g, CHECKS, report=bad)
-    with forced_route("incidence"):
+    with forced("walk", "incidence"):
         assert outcomes == run_battery(g, CHECKS, report=bad)
     assert outcomes[0].detail == "mismatch at source 200"
     assert not product_calls and incidence_calls
@@ -232,7 +204,7 @@ def test_a_group_past_the_exactness_bound_takes_the_incidence_route():
     incidences, incidence_calls = counted("_incidence_laplacian")
     with products, incidences:
         outcomes = run_battery(g, CHECKS, report=bad)
-    with forced_route("incidence"):
+    with forced("walk", "incidence"):
         assert outcomes == run_battery(g, CHECKS, report=bad)
     # row 260 is recounted for its long steps, and its layers pass: the walk covers every
     # group, and the last one in 44 sub-blocks of one source, as m > EDGE_BUDGET
@@ -274,10 +246,5 @@ def test_rows_that_span_at_most_1_are_not_gathered():
     g = complete(600)
     rep = boundary(g)
     ends = verify._edge_ends(g)
-    tracemalloc.start()
-    try:
-        long = rep.long_steps(*ends)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    long, peak = traced(rep.long_steps, *ends)
     assert not long.any() and peak < 2**16

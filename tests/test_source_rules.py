@@ -31,7 +31,10 @@ route takes L f from a BLAS product with no scatter at all. No module but
 laplacian sums L f from the distances and the adjacency itself, and either
 route of the per-graph walk reads the graph's CSR, so each checks the
 slices against an independent sum, not against the sigma or the padded
-neighbor slots they were read off.
+neighbor slots they were read off. Only the dispatcher of a route's chooser
+names its kernel: ``core.distance_matrix`` the distance kernels, and
+``verify._laplacian_pass`` the two walks, but for the product walk's fallback
+to the incidence walk. So a test that forces a chooser forces the route.
 """
 
 import ast
@@ -319,3 +322,32 @@ def test_rule_sees_sigma_pass_uses():
                      "z = kernel._padded_layout(g)\nfrom .boundary import _padded_layout\n"
                      "for members, w, slots in _padded_layout(g):\n    pass\n")
     assert _name_uses(tree, KERNEL_INTERNALS) == [2, 6, 7, 8, 11, 12, 13]
+
+
+ROUTE_KERNELS = {"_bit_distances", "_tree_distances", "_product_walk", "_incidence_walk"}
+
+
+def _route_kernel_uses(tree: ast.Module) -> set[tuple[str, str]]:
+    """(top-level function or class, else "<module>", kernel) of each route kernel named."""
+    return {(getattr(top, "name", "<module>"), kernel) for top in tree.body
+            for kernel in ROUTE_KERNELS if _name_uses(top, {kernel})}
+
+
+def test_only_the_dispatchers_name_the_route_kernels():
+    found = {(p.name, *use) for p in SOURCES
+             for use in _route_kernel_uses(ast.parse(p.read_text(), filename=str(p)))}
+    assert found == {("core.py", "distance_matrix", "_bit_distances"),
+                     ("core.py", "distance_matrix", "_tree_distances"),
+                     ("verify.py", "_laplacian_pass", "_product_walk"),
+                     ("verify.py", "_laplacian_pass", "_incidence_walk"),
+                     ("verify.py", "_product_walk", "_incidence_walk")}  # its fallback
+
+
+def test_rule_sees_route_kernel_uses():
+    tree = ast.parse("# _bit_distances(g) in a comment\nfrom .core import _tree_distances\n"
+                     "def f(g):\n    return core._bit_distances(g)\n"
+                     "def _product_walk(g):\n    s = '_incidence_walk'\n"
+                     "    return _incidence_walk(g)\nclass C:\n    walk = _product_walk\n")
+    assert _route_kernel_uses(tree) == {("<module>", "_tree_distances"), ("f", "_bit_distances"),
+                                        ("_product_walk", "_incidence_walk"),
+                                        ("C", "_product_walk")}

@@ -11,16 +11,16 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 
-from test_bit_bfs import route_of
+from exhaustive import small_graphs
+from routes import chosen
 from test_distance_pass import graphs_and_long_paths
-from graphboundary import boundary, enumerate_connected, read_edge_list
+from traced import traced
+from graphboundary import boundary, read_edge_list
 from graphboundary.boundary import report_to_dict
 from graphboundary.cli import _emit, _json_report, _text_report, main
 from graphboundary.generators import complete, cycle, grid, path, random_tree, star
@@ -52,11 +52,8 @@ def assert_streams_match(g):
 
 
 def test_every_connected_graph_up_to_5_vertices():
-    count = 0
-    for g in enumerate_connected(5):
+    for g in small_graphs():
         assert_streams_match(g)
-        count += 1
-    assert count == 772
 
 
 @given(graphs_and_long_paths)
@@ -79,7 +76,7 @@ def test_hypothesis_graphs(g):
     ids=["k1", "k2", "star40", "star300", "grid8", "tree200", "cycle65", "path600"],
 )
 def test_small_and_both_distance_routes(g, route):
-    assert route_of(g) == route
+    assert chosen("distance", g) == route
     assert_streams_match(g)
 
 
@@ -87,12 +84,7 @@ def test_streamed_json_memory_is_a_small_fraction_of_its_length():
     # the dict of lists and the indent encoder peaked near 10x the output (38.6 MB)
     report = boundary(star(600))
     length = sum(map(len, _json_report(report, True)))
-    tracemalloc.start()
-    try:
-        _emit(_json_report(report, True), os.devnull)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(_emit, _json_report(report, True), os.devnull)
     assert length > 3_000_000
     assert peak < length / 10
 
@@ -104,16 +96,9 @@ def test_cli_report_peaks_no_higher_than_computing_it(fmt, tmp_path):
     assert main(["gen", "--family", "star", "--params", "600", "--out", str(el)]) == 0
     argv = ["boundary", "--in", str(el), "--format", fmt, "--slices", "--out", os.devnull]
     assert main(argv) == 0  # imports and caches settle before tracing
-    tracemalloc.start()
-    try:
-        boundary(read_edge_list(el))
-        _, report_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        assert main(argv) == 0
-        _, cli_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cli_peak < 1.25 * report_peak
+    _, report_peak = traced(lambda: boundary(read_edge_list(el)))
+    code, cli_peak = traced(main, argv)
+    assert code == 0 and cli_peak < 1.25 * report_peak
 
 
 def run_optimized(*argv, cwd):

@@ -1,11 +1,10 @@
-"""The preorder row recurrence behind ``distance_matrix`` on trees, called
-directly so that trees below the route threshold are covered too, against
+"""The preorder row recurrence behind ``distance_matrix`` on trees, forced so
+that trees below the route threshold are covered too, against
 ``bfs_distances`` and the Floyd-Warshall oracle; the disconnected input with
-m = n - 1; and the bound on the kernel's scratch memory."""
+m = n - 1; and the bound on the kernel's scratch memory, which calls the
+kernel, as the probe BFS would count in the peak."""
 
-import tracemalloc
 from heapq import heapify, heappop, heappush
-from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -13,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 import oracle
-from graphboundary import DisconnectedError, distance_matrix, enumerate_connected, validate
-from graphboundary import core
+from routes import forced
+from traced import traced
+from graphboundary import DisconnectedError, distance_matrix, validate
 from graphboundary.core import _tree_distances, bfs_distances
 from graphboundary.generators import path, random_tree, star
 
@@ -63,21 +63,13 @@ def relabeled(g, perm):
     return validate([(perm[u], perm[w]) for u, w in g.edges()], g.n)
 
 
-def assert_tree_route_exact(g, floyd_warshall=True):
-    out = _tree_distances(g, bfs_distances(g, 0))
+def assert_route_exact(g, route="tree", floyd_warshall=True):
+    with forced("distance", route):
+        out = distance_matrix(g)
     assert out.dtype == np.int16 and out.shape == (g.n, g.n)
     assert out.tolist() == [list(bfs_distances(g, v)) for v in range(g.n)]
     if floyd_warshall:
         assert out.tolist() == oracle.floyd_warshall(g.n, list(g.edges()))
-
-
-def test_tree_route_on_all_labeled_trees_up_to_6():
-    count = 0
-    for g in enumerate_connected(6):
-        if g.m == g.n - 1:
-            assert_tree_route_exact(g)
-            count += 1
-    assert count == 1442  # sum of n ** (n - 2) over n = 1..6
 
 
 WORD_SIZES = [63, 64, 65, 127, 128, 129]
@@ -92,14 +84,14 @@ pruefer_trees = st.one_of(st.integers(2, 200), st.sampled_from(WORD_SIZES)).flat
 @given(pruefer_trees)
 def test_tree_route_on_hypothesis_trees(g):
     # Floyd-Warshall is cubic in pure Python, so the oracle checks the smaller trees
-    assert_tree_route_exact(g, floyd_warshall=g.n <= 70)
+    assert_route_exact(g, floyd_warshall=g.n <= 70)
 
 
 @pytest.mark.parametrize("n", WORD_SIZES)
 def test_tree_route_at_word_boundaries(n):
     for g in (path(n), random_tree(n, n), binary(n)):
         assert g.n == n
-        assert_tree_route_exact(g)
+        assert_route_exact(g)
 
 
 SHAPES = {
@@ -123,21 +115,16 @@ SHAPES = {
 
 @pytest.mark.parametrize("g", SHAPES.values(), ids=SHAPES.keys())
 def test_tree_route_on_tree_shapes(g):
-    assert_tree_route_exact(g, floyd_warshall=g.n <= 130)
+    assert_route_exact(g, floyd_warshall=g.n <= 130)
     # the same tree with vertex 0 moved elsewhere changes the preorder
     perm = list(range(1, g.n)) + [0]
-    assert_tree_route_exact(relabeled(g, perm), floyd_warshall=False)
+    assert_route_exact(relabeled(g, perm), floyd_warshall=False)
 
 
 def test_tree_route_scratch_is_one_block_of_rows():
     g = path(2000)
     row0 = bfs_distances(g, 0)
-    tracemalloc.start()
-    try:
-        out = _tree_distances(g, row0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced(_tree_distances, g, row0)
     # a permuted copy of the matrix would cost out.nbytes; one block of rows costs 128 KB here
     assert peak - out.nbytes < out.nbytes / 8
 
@@ -148,9 +135,8 @@ def test_disconnected_input_with_tree_edge_count_raises_the_probe_text():
     assert (g.n, g.m) == (64, 63)
     with pytest.raises(DisconnectedError) as probe:
         bfs_distances(g, 0)
-    with mock.patch.object(core, "_tree_distances", wraps=_tree_distances) as kernel, \
-            pytest.raises(DisconnectedError) as route:
+    # the probe raises before any route runs, even the tree route forced
+    with forced("distance", "tree"), pytest.raises(DisconnectedError) as route:
         distance_matrix(g)
     assert str(route.value) == str(probe.value) == \
         "graph is disconnected: 61 of 64 vertices unreachable from 0"
-    assert kernel.call_count == 0
