@@ -5,11 +5,12 @@ The pass runs ``boundary()`` and ``run_battery`` on each graph of
 each graph's fields as rows of arrays stacked by graph size, in enumeration
 order: by edge mask within a size, the order in which the graphs of that size
 appear over the chunks of ``connected_chunks``. These graphs take the reference
-routes (``routes.REFERENCES``); the pass forces each other route on its domain,
-and ``forced_runs()`` keeps where it failed. "product" must give every graph
-the battery's laplacian and dichotomy outcomes, details included; "tree" on the
-trees and "bits" on n <= 5 (3 s more on n = 6) must give the report's matrix,
-which must be the oracle's.
+routes (``routes.REFERENCES``); the pass forces each other route on its domain in
+``DOMAINS``, and ``forced_runs()`` keeps how many graphs it ran on and where it
+failed. "product" must give every graph the battery's laplacian and dichotomy
+outcomes, details included; "tree" on the trees and "bits" on n <= 5 (3 s more
+on n = 6) must run after the probe alone and give an int16 matrix equal to the
+report's, which must be the oracle's.
 """
 
 from dataclasses import dataclass
@@ -19,17 +20,19 @@ from itertools import islice
 import numpy as np
 
 from oracle import floyd_warshall
-from routes import forced
-from graphboundary import Graph, boundary, distance_matrix, enumerate_connected, run_battery
+from routes import counted, forced
+from graphboundary import Graph, boundary, core, distance_matrix, enumerate_connected, run_battery
 from graphboundary.verify import ALL_CHECKS
 
 NMAX = 6
 CHECKS = tuple(c for c in ALL_CHECKS if c != "prop4")
 WALK_CHECKS = ("laplacian", "dichotomy")  # the two verdicts of one L f walk
 HELD = 1024  # graphs held at a time, so that each route is forced once per chunk of them
-DOMAINS = {("walk", "product"): lambda g: True,
-           ("distance", "tree"): lambda g: g.m == g.n - 1,
-           ("distance", "bits"): lambda g: g.n <= 5}
+DOMAINS = {  # route -> (the graphs of the pass it is forced on, and how many they are)
+    ("walk", "product"): (lambda g: True, 27476),
+    ("distance", "tree"): (lambda g: g.m == g.n - 1, 1442),  # sum of n ** (n - 2), n = 1..6
+    ("distance", "bits"): (lambda g: g.n <= 5, 772),
+}
 
 
 @dataclass(frozen=True)
@@ -84,22 +87,26 @@ def _pass() -> tuple[dict[int, SizeRows], dict[tuple[str, str], list]]:
                                                rep.slice_rows(0, g.n), rep.boundary,
                                                rep.cejz_boundary,
                                                tuple(oc.passed for oc in outcomes)))
-        for route, domain in DOMAINS.items():
-            with forced(*route):
+        for route, (domain, _) in DOMAINS.items():
+            patch, bfs = counted(core, "bfs_distances")
+            with forced(*route), patch:
                 for g, rep, walk in held:
                     if domain(g):
                         runs[route][0] += 1
-                        if not _agrees(route[0], g, rep, walk):
+                        bfs.clear()
+                        if not _agrees(route[0], g, rep, walk, bfs.__len__):
                             runs[route][1].append(g)
     return {n: _stack(n, rows) for n, rows in fields.items()}, runs
 
 
-def _agrees(kind: str, g: Graph, rep, walk: list) -> bool:
-    """Whether the forced route of ``kind`` gives g the reference's outcomes or matrix."""
+def _agrees(kind: str, g: Graph, rep, walk: list, bfs) -> bool:
+    """Whether the forced route of ``kind`` gives g the reference's outcomes or int16 matrix
+    and runs no BFS but the distance probe (``bfs()`` counts them)."""
     if kind == "walk":
-        return run_battery(g, WALK_CHECKS, report=rep) == walk
-    return distance_matrix(g).tolist() == rep.distances.tolist() == floyd_warshall(
-        g.n, list(g.edges()))
+        return run_battery(g, WALK_CHECKS, report=rep) == walk and bfs() == 0
+    dm = distance_matrix(g)
+    return bfs() == 1 and dm.dtype == np.int16 and dm.tolist() == rep.distances.tolist() == \
+        floyd_warshall(g.n, list(g.edges()))
 
 
 def _stack(n: int, rows: list[tuple]) -> SizeRows:

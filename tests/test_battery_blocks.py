@@ -41,7 +41,7 @@ from oracle import (
     layer_decompose,
     slice_members,
 )
-from routes import forced
+from routes import counted, forced
 from test_distance_pass import flip_bits, graphs_and_long_paths
 from test_properties import connected_graphs
 from traced import traced
@@ -420,22 +420,11 @@ def test_rows_that_only_leave_the_outermost_layer_out_are_flagged(g):
     assert capped >= g.n
 
 
-def counted(name):
-    """A patch of ``verify.<name>`` that counts its calls into the list it returns."""
-    real = getattr(verify, name)
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    return mock.patch.object(verify, name, counting), calls
-
-
 def counted_walks(g, rep, checks, route, size, monkeypatch):
     """(outcomes, calls of the route's L f helper) of ``checks`` on ``route``, at edge budget
     ``size`` on the incidence route and in groups of ``size`` sources on the dense one."""
-    patch, calls = counted("_product_laplacian" if route == "product" else "_incidence_laplacian")
+    patch, calls = counted(verify, "_product_laplacian" if route == "product"
+                           else "_incidence_laplacian")
     monkeypatch.setattr(verify, "PRODUCT_ROWS" if route == "product" else "EDGE_BUDGET", size)
     with patch, forced("walk", route):
         return run_battery(g, checks, report=rep), len(calls)

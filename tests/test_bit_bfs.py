@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from exhaustive import small_graphs
-from routes import chosen, forced
+from routes import bfs_sources, chosen, forced
 from test_distance_pass import graphs_and_long_paths
 from test_tree_distances import assert_route_exact, binary, caterpillar, spider
 from traced import traced
@@ -118,7 +118,8 @@ def test_distance_matrix_runs_the_chosen_route():
                      (cycle(600), "python"), (path(63), "python"), (path(600), "tree"),
                      (random_tree(600, 1), "tree")):
         assert chosen("distance", g) == route, g.n
-        dm = distance_matrix(g)
+        dm, sources = bfs_sources(distance_matrix, g)
+        assert len(sources) == (g.n if route == "python" else 1)  # the probe, then one per source
         assert dm.dtype == np.int16 and not dm.flags.writeable
         assert dm.tolist() == [list(bfs_distances(g, v)) for v in range(g.n)]
 

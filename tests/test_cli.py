@@ -615,13 +615,14 @@ def test_mesh_finer_than_a_float_exit2(capsys):
 
 
 def test_vertex_cap_is_the_int16_distance_limit():
-    from routes import chosen
+    from routes import bfs_sources, chosen
     from graphboundary import core, distance_matrix, path
 
     assert core.MAX_VERTICES == np.iinfo(np.int16).max  # so n - 1 fits int16
     for g, route in ((path(63), "python"), (grid(8, 8).graph, "bits"), (path(600), "tree")):
         assert chosen("distance", g) == route
-        assert distance_matrix(g).dtype == np.int16
+        dm, sources = bfs_sources(distance_matrix, g)
+        assert dm.dtype == np.int16 and len(sources) == (g.n if route == "python" else 1)
 
 
 @pytest.mark.filterwarnings("default")  # Python's own policy, as a command line run has it

@@ -14,7 +14,7 @@ from hypothesis import given
 import oracle
 from exhaustive import small_graphs
 from oracle import boundary_slice, layer_decompose
-from routes import chosen
+from routes import bfs_sources, chosen, counted
 from test_properties import connected_graphs
 from graphboundary import (
     ALL_CHECKS,
@@ -161,24 +161,12 @@ def test_layer_decompose_with_precomputed_row_and_members():
 def test_battery_runs_one_distance_pass():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.2))
     assert chosen("distance", gg.graph) == "bits"
-    boundary_module = sys.modules["graphboundary.boundary"]
-    calls, sources = [], []
-    real = core.bfs_distances
-
-    def counting(g):
-        calls.append(g)
-        return distance_matrix(g)
-
-    def counting_bfs(g, source):
-        sources.append(source)
-        return real(g, source)
-
-    with mock.patch.object(boundary_module, "distance_matrix", counting), \
-            mock.patch.object(core, "bfs_distances", counting_bfs):
-        outcomes = run_battery(gg.graph, ALL_CHECKS, gg=gg)
+    patch, calls = counted(sys.modules["graphboundary.boundary"], "distance_matrix")
+    with patch:
+        outcomes, sources = bfs_sources(run_battery, gg.graph, ALL_CHECKS, gg=gg)
     assert [oc.check for oc in outcomes] == list(ALL_CHECKS)
     assert all(oc.passed for oc in outcomes)
-    assert calls == [gg.graph]
+    assert calls == [(gg.graph,)]
     assert sources == [0]  # the bit route's connectivity probe, and no other BFS
 
 
@@ -187,14 +175,8 @@ def test_battery_runs_one_distance_pass():
     (("prop4", "--family", "annulus", "--params", "0.4,1.0", "--lam", "0.2"), 1),
 ], ids=["sweep", "prop4"])
 def test_sweep_and_prop4_run_one_distance_pass_per_graph(argv, passes, capsys):
-    boundary_module = sys.modules["graphboundary.boundary"]
-    calls = []
-
-    def counting(g):
-        calls.append(g)
-        return distance_matrix(g)
-
-    with mock.patch.object(boundary_module, "distance_matrix", counting):
+    patch, calls = counted(sys.modules["graphboundary.boundary"], "distance_matrix")
+    with patch:
         assert cli.main(list(argv)) == 0
     assert capsys.readouterr().out
     assert len(calls) == passes
@@ -203,15 +185,7 @@ def test_sweep_and_prop4_run_one_distance_pass_per_graph(argv, passes, capsys):
 def test_python_route_runs_one_bfs_per_source():
     gg = lattice_discretize(DomainSpec.annulus(0.4, 1.0, 0.25))
     assert chosen("distance", gg.graph) == "python"
-    calls = []
-    real = core.bfs_distances
-
-    def counting(g, source):
-        calls.append(source)
-        return real(g, source)
-
-    with mock.patch.object(core, "bfs_distances", counting):
-        outcomes = run_battery(gg.graph, ALL_CHECKS, gg=gg)
+    outcomes, calls = bfs_sources(run_battery, gg.graph, ALL_CHECKS, gg=gg)
     assert [oc.check for oc in outcomes] == list(ALL_CHECKS)
     assert all(oc.passed for oc in outcomes)
     # the connectivity probe from vertex 0 is reused as row 0

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 
 from oracle import laplacian_matrix
-from routes import forced
-from test_battery_blocks import CHECKS, counted, dichotomy_reference, flipped, laplacian_reference
+from routes import counted, forced
+from test_battery_blocks import CHECKS, dichotomy_reference, flipped, laplacian_reference
 from test_distance_pass import flip_bits
 from test_enum_batch import corruptions, graphs_of, report_of, step_corruptions
 from traced import traced
@@ -101,7 +101,7 @@ def test_complete_graphs_take_the_product_and_agree_with_both_references(n):
     g = complete(n)
     rep = boundary(g)
     assert verify.walk_route(g) == "product"
-    patch, products = counted("_product_laplacian")
+    patch, products = counted(verify, "_product_laplacian")
     with patch:
         outcomes = run_battery(g, CHECKS, report=rep)
     assert outcomes == passing(n) and len(products) == -(-n // verify.PRODUCT_ROWS)
@@ -181,8 +181,8 @@ def test_patched_bound_or_cap_sends_the_walk_to_the_incidence_route(patch):
     g = complete(300)
     rep = boundary(g)
     bad = flip_bits(rep, [(200, 7)])
-    products, product_calls = counted("_product_laplacian")
-    incidences, incidence_calls = counted("_incidence_laplacian")
+    products, product_calls = counted(verify, "_product_laplacian")
+    incidences, incidence_calls = counted(verify, "_incidence_laplacian")
     limit = ("FLOAT32_EXACT", 1) if patch == "exactness bound" else ("PRODUCT_MAX_N", 299)
     with products, incidences, mock.patch.object(verify, *limit):
         outcomes = run_battery(g, CHECKS, report=bad)
@@ -200,8 +200,8 @@ def test_a_group_past_the_exactness_bound_takes_the_incidence_route():
     dist = rep.distances.copy()
     dist[260, 5] = 30000
     bad = dataclasses.replace(rep, distances=dist)
-    products, product_calls = counted("_product_laplacian")
-    incidences, incidence_calls = counted("_incidence_laplacian")
+    products, product_calls = counted(verify, "_product_laplacian")
+    incidences, incidence_calls = counted(verify, "_incidence_laplacian")
     with products, incidences:
         outcomes = run_battery(g, CHECKS, report=bad)
     with forced("walk", "incidence"):

@@ -1,27 +1,24 @@
 """Every route held to its kind's reference, and the routes the benchmark's graphs take.
 
 The agreement test reads what the per-graph pass of ``tests/exhaustive.py`` found
-when it forced each route but the references, so a route added with no domain
-in the pass fails here.
+when it forced each route but the references on its domain there, so a route
+added with no domain in the pass fails here.
 """
 
 import pytest
 
-from exhaustive import forced_runs
+from exhaustive import DOMAINS, forced_runs
 from routes import CHOOSERS, REFERENCES, chosen, forced
 from graphboundary import DomainSpec, is_connected, lattice_discretize
 from graphboundary.generators import erdos_renyi, path, random_tree
 
 ROUTES = [(kind, name) for kind, (_, _, names) in CHOOSERS.items() for name in names
           if name != REFERENCES[kind]]
-# graphs each route runs on in the pass: all 27 476 connected graphs with n <= 6, the
-# 1442 trees among them (sum of n ** (n - 2) over n = 1..6), and the 772 with n <= 5
-DOMAIN_SIZES = {("walk", "product"): 27476, ("distance", "tree"): 1442, ("distance", "bits"): 772}
 
 
 @pytest.mark.parametrize("kind, name", ROUTES, ids=[f"{k}-{n}" for k, n in ROUTES])
 def test_route_forced_on_its_n_up_to_6_domain_agrees_with_the_reference(kind, name):
-    assert forced_runs()[kind, name] == [DOMAIN_SIZES[kind, name], []]
+    assert forced_runs()[kind, name] == [DOMAINS[kind, name][1], []]
 
 
 def test_forced_rejects_a_name_outside_its_kind():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracle
-from routes import forced
+from routes import bfs_sources, forced
 from traced import traced
 from graphboundary import DisconnectedError, distance_matrix, validate
 from graphboundary.core import _tree_distances, bfs_distances
@@ -65,7 +65,8 @@ def relabeled(g, perm):
 
 def assert_route_exact(g, route="tree", floyd_warshall=True):
     with forced("distance", route):
-        out = distance_matrix(g)
+        out, sources = bfs_sources(distance_matrix, g)
+    assert len(sources) == (g.n if route == "python" else 1)  # the route forced ran
     assert out.dtype == np.int16 and out.shape == (g.n, g.n)
     assert out.tolist() == [list(bfs_distances(g, v)) for v in range(g.n)]
     if floyd_warshall:
@@ -130,8 +131,9 @@ def test_tree_route_scratch_is_one_block_of_rows():
 
 
 def test_disconnected_input_with_tree_edge_count_raises_the_probe_text():
-    # a triangle plus a disjoint path of 61 vertices: n = 64 and m = 63 = n - 1
-    g = validate([(0, 1), (1, 2), (0, 2)] + [(u, u + 1) for u in range(3, 63)], 64)
+    # a path 0-1-2 plus a disjoint cycle of 61 vertices: n = 64 and m = 63 = n - 1; the
+    # cycle is away from 0, so the tree route, were it to run, would not loop on it
+    g = validate([(0, 1), (1, 2), (3, 63)] + [(u, u + 1) for u in range(3, 63)], 64)
     assert (g.n, g.m) == (64, 63)
     with pytest.raises(DisconnectedError) as probe:
         bfs_distances(g, 0)
