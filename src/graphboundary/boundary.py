@@ -193,15 +193,30 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
     :func:`_padded_layout`. For each class, the gather ``part[:, slots]``
     gives the distances from the chunk's sources to its padded slots as a
     (rows, width, class size) array, and ``part[:, members]`` gives d(u, v)
-    for its members. One int32 sum and one max along the width then decide
-    the class's columns, which are written straight into vertex order. u
-    is in the slice of v iff the padded sum is below width * d(u, v), that
-    is, iff the padded mean rounded down is below d(u, v), and u is
+    for its members. One sum and one max along the width then decide the
+    class's columns, which are written straight into vertex order. u is in
+    the slice of v iff the padded sum is below width * d(u, v), that is,
+    iff the padded mean rounded down is below d(u, v), and u is
     CEJZ-certified by v iff the maximum is at most d(u, v) (see the module
-    docstring for why the pads change neither). A width is at most
+    docstring for why the pads change neither).
+
+    Each class is summed in int16 where that is exact, and in int32
+    otherwise. A padded sum, and each partial sum in whatever order numpy
+    adds, holds at most ``width`` entries of the staging block, each a hop
+    distance from 0 to the block's maximum, so it is at most width times
+    that maximum. Where that is below 2^15 the class is summed in int16,
+    which skips numpy's cast of every gathered entry. int32 is exact for any block: a width is at most
     5/4 Delta, so a padded sum is at most 5/4 Delta (n - 1) <=
-    5/4 (n - 1)^2 < 1.35e9 < 2^31 for n <= core.MAX_VERTICES, and it is
-    computed in int32.
+    5/4 (n - 1)^2 < 1.35e9 < 2^31 for n <= core.MAX_VERTICES. Every class
+    of path 600, ``random_tree(600)``, grid 40x40, Q_10, K_300, star 600
+    and the G(n, p) of the benchmarks is summed in int16; a hub of 300
+    leaves at the end of a 120-vertex path (width 320, entries up to 121)
+    is summed in int32. Against int32 everywhere, distances precomputed,
+    in process, best of 5 x 15 in each of three sittings, the kernel took
+    0.80-0.88 of the time on path 600, 0.80-0.89 on
+    ``random_tree(600, 12345)``, 0.78-0.86 on G(400, 0.02), 0.69-0.82 on
+    grid 40x40, 0.81-0.83 on Q_10, 0.87-0.88 on K_300 and 0.82-0.85 on
+    G(1500, 0.01).
 
     Sources are staged in blocks of ``core.ROW_BLOCK`` rows, or more, as
     many as keep the block's bool slice rows within ``_STAGE_BUDGET``
@@ -239,14 +254,16 @@ def boundary(g: Graph, include_slices: bool = False, threads: int = 1) -> Bounda
     diameter = 0
     for start in range(0, n if g.m else 0, rows):  # K_1: its one slice is empty
         blk = dm[start:start + rows]
-        diameter = max(diameter, int(blk.max()))
+        high = int(blk.max())  # hop distances: no entry is negative
+        diameter = max(diameter, high)
         member = in_slice[:len(blk)]
         for members, width, slots, step in classes:
+            exact = np.int16 if width * high < 2**15 else np.int32  # bounds every padded sum
             for top in range(0, len(blk), step):
                 part = blk[top:top + step]
                 nb = part[:, slots]
                 d = part[:, members]
-                mean = nb.sum(axis=1, dtype=np.int32)
+                mean = nb.sum(axis=1, dtype=exact)
                 mean //= width  # in place: one more temporary made path 8000 refault its heap
                 member[top:top + step, members] = mean < d
                 in_cejz[members] |= (nb.max(axis=1) <= d).any(axis=0)

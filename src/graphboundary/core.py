@@ -287,11 +287,14 @@ def _tree_distances(g: Graph, row0: tuple[int, ...]) -> np.ndarray:
     preorder columns is the depth; the row of a child c is its parent's
     row plus 1, minus 2 on c's subtree. Each row is stored at its vertex id
     and then its columns go back to vertex order, ROW_BLOCK rows at a time,
-    so the route peaks at the matrix plus one block.
+    so the route peaks at the matrix plus one block. A graph with a cycle
+    raises InvariantViolation once the DFS reaches a vertex twice, instead
+    of looping on the cycle.
     """
     n = g.n
     adjacency = g.adjacency
     parent = [-1] * n
+    parent[0] = 0  # reached: every reached vertex has a parent
     order: list[int] = []
     stack = [0]
     while stack:
@@ -299,6 +302,8 @@ def _tree_distances(g: Graph, row0: tuple[int, ...]) -> np.ndarray:
         order.append(u)
         for w in adjacency[u]:
             if w != parent[u]:
+                if parent[w] >= 0:
+                    raise InvariantViolation(f"tree route reached vertex {w} twice: not a tree")
                 parent[w] = u
                 stack.append(w)
     size = [1] * n

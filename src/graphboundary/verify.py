@@ -80,9 +80,11 @@ def _check_mps(g, report, gg):
 # block to the next
 EDGE_BUDGET = 2**15
 # the product route of the L f walk (see walk_route): distance rows per staged group, the
-# density bound n^2 <= PRODUCT_DENSITY * m, and the largest n, whose float32 Laplacian is 9 MiB
+# density bound n^2 <= PRODUCT_DENSITY * m, and the smallest and the largest n, whose
+# float32 Laplacian is 9 MiB
 PRODUCT_ROWS = 128
 PRODUCT_DENSITY = 150
+PRODUCT_MIN_N = 48
 PRODUCT_MAX_N = 1500
 FLOAT32_EXACT = 2**24  # every integer of magnitude below this is a float32
 WALK_ROUTES = ("incidence", "product")  # named by walk_route; incidence is the reference
@@ -95,23 +97,42 @@ def walk_route(g: Graph) -> str:
     "product", :func:`_product_walk`, costs n^3 multiply-adds in BLAS, far
     cheaper each, plus the long-step gathers, which cost n m too but less
     per entry. So dense graphs take the product: n^2 <= PRODUCT_DENSITY * m,
-    with n from one full group of PRODUCT_ROWS rows up to PRODUCT_MAX_N.
-    PRODUCT_DENSITY was fitted with OpenBLAS on one thread, both checks on
-    one walk, best of 3-9 in process, on a shared 2-core host. The product
-    won at n^2 / m <= 157: G(400, p) at 40, 98 and 157 (3.45x, 1.86x,
-    1.19x), G(1500, 0.02) at 100 (2.06x), the hypercube Q_8 at 64 (2.07x)
-    and K_600 (84x). It broke even from about 200: G(1000, 0.01) at 198
-    (1.11x), G(1500, 0.01) at 199 (1.26x), Q_10 at 205 (0.98x), grid 20x20
-    at 210 (0.97x), the annulus lattice of ``lowdiam-verify`` at 221
-    (0.93x). It lost 2.1x on paths, trees and cycles of 600 vertices, and 4x
-    and 7.5x on grids 40x40 and 60x60. 150 leaves a margin below the
-    break-even, which more BLAS threads move up. Below 128 vertices the
-    product's fixed cost of about 14 us a walk lost on paths, cycles and
-    trees up to n = 32 (by up to 1.5x), against gains of 1.2-1.9x from
-    n = 48. The rule reads only the graph; each group must also pass its
+    with PRODUCT_MIN_N <= n <= PRODUCT_MAX_N. PRODUCT_DENSITY was fitted
+    with OpenBLAS on one thread, both checks on one walk, best of 3-9 in
+    process, on a shared 2-core host. The product won at n^2 / m <= 157:
+    G(400, p) at 40, 98 and 157 (3.45x, 1.86x, 1.19x), G(1500, 0.02) at
+    100 (2.06x), the hypercube Q_8 at 64 (2.07x) and K_600 (84x). It broke
+    even from about 200: G(1000, 0.01) at 198 (1.11x), G(1500, 0.01) at 199
+    (1.26x), Q_10 at 205 (0.98x), grid 20x20 at 210 (0.97x), the annulus
+    lattice of ``lowdiam-verify`` at 221 (0.93x). It lost 2.1x on paths,
+    trees and cycles of 600 vertices, and 4x and 7.5x on grids 40x40 and
+    60x60. 150 leaves a margin below the break-even, which more BLAS
+    threads move up.
+
+    Below 128 vertices a graph is one group of n rows, and the product's
+    fixed cost of about 14 us a walk decides. PRODUCT_MIN_N was fitted the
+    same way, best of 7 x 20 walks; incidence time / product time with one
+    OpenBLAS thread:
+
+    =====  =====  =========  ===========  ===================
+    n      K_n    G(n, 0.3)  path, cycle  ``random_tree(n, 1)``
+    =====  =====  =========  ===========  ===================
+    32     2.65   1.04       0.80         0.80
+    40     4.36   1.58       1.18-1.20    1.18
+    48     8.53   1.80       1.19-1.20    1.21
+    64     11.2   2.33       1.20-1.21    1.14
+    96     19.0   3.47       1.45-1.46    1.45
+    127    27.6   4.42       1.37-1.40    1.40
+    =====  =====  =========  ===========  ===================
+
+    With the default two threads every ratio was within 5% of these but
+    K_40 (5.93) and, at n = 127, K_127 (24.0), G(127, 0.3) (4.96) and the
+    sparse graphs (1.56-1.57). So the product wins on every shape from
+    n = 40 and loses on sparse graphs at n = 32; the floor of 48 leaves a
+    margin. The rule reads only the graph; each group must also pass its
     exactness bound (see :func:`_product_walk`).
     """
-    dense = PRODUCT_ROWS <= g.n <= PRODUCT_MAX_N and g.n * g.n <= PRODUCT_DENSITY * g.m
+    dense = PRODUCT_MIN_N <= g.n <= PRODUCT_MAX_N and g.n * g.n <= PRODUCT_DENSITY * g.m
     return "product" if dense else "incidence"
 
 

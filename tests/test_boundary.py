@@ -179,7 +179,8 @@ def test_boundary_thread_count_invariant():
 
 
 def test_dense_block_pass_sums_in_int32():
-    # casting the int16 neighbor gather to int64 for the sums peaked at 50.5 MiB here
+    # casting the int16 neighbor gather to int64 for the sums peaked at 50.5 MiB here; K_400
+    # sums in int16, as width 399 times distances of at most 1 is below 2^15
     g = complete(400)
     rep, peak = traced(boundary, g)
     assert rep.boundary == rep.cejz_boundary == tuple(range(400))

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 
 import oracle
 from oracle import boundary_slice
+from test_tree_distances import broom
 from traced import traced
 from graphboundary import (
     DomainSpec,
@@ -139,11 +140,8 @@ def test_hypothesis_graphs_equal_the_references(g):
     assert_exact(g)
 
 
-@pytest.mark.parametrize("g", [star(300), random_tree(300, 1)],
-                         ids=["star_300", "random_tree_300"])
-def test_scattered_classes_equal_the_definitions(g):
-    """Several classes whose members interleave in vertex order, against BFS rows."""
-    assert len(kernel._padded_layout(g)) > 1
+def assert_definitions(g):
+    """Every block size gives the slices, CEJZ set and witnesses of the definitions on BFS rows."""
     rows = [bfs_distances(g, v) for v in range(g.n)]
     slices = [boundary_slice(g, row) for row in rows]
     cejz = tuple(u for u in range(g.n) if any(
@@ -153,6 +151,51 @@ def test_scattered_classes_equal_the_definitions(g):
         assert [sl.members for sl in rep.slices] == slices
         assert rep.witness == witness
         assert rep.cejz_boundary == cejz
+
+
+@pytest.mark.parametrize("g", [star(300), random_tree(300, 1)],
+                         ids=["star_300", "random_tree_300"])
+def test_scattered_classes_equal_the_definitions(g):
+    """Several classes whose members interleave in vertex order, against BFS rows."""
+    assert len(kernel._padded_layout(g)) > 1
+    assert_definitions(g)
+
+
+def sum_dtypes(g):
+    """The (width, dtype) of each padded sum of ``boundary(g)``, one per gathered chunk."""
+    sums = []
+
+    class Logged(np.ndarray):  # the gathers of a logged matrix are logged, and only they are summed
+        def sum(self, *args, **kwargs):
+            sums.append((self.shape[1], np.dtype(kwargs["dtype"])))
+            return super().sum(*args, **kwargs)
+
+    dm = kernel.distance_matrix(g).view(Logged)
+    with mock.patch.object(kernel, "distance_matrix", lambda _: dm):
+        boundary(g)
+    return sums
+
+
+# a hub of 300 leaves at the end of a 120-vertex tail: the hub's class has width 320 and the
+# distances reach 121, so the bound 320 * 121 = 38 720 passes 2^15 - 1, and so do its sums
+BROOM = broom(121, 300)
+
+
+def test_classes_past_the_int16_bound_are_summed_in_int32():
+    (hub,) = [u for u in range(BROOM.n) if BROOM.degree(u) == 301]
+    dm = kernel.distance_matrix(BROOM)
+    padded = dm[:, [*BROOM.adjacency[hub], *[hub] * 19]].sum(axis=1, dtype=np.int64)
+    assert padded.max() > 2**15 - 1 and 320 * int(dm.max()) >= 2**15
+    sums = sum_dtypes(BROOM)
+    assert {w for w, _ in sums} == {1, 2, 320}
+    assert {dtype for w, dtype in sums if w == 320} == {np.dtype(np.int32)}
+    assert {dtype for w, dtype in sums if w < 320} == {np.dtype(np.int16)}
+    assert_definitions(BROOM)
+
+
+def test_path_600_sums_every_class_in_int16():
+    assert {dtype for _, dtype in sum_dtypes(path(600))} == {np.dtype(np.int16)}
+    assert_definitions(path(600))
 
 
 @pytest.mark.parametrize("name", PINNED)

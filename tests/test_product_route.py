@@ -161,17 +161,21 @@ def test_dense_graphs_past_one_group_take_the_product_unforced(g):
 
 
 def test_rule_sends_sparse_and_large_graphs_to_the_incidence_route():
-    dense = {"K_600": complete(600), "G(400, 0.05)": erdos_renyi(400, 0.05, 1)}
+    # the floor PRODUCT_MIN_N = 48 sends K_127 and path 48 to the product, K_47 not
+    dense = {"K_600": complete(600), "G(400, 0.05)": erdos_renyi(400, 0.05, 1),
+             "K_127": complete(127), "path 48": path(48)}
     lollipop = validate([(u, w) for u in range(40) for w in range(u + 1, 40)]
                         + [(39 + i, 40 + i) for i in range(2000)], 2040)
     sparse = {"annulus": lattice_discretize(DomainSpec("annulus", (0.4, 1.0), 0.08, None)).graph,
               "grid 60x60": grid(60, 60).graph, "path 8000": path(8000),
               "cycle 2000": cycle(2000), "lollipop": lollipop,
-              "random_tree(2000, 1)": random_tree(2000, 1), "K_127": complete(127)}
+              "random_tree(2000, 1)": random_tree(2000, 1), "K_47": complete(47)}
     assert {name: verify.walk_route(g) for name, g in {**dense, **sparse}.items()} == {
         **dict.fromkeys(dense, "product"), **dict.fromkeys(sparse, "incidence")}
     with mock.patch.object(verify, "PRODUCT_MAX_N", 599):
         assert verify.walk_route(dense["K_600"]) == "incidence"
+    with mock.patch.object(verify, "PRODUCT_MIN_N", 128):
+        assert verify.walk_route(dense["K_127"]) == "incidence"
     with mock.patch.object(verify, "PRODUCT_DENSITY", 19):
         assert verify.walk_route(dense["G(400, 0.05)"]) == "incidence"
 

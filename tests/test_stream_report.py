@@ -2,9 +2,9 @@
 
 The JSON reference is ``json.dumps(report_to_dict(r, True), indent=2) +
 "\\n"``, the public dict API; the text reference is the line-list writer
-the CLI used before slices were streamed, kept here. Also: the memory of
-the streamed reports, the CLI under ``python -O``, and a reader that
-closes the pipe early.
+the CLI used before slices were streamed, kept here. Also: each distinct
+slice row formatted once, the memory of the streamed reports, the CLI
+under ``python -O``, and a reader that closes the pipe early.
 """
 
 import json
@@ -12,7 +12,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -20,7 +22,7 @@ from exhaustive import small_graphs
 from routes import chosen
 from test_distance_pass import graphs_and_long_paths
 from traced import traced
-from graphboundary import boundary, read_edge_list
+from graphboundary import boundary, cli, read_edge_list
 from graphboundary.boundary import report_to_dict
 from graphboundary.cli import _emit, _json_report, _text_report, main
 from graphboundary.generators import complete, cycle, grid, path, random_tree, star
@@ -80,12 +82,46 @@ def test_small_and_both_distance_routes(g, route):
     assert_streams_match(g)
 
 
+def formatted_rows(report, writer):
+    """How many slice rows ``writer(report, True)`` formats: one label gather per formatted row."""
+    gathers = []
+    labels = cli._labels
+
+    class Counted(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(key)
+            return super().__getitem__(key)
+
+    with mock.patch.object(cli, "_labels", lambda *args: labels(*args).view(Counted)):
+        "".join(writer(report, True))
+    return len(gathers)
+
+
+@pytest.mark.parametrize("g, distinct", [(random_tree(600, 12345), 222), (path(2000), 3),
+                                         (star(600), 601)], ids=["tree600", "path2000", "star600"])
+def test_each_distinct_slice_row_is_formatted_once(g, distinct):
+    # every non-leaf source of a tree has the leaf set as its slice; a star's rows all differ
+    assert_streams_match(g)
+    report = boundary(g)
+    assert formatted_rows(report, _json_report) == formatted_rows(report, _text_report) == distinct
+
+
 def test_streamed_json_memory_is_a_small_fraction_of_its_length():
     # the dict of lists and the indent encoder peaked near 10x the output (38.6 MB)
     report = boundary(star(600))
     length = sum(map(len, _json_report(report, True)))
     _, peak = traced(_emit, _json_report(report, True), os.devnull)
     assert length > 3_000_000
+    assert peak < length / 10
+
+
+def test_streamed_json_of_a_tree_keeps_only_the_rows_still_to_come():
+    # 379 of the 600 rows are the leaf set; its one text is the only one kept
+    report = boundary(random_tree(600, 12345))
+    length = sum(map(len, _json_report(report, True)))
+    _emit(_json_report(report, True), os.devnull)  # the writer's first-call allocations
+    _, peak = traced(_emit, _json_report(report, True), os.devnull)
+    assert length > 1_000_000
     assert peak < length / 10
 
 

@@ -1,7 +1,8 @@
 """The preorder row recurrence behind ``distance_matrix`` on trees, forced so
 that trees below the route threshold are covered too, against
 ``bfs_distances`` and the Floyd-Warshall oracle; the disconnected input with
-m = n - 1; and the bound on the kernel's scratch memory, which calls the
+m = n - 1; a graph with a cycle forced onto the route, which must raise
+and not loop; and the bound on the kernel's scratch memory, which calls the
 kernel, as the probe BFS would count in the peak."""
 
 from heapq import heapify, heappop, heappush
@@ -14,9 +15,9 @@ from hypothesis import given, settings
 import oracle
 from routes import bfs_sources, forced
 from traced import traced
-from graphboundary import DisconnectedError, distance_matrix, validate
+from graphboundary import DisconnectedError, InvariantViolation, distance_matrix, validate
 from graphboundary.core import _tree_distances, bfs_distances
-from graphboundary.generators import path, random_tree, star
+from graphboundary.generators import cycle, path, random_tree, star
 
 
 def spider(legs, length):
@@ -142,3 +143,12 @@ def test_disconnected_input_with_tree_edge_count_raises_the_probe_text():
         distance_matrix(g)
     assert str(route.value) == str(probe.value) == \
         "graph is disconnected: 61 of 64 vertices unreachable from 0"
+
+
+@pytest.mark.parametrize("g", [cycle(6), validate([(u, u + 1) for u in range(9)] + [(3, 7)], 10)],
+                         ids=["cycle_6", "path_10_with_chord_3_7"])
+def test_tree_route_forced_on_a_graph_with_a_cycle_raises(g):
+    # a cycle through vertex 0 or away from it: the DFS, which pushes every neighbor but
+    # the parent, must stop at the first vertex it reaches twice instead of looping
+    with forced("distance", "tree"), pytest.raises(InvariantViolation, match="not a tree"):
+        distance_matrix(g)
