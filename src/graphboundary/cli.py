@@ -401,20 +401,16 @@ def _slice_texts(report, prefix: str, sep: str) -> Iterator[str]:
     del ranked
     labels = _labels(report.n, prefix)  # once the sort's scratch is freed
     rows = slice_row_iter(report)
-    if starts.all():  # no repeated row: nothing to keep
-        for row in rows:
-            yield sep.join(labels[row].tolist())
-        return
     key_of = np.empty(report.n, np.intp)
     key_of[order] = np.cumsum(starts[:-1]) - 1
-    left = np.diff(np.flatnonzero(starts)).tolist()  # the rows of each distinct key
+    again = np.empty(report.n, bool)  # an equal row is still to come: the sort is stable
+    again[order] = ~starts[1:]
     kept: dict[int, str] = {}
-    for key, row in zip(key_of.tolist(), rows):
+    for key, keep, row in zip(key_of.tolist(), again.tolist(), rows):
         text = kept.pop(key, None)
         if text is None:
             text = sep.join(labels[row].tolist())
-        left[key] -= 1
-        if left[key]:
+        if keep:
             kept[key] = text
         yield text
 
